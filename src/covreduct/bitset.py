@@ -29,7 +29,3 @@ def to_indices(mask: int) -> list[int]:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0

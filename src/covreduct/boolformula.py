@@ -8,10 +8,18 @@ another.  The minimal DNF of a monotone CNF is the set of minimal hitting
 sets of its clauses, computed by clause-by-clause distribution with
 absorption after every product step.
 
-The product step is quadratic in the implicant count, so it runs on numpy
-uint64 vectors whenever the formula has at most 64 variables (implicant
-sets in the thousands are routine for dense systems); wider formulas fall
-back to the same algorithm over Python ints.
+Absorption, the product step, the filter of incremental adds and the
+engine's verification of delete survivors are all quadratic in the term
+count (sets in the thousands are routine for dense systems), so they run on
+numpy, for any number of variables: a set of k terms over m variables is a
+``(k, W)`` uint64 array with W = ceil(m / 64) words per term, least
+significant word first.  One kernel, ``_contains_subset``, answers every
+"does some term of B sit inside this term of A" question.  It broadcasts
+chunks of the shorter set against the whole of the longer one, each chunk
+sized so that a step touches at most ``CHUNK_CELLS`` words, so temporaries
+stay small whatever the term counts.  At W = 1 a word column is the flat
+uint64 vector of the terms, so one-word formulas run plain vector
+arithmetic.
 """
 
 from dataclasses import dataclass
@@ -23,6 +31,9 @@ from .bitset import bits
 from .errors import TermBlowup
 
 DEFAULT_TERM_LIMIT = 1_000_000
+# Words (rows of A x rows of B x W) one broadcast step of _contains_subset
+# covers: 256 KiB of uint64 temporaries, which stay in a core's cache.
+CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,93 @@ def mask_to_names(names: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple(names[i] for i in bits(mask))
 
 
+def _pack(terms: Iterable[int], n_vars: int) -> np.ndarray:
+    """Terms over ``n_vars`` variables as a ``(k, W)`` uint64 word array."""
+    width = max(1, -(-n_vars // 64))
+    terms = list(terms)
+    if width == 1:
+        return np.fromiter(terms, dtype=np.uint64, count=len(terms)).reshape(-1, 1)
+    raw = b"".join(t.to_bytes(8 * width, "little") for t in terms)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
+
+
+def _unpack(rows: np.ndarray) -> frozenset[int]:
+    if rows.shape[1] == 1:
+        return frozenset(rows[:, 0].tolist())
+    raw = rows.astype("<u8").tobytes()
+    size = 8 * rows.shape[1]
+    return frozenset(
+        int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
+    )
+
+
+def _contains_subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of ``a``: does some row of ``b`` sit inside it?
+
+    Both are ``(k, W)`` word arrays of one width.  The shorter of the two is
+    taken in chunks of rows, sized so that a broadcast step covers at most
+    CHUNK_CELLS words, against all of the longer one.
+    """
+    found = np.zeros(len(a), dtype=bool)
+    if not len(a) or not len(b):
+        return found
+    width = a.shape[1]
+    outside = ~a
+    # Reduce along the longer side: numpy's reductions run fast along a
+    # long contiguous axis and slowly along a short one.
+    a_long = len(a) > len(b)
+    long_rows, short_rows = (outside, b) if a_long else (b, outside)
+    long_words = [np.ascontiguousarray(long_rows[:, w]) for w in range(width)]
+    step = max(1, CHUNK_CELLS // (len(long_rows) * width))
+    for lo in range(0, len(short_rows), step):
+        part = short_rows[lo : lo + step]
+        # The bits of each row of b that fall outside each row of a.
+        spill = part[:, 0, None] & long_words[0][None, :]
+        for w in range(1, width):
+            spill |= part[:, w, None] & long_words[w][None, :]
+        if a_long:
+            found |= spill.min(axis=0) == 0
+        else:
+            found[lo : lo + len(part)] = spill.min(axis=1) == 0
+    return found
+
+
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    # Sorting beats np.unique, which hashes integer input.
+    if rows.shape[1] == 1:
+        ordered = np.sort(rows, axis=0)
+    else:
+        ordered = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[fresh]
+
+
+def _absorb_into(kept: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``kept`` plus the distinct ``rows`` that contain no other term.
+
+    No row of ``kept`` may strictly contain a row of ``rows``.  The rows of
+    the lowest popcount left contain no other row left, so they are kept
+    and every row containing one of them is dropped, one level at a time.
+    """
+    rows = _unique_rows(rows)
+    rows = rows[~_contains_subset(rows, kept)]
+    counts = _popcounts(rows)
+    order = np.argsort(counts, kind="stable")
+    rows, counts = rows[order], counts[order]
+    while len(rows):
+        low = np.searchsorted(counts, counts[0], side="right")
+        level, rows, counts = rows[:low], rows[low:], counts[low:]
+        kept = np.concatenate((kept, level))
+        left = ~_contains_subset(rows, level)
+        rows, counts = rows[left], counts[left]
+    return kept
+
+
 def absorb(terms: Iterable[int], keep: str = "minimal") -> frozenset[int]:
     """Reduce a term collection to an antichain.
 
@@ -58,17 +156,12 @@ def absorb(terms: Iterable[int], keep: str = "minimal") -> frozenset[int]:
     """
     if keep not in ("minimal", "maximal"):
         raise ValueError(f"keep must be 'minimal' or 'maximal', got {keep!r}")
-    ordered = sorted(set(terms), key=lambda t: t.bit_count(), reverse=keep == "maximal")
-    kept: list[int] = []
-    for t in ordered:
-        if keep == "minimal":
-            if any(s & ~t == 0 for s in kept):
-                continue
-        else:
-            if any(t & ~s == 0 for s in kept):
-                continue
-        kept.append(t)
-    return frozenset(kept)
+    terms = list(terms)
+    rows = _pack(terms, max(terms, default=0).bit_length())
+    if keep == "minimal":
+        return _unpack(_absorb_into(rows[:0], rows))
+    # The maximal terms are the complements of the minimal complements.
+    return _unpack(~_absorb_into(rows[:0], ~rows))
 
 
 def minimal_dnf(cnf: MonotoneFormula, max_terms: int = DEFAULT_TERM_LIMIT) -> MonotoneFormula:
@@ -85,68 +178,26 @@ def minimal_dnf(cnf: MonotoneFormula, max_terms: int = DEFAULT_TERM_LIMIT) -> Mo
     clauses = sorted(absorb(cnf.terms, "minimal"), key=lambda c: (c.bit_count(), c))
     if any(c == 0 for c in clauses):
         raise ValueError("monotone CNF must not contain an empty clause")
-    if len(cnf.names) <= 64:
-        terms = _expand_u64(clauses, max_terms)
-    else:
-        terms = _expand_wide(clauses, max_terms)
-    return MonotoneFormula("dnf", terms, cnf.names)
+    return MonotoneFormula("dnf", _expand(clauses, len(cnf.names), max_terms), cnf.names)
 
 
-def _subset_survivors(kept: np.ndarray, cand: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Candidates no kept term is a subset of (chunked to bound memory)."""
-    keep_flags = np.ones(cand.size, dtype=bool)
-    for lo in range(0, cand.size, chunk):
-        part = cand[lo : lo + chunk]
-        absorbed = ((kept[None, :] & ~part[:, None]) == 0).any(axis=1)
-        keep_flags[lo : lo + part.size] = ~absorbed
-    return cand[keep_flags]
-
-
-def _expand_u64(clauses: list[int], max_terms: int) -> frozenset[int]:
-    """Product-with-absorption over uint64 vectors (up to 64 variables)."""
-    implicants = np.zeros(1, dtype=np.uint64)
+def _expand(clauses: list[int], n_vars: int, max_terms: int) -> frozenset[int]:
+    """Product-with-absorption over word arrays."""
+    implicants = _pack([0], n_vars)
     for clause in clauses:
-        c = np.uint64(clause)
-        hit_mask = (implicants & c) != 0
-        hit = implicants[hit_mask]
-        missed = implicants[~hit_mask]
-        if missed.size == 0:
+        missing = ~(implicants & _pack([clause], n_vars)).any(axis=1)
+        missed = implicants[missing]
+        if not len(missed):
             continue
-        var_bits = np.uint64(1) << np.array(list(bits(clause)), dtype=np.uint64)
-        if hit.size + missed.size * var_bits.size > max_terms:
+        var_bits = _pack([1 << v for v in bits(clause)], n_vars)
+        hit = implicants[~missing]
+        if len(hit) + len(missed) * len(var_bits) > max_terms:
             raise TermBlowup(f"DNF expansion exceeded {max_terms} intermediate terms")
-        expanded = np.unique(missed[:, None] | var_bits[None, :])
-        # Absorption: drop expanded terms some kept term sits inside.  Hit
-        # terms are untouched (an expanded term extends an implicant
-        # incomparable with every hit term, so it can never absorb one),
-        # and only strictly smaller terms can absorb, so working through
-        # the deduplicated candidates by ascending popcount level keeps
-        # each level's checks independent of its peers.
-        kept = hit
-        counts = np.bitwise_count(expanded)
-        for level in np.unique(counts):
-            cand = expanded[counts == level]
-            if kept.size:
-                cand = _subset_survivors(kept, cand)
-            if cand.size:
-                kept = np.concatenate((kept, cand))
-        implicants = kept
-    return frozenset(int(t) for t in implicants)
-
-
-def _expand_wide(clauses: list[int], max_terms: int) -> frozenset[int]:
-    """Product-with-absorption over plain ints (any variable count)."""
-    implicants: list[int] = [0]
-    for clause in clauses:
-        hit = [t for t in implicants if t & clause]
-        missed = [t for t in implicants if not t & clause]
-        if not missed:
-            continue
-        expanded = [t | (1 << v) for t in missed for v in bits(clause)]
-        if len(hit) + len(expanded) > max_terms:
-            raise TermBlowup(f"DNF expansion exceeded {max_terms} intermediate terms")
-        implicants = list(absorb(hit + expanded, "minimal"))
-    return frozenset(implicants)
+        expanded = (missed[:, None, :] | var_bits[None, :, :]).reshape(-1, implicants.shape[1])
+        # Hit terms are untouched: an expanded term extends an implicant
+        # incomparable with every hit term, so it can never absorb one.
+        implicants = _absorb_into(hit, expanded)
+    return _unpack(implicants)
 
 
 def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) -> frozenset[int]:
@@ -155,12 +206,55 @@ def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) ->
     Candidates equal to an existing term survive: only strict inclusion of
     an existing term disqualifies an extension.
     """
-    existing = list(existing)
-    return frozenset(
-        c
-        for c in candidates
-        if not any(e != c and e & ~c == 0 for e in existing)
-    )
+    candidates, existing = list(candidates), list(existing)
+    n_vars = max(max(candidates, default=0), max(existing, default=0)).bit_length()
+    cand = _unique_rows(_pack(candidates, n_vars))
+    exist = _pack(existing, n_vars)
+    # A term sits strictly inside a candidate iff it sits inside it and has
+    # a lower popcount, so each candidate level meets only the lower terms.
+    counts = _popcounts(exist)
+    order = np.argsort(counts)
+    exist, exist_counts = exist[order], counts[order]
+    cand_counts = _popcounts(cand)
+    keep = np.ones(len(cand), dtype=bool)
+    for level in np.unique(cand_counts):
+        at_level = cand_counts == level
+        lower = exist[: np.searchsorted(exist_counts, level)]
+        keep[at_level] = ~_contains_subset(cand[at_level], lower)
+    return _unpack(cand[keep])
+
+
+def are_minimal_hitting_sets(
+    candidates: Iterable[int], clauses: Iterable[int], n_vars: int
+) -> bool:
+    """Whether every candidate is a minimal hitting set of the clauses.
+
+    A clause misses ``p`` iff it sits inside the complement of ``p``, and
+    ``p`` is minimal iff for each of its elements ``i`` some clause sits
+    inside the complement of ``p - {i}``.  Only the minimal clauses can
+    decide either test.  Candidates are checked a chunk at a time, so a
+    failure stops the check early.
+    """
+    clauses = _pack(clauses, n_vars)
+    clauses = _absorb_into(clauses[:0], clauses)
+    candidates = _pack(candidates, n_vars)
+    step = max(1, CHUNK_CELLS // max(1, clauses.size))
+    for lo in range(0, len(candidates), step):
+        chunk = candidates[lo : lo + step]
+        if _contains_subset(~chunk, clauses).any():
+            return False
+        if not _contains_subset(~_drop_each_bit(chunk), clauses).all():
+            return False
+    return True
+
+
+def _drop_each_bit(rows: np.ndarray) -> np.ndarray:
+    """One row ``p - {i}`` for each row ``p`` and each set bit ``i`` of it."""
+    bitmap = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    row, bit = np.nonzero(bitmap)
+    dropped = rows[row]
+    dropped[np.arange(len(row)), bit // 64] ^= np.uint64(1) << (bit % 64).astype(np.uint64)
+    return dropped
 
 
 def evaluate(formula: MonotoneFormula, true_vars: int) -> bool:

@@ -32,6 +32,7 @@ from .boolformula import (
     DEFAULT_TERM_LIMIT,
     MonotoneFormula,
     absorb,
+    are_minimal_hitting_sets,
     mask_to_names,
     minimal_dnf,
     filter_non_extensions,
@@ -129,19 +130,13 @@ def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
         raise StaleCache(
             f"cache was built for system {cache.fingerprint}, got {fp}"
         )
-
-
-def _pos_of_subset(related: RelatedFamily, subset: int) -> int:
-    """Positive region of the sub-family given by ``subset`` of covering bits.
-
-    An object is positive for a sub-family exactly when its related set
-    meets the sub-family.
-    """
-    acc = 0
-    for x, mask in enumerate(related.r):
-        if mask & subset:
-            acc |= 1 << x
-    return acc
+    # The fingerprint ignores covering order, but the cached masks index
+    # coverings by position: a reordered system must not reuse them.
+    if cache.related.covering_names != system.names():
+        raise StaleCache(
+            f"cache lists coverings {cache.related.covering_names}, "
+            f"the system {system.names()}"
+        )
 
 
 def _verified(related: RelatedFamily, reducts: frozenset[int]) -> bool:
@@ -152,14 +147,7 @@ def _verified(related: RelatedFamily, reducts: frozenset[int]) -> bool:
     tests against the distinct clauses.
     """
     clauses = {mask for mask in related.r if mask}
-    for p in reducts:
-        if any(not clause & p for clause in clauses):
-            return False
-        for i in bits(p):
-            q = p & ~(1 << i)
-            if all(clause & q for clause in clauses):
-                return False
-    return True
+    return are_minimal_hitting_sets(reducts, clauses, len(related.covering_names))
 
 
 def batch_reducts(

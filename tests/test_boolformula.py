@@ -174,6 +174,91 @@ def test_minimal_dnf_invariant_under_presentation():
         )
 
 
+# Widths 1, 2 and 3 words, on both sides of the bit-63/64 boundary.
+KERNEL_WIDTHS = (6, 63, 64, 65, 130)
+
+
+def _positions(m: int) -> list[int]:
+    """A few bit positions spread over [0, m), crowded around the word edges."""
+    return sorted({p for p in (0, 1, 2, 62, 63, 64, 65, m - 2, m - 1) if 0 <= p < m})
+
+
+@st.composite
+def term_lists(draw, m: int):
+    """Terms over a few positions of m variables, often repeated or nested."""
+    pool = _positions(m)
+    masks = st.sets(st.sampled_from(pool), max_size=4).map(
+        lambda ps: sum(1 << p for p in ps)
+    )
+    terms = draw(st.lists(masks, max_size=8))
+    return terms + draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else terms
+
+
+def _inside(small: int, big: int) -> bool:
+    return small & ~big == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_absorb_matches_subset_loop(data):
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    terms = data.draw(term_lists(m))
+    distinct = set(terms)
+    assert cr.absorb(terms) == {
+        t for t in distinct if not any(s != t and _inside(s, t) for s in distinct)
+    }
+    assert cr.absorb(terms, keep="maximal") == {
+        t for t in distinct if not any(s != t and _inside(t, s) for s in distinct)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_filter_non_extensions_matches_subset_loop(data):
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    candidates = data.draw(term_lists(m))
+    # Some existing terms equal candidates, which must survive.
+    existing = data.draw(term_lists(m))
+    existing += data.draw(st.lists(st.sampled_from(candidates or [0]), max_size=2))
+    assert cr.filter_non_extensions(candidates, existing) == {
+        c for c in candidates if not any(e != c and _inside(e, c) for e in existing)
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minimal_dnf_matches_brute_force_at_every_width(data):
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    names = tuple(f"V{i}" for i in range(m))
+    clauses = [c for c in data.draw(term_lists(m)) if c]
+    dnf = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(clauses), names))
+    # Minimal hitting sets only use variables that occur in some clause.
+    used = sorted({v for c in clauses for v in to_indices(c)})
+    clause_sets = [frozenset(to_indices(c)) for c in clauses]
+    assert {frozenset(to_indices(t)) for t in dnf.terms} == minimal_hitting_sets(clause_sets, used)
+
+
+@pytest.mark.parametrize("m", KERNEL_WIDTHS)
+def test_kernel_users_on_empty_inputs(m):
+    some = frozenset({1 << (m - 1), 0b11})
+    assert cr.absorb([]) == frozenset()
+    assert cr.absorb([], keep="maximal") == frozenset()
+    assert cr.filter_non_extensions([], some) == frozenset()
+    assert cr.filter_non_extensions(some, []) == some
+    names = tuple(f"V{i}" for i in range(m))
+    assert cr.minimal_dnf(MonotoneFormula("cnf", frozenset(), names)).terms == frozenset({0})
+
+
+def test_term_blowup_guard_on_multiword_terms():
+    # The 2^8 product of disjoint pairs, placed above bit 64 of 130 variables.
+    names = tuple(f"V{i}" for i in range(130))
+    clauses = frozenset((0b11 << (100 + 2 * i)) for i in range(8))
+    cnf = MonotoneFormula("cnf", clauses, names)
+    with pytest.raises(TermBlowup):
+        cr.minimal_dnf(cnf, max_terms=100)
+    assert len(cr.minimal_dnf(cnf).terms) == 256
+
+
 def test_names_mask_roundtrip():
     mask = cr.names_to_mask(NAMES6, ["C2", "C5"])
     assert mask == 0b10010

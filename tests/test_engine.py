@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
-from covreduct.bitset import to_indices
+from covreduct import engine
+from covreduct.bitset import bits, to_indices
 from covreduct.errors import (
     DuplicateCoveringName,
     LastCovering,
@@ -14,6 +16,7 @@ from covreduct.errors import (
 )
 from covreduct.synth import random_covering, random_system
 
+from bruteforce import minimal_hitting_sets
 from conftest import (
     CONSISTENT8_MINUS_REDUCTS,
     CONSISTENT8_PLUS_REDUCTS,
@@ -249,6 +252,20 @@ def test_stale_cache_rejected(consistent8, covering6):
         cr.delete_covering(grown, cache, "C1")
 
 
+def test_reordered_cache_rejected(consistent8, covering6):
+    # Reordering keeps the fingerprint but moves every covering's bit in
+    # the cached masks, so the cache must not be reused.
+    _, cache = cr.batch_reducts(consistent8)
+    reordered = cr.CoveringDecisionSystem(
+        consistent8.universe_size, consistent8.coverings[::-1], consistent8.decision
+    )
+    assert cr.fingerprint(reordered) == cache.fingerprint
+    with pytest.raises(StaleCache):
+        cr.delete_covering(reordered, cache, "C5")
+    with pytest.raises(StaleCache):
+        cr.add_covering(reordered, cache, covering6)
+
+
 def test_delete_errors(consistent8):
     _, cache = cr.batch_reducts(consistent8)
     with pytest.raises(UnknownCovering):
@@ -305,3 +322,81 @@ def test_sorted_name_lists_display_order(consistent8):
     lines = reducts.sorted_name_lists()
     assert lines == sorted(lines)
     assert lines[0] == ("C1", "C2")
+
+
+def _is_minimal_hitting_set(p: int, clauses: list[int]) -> bool:
+    if not all(c & p for c in clauses):
+        return False
+    return all(not all(c & p & ~(1 << i) for c in clauses) for i in bits(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verified_matches_hitting_set_definition(data):
+    m = data.draw(st.sampled_from((6, 64, 65, 130)))
+    pool = sorted({p for p in (0, 1, 2, 62, 63, 64, 65, m - 1) if p < m})
+    masks = st.sets(st.sampled_from(pool), max_size=3).map(lambda ps: sum(1 << p for p in ps))
+    r = data.draw(st.lists(masks, min_size=1, max_size=6))
+    clauses = [c for c in r if c]
+    used = sorted({v for c in clauses for v in to_indices(c)})
+    minimal = sorted(
+        sum(1 << v for v in h)
+        for h in minimal_hitting_sets([frozenset(to_indices(c)) for c in clauses], used)
+    )
+    candidates = data.draw(st.lists(st.sampled_from(minimal), max_size=4))
+    candidates += data.draw(st.lists(masks, max_size=1))
+    related = cr.RelatedFamily(len(r), tuple(f"C{i}" for i in range(m)), tuple(r))
+    expected = all(_is_minimal_hitting_set(p, clauses) for p in candidates)
+    assert engine._verified(related, frozenset(candidates)) == expected
+
+
+def _sparse_blocks(rng: random.Random, n: int) -> list[list[int]]:
+    """One block over everything and, one time in five, a block of one or
+    two objects inside one of four decision classes: the only admissible
+    block, which often makes the covering an object's only resolver."""
+    blocks = [list(range(n))]
+    if rng.random() < 0.2:
+        lo = rng.randrange(4) * (n // 4)
+        blocks.append(rng.sample(range(lo, lo + n // 4), rng.randint(1, 2)))
+    return blocks
+
+
+def test_update_chain_across_the_word_boundary(monkeypatch):
+    """Adds and deletes that take the covering count 62 -> 67 -> 62 twice.
+
+    Every step feeds the previous step's cache and must equal batch on the
+    updated system.  Deletes pick coverings with an admissible block, so
+    many shrink the positive region; the chain verifies survivors and
+    falls back, with one- and two-word related sets.
+    """
+    verified = set()
+    checked = engine._verified
+
+    def recording(related, reducts):
+        ok = checked(related, reducts)
+        verified.add((len(related.covering_names) > 64, ok))
+        return ok
+
+    monkeypatch.setattr(engine, "_verified", recording)
+    rng = random.Random(7)
+    n = 16
+    decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
+    system = cr.build_system(
+        n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(62)], decision
+    )
+    _, cache = cr.batch_reducts(system)
+    added = 0
+    for op in ["add"] * 5 + ["delete"] * 5 + ["add"] * 5 + ["delete"] * 5:
+        if op == "add":
+            covering = cr.make_covering(f"X{added}", _sparse_blocks(rng, n), n)
+            added += 1
+            reducts, cache = cr.add_covering(system, cache, covering)
+            system = system.with_covering(covering)
+        else:
+            live = [c.name for c in system.coverings if len(c.blocks) > 1]
+            name = rng.choice(live or list(system.names()))
+            reducts, cache = cr.delete_covering(system, cache, name)
+            system = system.without_covering(name)
+        batch, _ = cr.batch_reducts(system)
+        assert reducts.as_name_sets() == batch.as_name_sets()
+    assert verified == {(False, True), (False, False), (True, True), (True, False)}
