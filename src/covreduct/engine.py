@@ -25,7 +25,6 @@ positive region and contain no superfluous covering.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 from .bitset import bits, full_mask
 from .boolformula import (
@@ -65,10 +64,13 @@ class ReductionCache:
     """State the incremental algorithms reuse, stamped with the system hash."""
 
     fingerprint: str
-    consistent: bool
     related: RelatedFamily
     positive: int
     reducts: ReductSet
+
+    @property
+    def consistent(self) -> bool:
+        return self.positive == full_mask(self.related.universe_size)
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,6 @@ class DeleteCovering:
     union: int
 
 
-UpdateDelta = Union[AddCovering, DeleteCovering]
-
-
 def _admissible_of(covering: Covering, system: CoveringDecisionSystem) -> tuple[tuple[int, ...], int]:
     classes = system.decision.classes
     kept = []
@@ -104,24 +103,39 @@ def _admissible_of(covering: Covering, system: CoveringDecisionSystem) -> tuple[
     return tuple(kept), union
 
 
-def add_delta(system: CoveringDecisionSystem, covering: Covering) -> AddCovering:
-    """Validate a new covering against the system and derive its delta."""
+def _plan_add(
+    system: CoveringDecisionSystem, covering: Covering
+) -> tuple[AddCovering, CoveringDecisionSystem]:
+    """The add delta and the grown system, which is validated once."""
     if covering.union() != system.full:
         raise UniverseMismatch(
             f"covering {covering.name!r} does not cover the {system.universe_size}-object universe"
         )
     # Raises DuplicateCoveringName / block validation errors as appropriate.
-    system.with_covering(covering)
+    system_plus = system.with_covering(covering)
     admissible, union = _admissible_of(covering, system)
-    return AddCovering(covering, admissible, union)
+    return AddCovering(covering, admissible, union), system_plus
+
+
+def add_delta(system: CoveringDecisionSystem, covering: Covering) -> AddCovering:
+    """Validate a new covering against the system and derive its delta."""
+    return _plan_add(system, covering)[0]
+
+
+def _plan_delete(
+    system: CoveringDecisionSystem, name: str
+) -> tuple[DeleteCovering, CoveringDecisionSystem]:
+    """The delete delta and the shrunk system, which is built once."""
+    idx = system.covering_index(name)
+    # Raises LastCovering when it would empty the family.
+    system_minus = system.without_covering(name)
+    admissible, union = _admissible_of(system.coverings[idx], system)
+    return DeleteCovering(name, idx, admissible, union), system_minus
 
 
 def delete_delta(system: CoveringDecisionSystem, name: str) -> DeleteCovering:
     """Locate the covering to delete and derive its delta."""
-    idx = system.covering_index(name)
-    system.without_covering(name)  # raises LastCovering when it would empty the family
-    admissible, union = _admissible_of(system.coverings[idx], system)
-    return DeleteCovering(name, idx, admissible, union)
+    return _plan_delete(system, name)[0]
 
 
 def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
@@ -136,6 +150,11 @@ def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
         raise StaleCache(
             f"cache lists coverings {cache.related.covering_names}, "
             f"the system {system.names()}"
+        )
+    if len(cache.related.r) != system.universe_size:
+        raise StaleCache(
+            f"cache holds related sets for {len(cache.related.r)} objects, "
+            f"the system has {system.universe_size}"
         )
 
 
@@ -160,7 +179,6 @@ def batch_reducts(
     reducts = ReductSet(system.names(), dnf.terms)
     cache = ReductionCache(
         fingerprint=fingerprint(system),
-        consistent=pos == system.full,
         related=related,
         positive=pos,
         reducts=reducts,
@@ -209,7 +227,7 @@ def add_covering(
 ) -> tuple[ReductSet, ReductionCache]:
     """Incrementally recompute the reduct set after appending a covering."""
     _check_cache(system, cache)
-    delta = add_delta(system, new_covering)
+    delta, system_plus = _plan_add(system, new_covering)
     related_plus = update_related_add(cache, delta)
     names_plus = related_plus.covering_names
     pos_plus = cache.positive | delta.union
@@ -236,10 +254,8 @@ def add_covering(
             reducts_plus = expansion.terms
 
     reduct_set = ReductSet(names_plus, frozenset(reducts_plus))
-    system_plus = system.with_covering(new_covering)
     new_cache = ReductionCache(
         fingerprint=fingerprint(system_plus),
-        consistent=pos_plus == system.full,
         related=related_plus,
         positive=pos_plus,
         reducts=reduct_set,
@@ -255,8 +271,7 @@ def delete_covering(
 ) -> tuple[ReductSet, ReductionCache]:
     """Incrementally recompute the reduct set after deleting a covering."""
     _check_cache(system, cache)
-    delta = delete_delta(system, name)
-    system_minus = system.without_covering(name)
+    delta, system_minus = _plan_delete(system, name)
     _, pos_minus = positive_region(system_minus)  # no shortcut: recomputed
     related_minus = update_related_delete(cache, delta)
     names_minus = related_minus.covering_names
@@ -282,7 +297,6 @@ def delete_covering(
     reduct_set = ReductSet(names_minus, reducts_minus)
     new_cache = ReductionCache(
         fingerprint=fingerprint(system_minus),
-        consistent=pos_minus == system.full,
         related=related_minus,
         positive=pos_minus,
         reducts=reduct_set,

@@ -14,6 +14,17 @@ inside each block, blocks lexicographically within a covering, and keeps
 coverings in declaration order, so equal systems produce byte-equal
 documents.
 
+Cache document layout (JSON, compact, format 2)::
+
+    {"format": 2, "fingerprint": "...", "covering_names": ["C1", ...],
+     "positive": "ff", "related": ["3", ...], "reducts": ["3", "5", ...]}
+
+Every mask is a lowercase hex string: bit i of a related or reduct mask
+is ``covering_names[i]``, bit x of ``positive`` is object x.  ``related``
+holds one mask per object; ``reducts`` are sorted.  ``load_cache`` accepts
+only format 2 and checks the invariants the engine relies on before it
+returns; older caches must be rebuilt with ``covreduct reduce --cache``.
+
 Coverization turns a table (columns of strings) into a system: categorical
 columns become one block per distinct value, numeric columns a tolerance
 covering (per object, the block of rows within epsilon times the column
@@ -22,13 +33,13 @@ range), and the decision column a partition by value.
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
-
-if TYPE_CHECKING:
-    from .engine import ReductionCache
+from typing import Any, Mapping, Sequence, Union
 
 from .bitset import to_indices
+from .boolformula import absorb
+from .engine import ReductionCache, ReductSet
 from .errors import ParseError, ValidationError
 from .model import (
     Covering,
@@ -36,6 +47,7 @@ from .model import (
     build_system,
     make_covering,
 )
+from .related import RelatedFamily
 
 log = logging.getLogger(__name__)
 
@@ -249,50 +261,101 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
 # --- reduction caches ------------------------------------------------------
 
 
-def serialize_cache(cache: "ReductionCache") -> str:
+CACHE_FORMAT = 2
+_HEX = re.compile(r"[0-9a-f]+")
+_HEX_LIST = re.compile(r"[0-9a-f]+(?:,[0-9a-f]+)*")
+
+
+def serialize_cache(cache: ReductionCache) -> str:
+    """The compact cache document: every mask a lowercase hex string."""
     rel = cache.related
     doc = {
+        "format": CACHE_FORMAT,
         "fingerprint": cache.fingerprint,
-        "consistent": cache.consistent,
         "covering_names": list(rel.covering_names),
-        "positive": to_indices(cache.positive),
-        "related": [to_indices(mask) for mask in rel.r],
-        "reducts": [to_indices(r) for r in sorted(cache.reducts.reducts)],
+        "positive": format(cache.positive, "x"),
+        "related": [format(mask, "x") for mask in rel.r],
+        "reducts": [format(r, "x") for r in sorted(cache.reducts.reducts)],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def load_cache(text: str) -> "ReductionCache":
-    from .engine import ReductSet, ReductionCache
-    from .related import RelatedFamily
+def _hex_mask(raw: Any, where: str) -> int:
+    _expect(
+        isinstance(raw, str) and _HEX.fullmatch(raw) is not None,
+        f"{where}: expected a lowercase hex mask, got {raw!r}",
+    )
+    return int(raw, 16)
 
+
+def _hex_masks(raw: Any, where: str) -> list[int]:
+    """Parse a list of hex masks, naming the first malformed entry."""
+    _expect(isinstance(raw, list), f"{where}: expected a list of hex masks")
+    try:
+        joined = ",".join(raw)
+    except TypeError:  # a non-string entry
+        joined = ""
+    # One regex pass over the joined list; the comma count rules out an
+    # entry that itself holds a comma.
+    if raw and (_HEX_LIST.fullmatch(joined) is None or joined.count(",") != len(raw) - 1):
+        for k, entry in enumerate(raw):
+            _hex_mask(entry, f"{where}[{k}]")
+    return [int(entry, 16) for entry in raw]
+
+
+def _check_width(masks: list[int], width: int, where: str) -> None:
+    if max(masks, default=0) >> width:
+        k = next(k for k, mask in enumerate(masks) if mask >> width)
+        raise ParseError(f"{where}[{k}]: mask sets a bit past the {width} listed coverings")
+
+
+def load_cache(text: str) -> ReductionCache:
+    """Parse a cache document and check it against the cache invariants.
+
+    The masks must fit the covering list, the positive region must be the
+    set of objects with a non-empty related set, and the reducts must be a
+    non-empty antichain; any breach raises ParseError.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(data, dict), "cache root must be an object")
-    for key in ("fingerprint", "consistent", "covering_names", "positive", "related", "reducts"):
-        _expect(key in data, f"cache is missing field {key!r}")
-    names = tuple(data["covering_names"])
-    _expect(all(isinstance(s, str) for s in names), "covering_names: expected strings")
-    r = tuple(
-        _as_mask(_index_list(row, f"related[{x}]")) for x, row in enumerate(data["related"])
+    _expect(
+        data.get("format") == CACHE_FORMAT,
+        f"cache format {data.get('format')!r} is not {CACHE_FORMAT}; "
+        "rebuild the cache with `covreduct reduce --cache`",
     )
-    related = RelatedFamily(len(r), names, r)
-    reducts = frozenset(
-        _as_mask(_index_list(row, f"reducts[{k}]")) for k, row in enumerate(data["reducts"])
+    for key in ("fingerprint", "covering_names", "positive", "related", "reducts"):
+        _expect(key in data, f"cache is missing field {key!r}")
+    _expect(isinstance(data["fingerprint"], str), "fingerprint: expected a string")
+    names = data["covering_names"]
+    _expect(
+        isinstance(names, list) and all(isinstance(s, str) for s in names),
+        "covering_names: expected a list of strings",
+    )
+    _expect(len(set(names)) == len(names), "covering_names: names must be distinct")
+    names = tuple(names)
+    r = _hex_masks(data["related"], "related")
+    _check_width(r, len(names), "related")
+    related = RelatedFamily(len(r), names, tuple(r))
+    positive = _hex_mask(data["positive"], "positive")
+    _expect(
+        positive == related.nonempty_objects,
+        "positive: differs from the objects with a non-empty related set",
+    )
+    masks = _hex_masks(data["reducts"], "reducts")
+    _check_width(masks, len(names), "reducts")
+    reducts = frozenset(masks)
+    _expect(bool(reducts), "reducts: a cache holds at least one reduct")
+    _expect(len(reducts) == len(masks), "reducts: duplicate reduct")
+    _expect(
+        len(absorb(reducts, "minimal")) == len(reducts),
+        "reducts: one reduct contains another",
     )
     return ReductionCache(
         fingerprint=data["fingerprint"],
-        consistent=bool(data["consistent"]),
         related=related,
-        positive=_as_mask(_index_list(data["positive"], "positive")),
+        positive=positive,
         reducts=ReductSet(names, reducts),
     )
-
-
-def _as_mask(indices: Sequence[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m

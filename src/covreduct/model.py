@@ -48,14 +48,6 @@ class Covering:
 class DecisionPartition:
     classes: tuple[int, ...]
 
-    def class_of(self) -> dict[int, int]:
-        """Map each object to the index of its decision class."""
-        owner: dict[int, int] = {}
-        for j, cls in enumerate(self.classes):
-            for x in to_indices(cls):
-                owner[x] = j
-        return owner
-
 
 @dataclass(frozen=True)
 class CoveringDecisionSystem:

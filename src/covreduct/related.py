@@ -41,15 +41,6 @@ class RelatedFamily:
     def related_names(self, x: int) -> frozenset[str]:
         return frozenset(self.covering_names[i] for i in bits(self.r[x]))
 
-    def objects_related_to(self, covering_index: int) -> int:
-        """Mask of objects whose related set contains the given covering."""
-        bit = 1 << covering_index
-        acc = 0
-        for x, mask in enumerate(self.r):
-            if mask & bit:
-                acc |= 1 << x
-        return acc
-
 
 def admissible_blocks(system: CoveringDecisionSystem) -> AdmissibleBlocks:
     """Pooled blocks contained in some decision class, with contributors."""

@@ -136,6 +136,33 @@ def test_update_stale_cache(capsys, tmp_path, consistent8_file, inconsistent8_fi
     assert "cache" in err
 
 
+def test_update_corrupted_cache(capsys, tmp_path, consistent8_file):
+    # A negative mask once escaped as an uncaught ValueError traceback.
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    doc = json.loads(cache_path.read_text())
+    doc["related"][0] = "-3"
+    cache_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "update", consistent8_file, "--del", "C5", "--cache", cache_path)
+    assert code == 1
+    assert err.startswith("error: related[0]")
+    assert "Traceback" not in err
+
+
+def test_update_short_related_cache(capsys, tmp_path, inconsistent8_file):
+    # Index 1 has an empty related set, so a document cut to the first two
+    # objects is self-consistent and only the system shows the gap.
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", inconsistent8_file, "--cache", cache_path)
+    doc = json.loads(cache_path.read_text())
+    doc["related"] = doc["related"][:2]
+    doc["positive"] = "1"
+    cache_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "update", inconsistent8_file, "--del", "C4", "--cache", cache_path)
+    assert code == 2
+    assert err.startswith("error: cache holds related sets for 2 objects")
+
+
 def test_update_unknown_covering(capsys, tmp_path, consistent8_file):
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", consistent8_file, "--cache", cache_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -264,6 +265,22 @@ def test_reordered_cache_rejected(consistent8, covering6):
         cr.delete_covering(reordered, cache, "C5")
     with pytest.raises(StaleCache):
         cr.add_covering(reordered, cache, covering6)
+
+
+def test_short_related_cache_rejected(inconsistent8, covering5):
+    # Index 1 has an empty related set, so a cache cut to the first two
+    # objects still agrees with its own positive region.
+    _, cache = cr.batch_reducts(inconsistent8)
+    related = cache.related
+    short = dataclasses.replace(
+        cache,
+        related=cr.RelatedFamily(2, related.covering_names, related.r[:2]),
+        positive=cache.positive & 0b11,
+    )
+    with pytest.raises(StaleCache, match="2 objects"):
+        cr.add_covering(inconsistent8, short, covering5)
+    with pytest.raises(StaleCache, match="2 objects"):
+        cr.delete_covering(inconsistent8, short, "C4")
 
 
 def test_delete_errors(consistent8):

@@ -1,8 +1,12 @@
+import json
 import logging
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
+from covreduct.bitset import to_indices
 from covreduct.errors import DecisionNotPartition, ParseError
 from covreduct.io import (
     NonNumericForTolerance,
@@ -95,6 +99,130 @@ def test_cache_roundtrip(consistent8):
 def test_cache_parse_error():
     with pytest.raises(ParseError):
         cr.load_cache('{"fingerprint": "x"}')
+
+
+def _partition_blocks(labels: list[int]) -> list[list[int]]:
+    groups: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    return list(groups.values())
+
+
+@st.composite
+def _update_caches(draw):
+    """Batch, add and delete caches of a random system.
+
+    At most three coverings split the universe; the others are one block
+    over it, which never fits a decision class, so the reduct count stays
+    small at any covering count.  With no splitting covering, or none with
+    an admissible block, the positive region is empty.
+    """
+    m = draw(st.sampled_from((1, 63, 64, 65, 130)))
+    n = draw(st.integers(2, 6))
+    cut = draw(st.integers(1, n - 1))
+    decision = [list(range(cut)), list(range(cut, n))]
+    partitions = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(_partition_blocks)
+    active = draw(st.sets(st.integers(0, m - 1), max_size=3))
+    coverings = [
+        (f"C{i}", draw(partitions) if i in active else [list(range(n))]) for i in range(m)
+    ]
+    system = cr.build_system(n, coverings, decision)
+    _, cache = cr.batch_reducts(system)
+    extra = cr.make_covering("X", draw(partitions), n)
+    _, grown = cr.add_covering(system, cache, extra)
+    victim = draw(st.sampled_from(system.names() + ("X",)))
+    _, shrunk = cr.delete_covering(system.with_covering(extra), grown, victim)
+    return cache, grown, shrunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(_update_caches())
+def test_cache_roundtrip_property(caches):
+    for cache in caches:
+        text = cr.serialize_cache(cache)
+        assert cr.load_cache(text) == cache
+        doc = json.loads(text)
+        assert doc["format"] == 2
+        assert doc["reducts"] == sorted(doc["reducts"], key=lambda h: int(h, 16))
+        if cache.positive == 0:
+            assert doc["positive"] == "0" and doc["reducts"] == ["0"]
+
+
+def test_empty_positive_region_cache_roundtrip():
+    system = cr.build_system(3, [("C1", [[0, 1, 2]]), ("C2", [[0, 1], [1, 2]])], [[0, 2], [1]])
+    _, cache = cr.batch_reducts(system)
+    assert cache.positive == 0 and cache.reducts.reducts == {0}
+    text = cr.serialize_cache(cache)
+    doc = json.loads(text)
+    assert doc["related"] == ["0", "0", "0"]
+    assert doc["reducts"] == ["0"]
+    assert cr.load_cache(text) == cache
+    assert not cr.load_cache(text).consistent
+
+
+def test_format_1_cache_rejected(consistent8):
+    # The earlier layout: index lists, a stored "consistent" flag, no format.
+    _, cache = cr.batch_reducts(consistent8)
+    old = {
+        "fingerprint": cache.fingerprint,
+        "consistent": True,
+        "covering_names": list(cache.related.covering_names),
+        "positive": list(range(8)),
+        "related": [to_indices(mask) for mask in cache.related.r],
+        "reducts": [to_indices(r) for r in sorted(cache.reducts.reducts)],
+    }
+    with pytest.raises(ParseError, match="covreduct reduce --cache"):
+        cr.load_cache(json.dumps(old, indent=2))
+
+
+def _cache_doc(system) -> dict:
+    _, cache = cr.batch_reducts(system)
+    return json.loads(cr.serialize_cache(cache))
+
+
+def _set(doc, key, value, index=None):
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
+
+
+# (description, edit of the consistent8 cache document, field in the message)
+CORRUPTIONS = [
+    ("negative mask", lambda d: _set(d, "related", "-3", 0), "related[0]"),
+    ("signed mask", lambda d: _set(d, "related", "+3", 1), "related[1]"),
+    ("underscore", lambda d: _set(d, "related", "1_0", 2), "related[2]"),
+    ("whitespace", lambda d: _set(d, "related", " 3", 3), "related[3]"),
+    ("hex prefix", lambda d: _set(d, "reducts", "0x3", 0), "reducts[0]"),
+    ("upper case", lambda d: _set(d, "reducts", "A", 0), "reducts[0]"),
+    ("non-hex digit", lambda d: _set(d, "related", "1g", 4), "related[4]"),
+    ("comma inside", lambda d: _set(d, "related", "1,2", 4), "related[4]"),
+    ("empty string", lambda d: _set(d, "related", "", 5), "related[5]"),
+    ("number not string", lambda d: _set(d, "related", 3, 6), "related[6]"),
+    ("bad positive", lambda d: _set(d, "positive", "ff "), "positive"),
+    ("related past last covering", lambda d: _set(d, "related", "21", 0), "related[0]"),
+    ("reduct past last covering", lambda d: _set(d, "reducts", "20", 1), "reducts[1]"),
+    ("duplicate names", lambda d: _set(d, "covering_names", "C1", 1), "covering_names"),
+    ("non-string name", lambda d: _set(d, "covering_names", 7, 1), "covering_names"),
+    ("positive disagrees", lambda d: _set(d, "positive", "7f"), "positive"),
+    ("empty related set inside positive", lambda d: _set(d, "related", "0", 7), "positive"),
+    ("not an antichain", lambda d: d["reducts"].append("7"), "reducts"),
+    ("duplicate reduct", lambda d: d["reducts"].append(d["reducts"][0]), "reducts"),
+    ("no reducts", lambda d: _set(d, "reducts", []), "reducts"),
+    ("related not a list", lambda d: _set(d, "related", "ff"), "related"),
+    ("missing field", lambda d: d.pop("reducts"), "reducts"),
+    ("fingerprint not a string", lambda d: _set(d, "fingerprint", 5), "fingerprint"),
+    ("wrong format", lambda d: _set(d, "format", 1), "format"),
+]
+
+
+@pytest.mark.parametrize("edit,field", [c[1:] for c in CORRUPTIONS], ids=[c[0] for c in CORRUPTIONS])
+def test_corrupted_cache_rejected(consistent8, edit, field):
+    doc = _cache_doc(consistent8)
+    cr.load_cache(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(ParseError, match=re.escape(field)):
+        cr.load_cache(json.dumps(doc))
 
 
 def test_coverize_categorical_partition():
