@@ -107,23 +107,14 @@ def union_reducible_blocks(blocks: Sequence[int], n: int) -> list[int]:
 def positive_region(system: CoveringDecisionSystem) -> tuple[tuple[int, ...], int]:
     """Per-class lower approximations over the pooled blocks, and their union.
 
-    A non-empty block fits inside at most one class of a partition, so each
-    block is tested only against the class that owns its lowest object.
+    The union is that of the coverings' admissible unions.  Each admissible
+    block lies inside one class, so a class's lower approximation is the
+    part of the union inside it.
     """
-    classes = system.decision.classes
-    owner: list[int] = [0] * system.universe_size
-    for j, cls in enumerate(classes):
-        for x in bits(cls):
-            owner[x] = j
-    lower = [0] * len(classes)
-    for block, _ in union_of_coverings(system):
-        j = owner[(block & -block).bit_length() - 1]
-        if block & ~classes[j] == 0:
-            lower[j] |= block
     pos = 0
-    for m in lower:
-        pos |= m
-    return tuple(lower), pos
+    for union in system.admissible_unions():
+        pos |= union
+    return tuple(pos & cls for cls in system.decision.classes), pos
 
 
 def regions(system: CoveringDecisionSystem) -> RegionReport:

@@ -79,13 +79,15 @@ def _cmd_update(args) -> int:
     if args.add:
         covering = parse_covering(Path(args.add).read_text(), system.universe_size)
         reducts, new_cache = add_covering(system, cache, covering)
-        updated = system.with_covering(covering)
     else:
         reducts, new_cache = delete_covering(system, cache, args.delete)
-        updated = system.without_covering(args.delete)
     _print_reducts(reducts)
     Path(args.cache).write_text(serialize_cache(new_cache))
     if args.out:
+        if args.add:
+            updated = system.with_covering(covering)
+        else:
+            updated = system.without_covering(args.delete)
         Path(args.out).write_text(serialize_system(updated))
     return EXIT_OK
 

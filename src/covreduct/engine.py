@@ -75,32 +75,19 @@ class ReductionCache:
 
 @dataclass(frozen=True)
 class AddCovering:
-    """An add delta: the new covering plus its admissible blocks."""
+    """An add delta: the new covering plus its admissible union."""
 
     covering: Covering
-    admissible: tuple[int, ...]
     union: int
 
 
 @dataclass(frozen=True)
 class DeleteCovering:
-    """A delete delta: the doomed covering plus its admissible blocks."""
+    """A delete delta: the doomed covering, its position, its admissible union."""
 
     name: str
     index: int
-    admissible: tuple[int, ...]
     union: int
-
-
-def _admissible_of(covering: Covering, system: CoveringDecisionSystem) -> tuple[tuple[int, ...], int]:
-    classes = system.decision.classes
-    kept = []
-    union = 0
-    for block in covering.blocks:
-        if any(block & ~cls == 0 for cls in classes):
-            kept.append(block)
-            union |= block
-    return tuple(kept), union
 
 
 def _plan_add(
@@ -113,8 +100,7 @@ def _plan_add(
         )
     # Raises DuplicateCoveringName / block validation errors as appropriate.
     system_plus = system.with_covering(covering)
-    admissible, union = _admissible_of(covering, system)
-    return AddCovering(covering, admissible, union), system_plus
+    return AddCovering(covering, system_plus.admissible_union(covering.name)), system_plus
 
 
 def add_delta(system: CoveringDecisionSystem, covering: Covering) -> AddCovering:
@@ -127,10 +113,12 @@ def _plan_delete(
 ) -> tuple[DeleteCovering, CoveringDecisionSystem]:
     """The delete delta and the shrunk system, which is built once."""
     idx = system.covering_index(name)
+    # Taken before the shrunk system is derived, so that it inherits the
+    # class-owner map the test built.
+    union = system.admissible_union(name)
     # Raises LastCovering when it would empty the family.
     system_minus = system.without_covering(name)
-    admissible, union = _admissible_of(system.coverings[idx], system)
-    return DeleteCovering(name, idx, admissible, union), system_minus
+    return DeleteCovering(name, idx, union), system_minus
 
 
 def delete_delta(system: CoveringDecisionSystem, name: str) -> DeleteCovering:

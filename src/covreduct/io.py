@@ -14,16 +14,19 @@ inside each block, blocks lexicographically within a covering, and keeps
 coverings in declaration order, so equal systems produce byte-equal
 documents.
 
-Cache document layout (JSON, compact, format 2)::
+Cache document layout (JSON, compact, format 3)::
 
-    {"format": 2, "fingerprint": "...", "covering_names": ["C1", ...],
+    {"format": 3, "fingerprint": "...", "covering_names": ["C1", ...],
      "positive": "ff", "related": ["3", ...], "reducts": ["3", "5", ...]}
 
 Every mask is a lowercase hex string: bit i of a related or reduct mask
 is ``covering_names[i]``, bit x of ``positive`` is object x.  ``related``
-holds one mask per object; ``reducts`` are sorted.  ``load_cache`` accepts
-only format 2 and checks the invariants the engine relies on before it
-returns; older caches must be rebuilt with ``covreduct reduce --cache``.
+holds one mask per object; ``reducts`` are sorted.  ``fingerprint`` is
+``model.fingerprint`` of the system the cache describes, a hash built from
+per-covering digests.  ``load_cache`` accepts only format 3 and checks the
+invariants the engine relies on before it returns.  Format 2 caches carry a
+fingerprint computed another way, and older ones another layout; they must
+be rebuilt with ``covreduct reduce --cache``.
 
 Coverization turns a table (columns of strings) into a system: categorical
 columns become one block per distinct value, numeric columns a tolerance
@@ -261,7 +264,7 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
 # --- reduction caches ------------------------------------------------------
 
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 _HEX = re.compile(r"[0-9a-f]+")
 _HEX_LIST = re.compile(r"[0-9a-f]+(?:,[0-9a-f]+)*")
 

@@ -12,7 +12,9 @@ the way in, so downstream code can assume the structural invariants:
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .bitset import full_mask, to_indices
 from .errors import (
@@ -51,6 +53,16 @@ class DecisionPartition:
 
 @dataclass(frozen=True)
 class CoveringDecisionSystem:
+    """The universe size, the coverings in declaration order, the decision.
+
+    Facts derived from the blocks are memoized on the instance when first
+    asked for: per covering name, the covering's digest and admissible
+    union; the class owning each object; the digest of the decision classes;
+    and the fingerprint.  ``with_covering`` and ``without_covering`` hand
+    the memos of the coverings they keep to the system they derive, so an
+    updated system computes them only for the covering that changed.
+    """
+
     universe_size: int
     coverings: tuple[Covering, ...]
     decision: DecisionPartition
@@ -79,16 +91,89 @@ class CoveringDecisionSystem:
         if covering.name in self.names():
             raise DuplicateCoveringName(f"covering name {covering.name!r} already present")
         _check_covering(covering.name, covering.blocks, self.universe_size)
-        return CoveringDecisionSystem(
-            self.universe_size, self.coverings + (covering,), self.decision
-        )
+        return self._derive(self.coverings + (covering,))
 
     def without_covering(self, name: str) -> "CoveringDecisionSystem":
         idx = self.covering_index(name)
         if len(self.coverings) == 1:
             raise LastCovering("cannot delete the only covering of a system")
-        remaining = self.coverings[:idx] + self.coverings[idx + 1 :]
-        return CoveringDecisionSystem(self.universe_size, remaining, self.decision)
+        return self._derive(self.coverings[:idx] + self.coverings[idx + 1 :])
+
+    def admissible(self, blocks: Iterable[int]) -> list[int]:
+        """The blocks that fit inside one decision class, in input order.
+
+        A non-empty block fits inside at most one class of a partition, so
+        each block is tested only against the class owning its lowest object.
+        """
+        classes = self.decision.classes
+        owner = self._memo("_owner", self._class_owner)
+        return [b for b in blocks if b & ~classes[owner[(b & -b).bit_length() - 1]] == 0]
+
+    def admissible_union(self, name: str) -> int:
+        """Union of the admissible blocks of the covering ``name``."""
+        return self._admissible_union(self.covering(name))
+
+    def admissible_unions(self) -> tuple[int, ...]:
+        """``admissible_union`` of every covering, in declaration order."""
+        return tuple(self._admissible_union(c) for c in self.coverings)
+
+    def _admissible_union(self, covering: Covering) -> int:
+        unions = self._memo("_unions", dict)
+        union = unions.get(covering.name)
+        if union is None:
+            union = 0
+            for b in self.admissible(covering.blocks):
+                union |= b
+            unions[covering.name] = union
+        return union
+
+    def _covering_digest(self, covering: Covering) -> bytes:
+        digests = self._memo("_digests", dict)
+        digest = digests.get(covering.name)
+        if digest is None:
+            h = hashlib.sha256(_encode_name(covering.name))
+            h.update(self._encode_masks(covering.blocks))
+            digest = digests[covering.name] = h.digest()
+        return digest
+
+    def _classes_digest(self) -> bytes:
+        return hashlib.sha256(self._encode_masks(self.decision.classes)).digest()
+
+    def _encode_masks(self, masks: Iterable[int]) -> bytes:
+        """Masks as sorted fixed-width little-endian byte strings, joined."""
+        width = (self.universe_size + 7) // 8
+        return b"".join(sorted(m.to_bytes(width, "little") for m in masks))
+
+    def _class_owner(self) -> list[int]:
+        """owner[x] = index of the decision class holding object x."""
+        n = self.universe_size
+        owner = np.empty(n, dtype=np.intp)
+        for j, cls in enumerate(self.decision.classes):
+            raw = np.frombuffer(cls.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+            owner[np.unpackbits(raw, count=n, bitorder="little").view(bool)] = j
+        return owner.tolist()
+
+    def _memo(self, key: str, compute: Callable[[], Any]) -> Any:
+        """The memo ``key`` of this instance, computed on first use."""
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = compute()
+            object.__setattr__(self, key, value)
+            return value
+
+    def _derive(self, coverings: tuple[Covering, ...]) -> "CoveringDecisionSystem":
+        """A system over ``coverings`` and this decision, inheriting memos."""
+        child = CoveringDecisionSystem(self.universe_size, coverings, self.decision)
+        for key in ("_owner", "_decision_digest"):
+            if key in self.__dict__:
+                object.__setattr__(child, key, self.__dict__[key])
+        for key in ("_unions", "_digests"):
+            memo = self.__dict__.get(key)
+            if memo:
+                kept = {c.name: memo[c.name] for c in coverings if c.name in memo}
+                object.__setattr__(child, key, kept)
+        return child
 
 
 def _block_mask(block: BlockInput, n: int, where: str) -> int:
@@ -190,34 +275,36 @@ def union_of_coverings(system: CoveringDecisionSystem) -> list[tuple[int, tuple[
     return [(b, tuple(contributors[b])) for b in order]
 
 
-def _hash_masks(h: "hashlib._Hash", masks: Iterable[int]) -> None:
-    for m in masks:
-        raw = m.to_bytes((m.bit_length() + 7) // 8 or 1, "little")
-        h.update(len(raw).to_bytes(4, "little"))
-        h.update(raw)
+def _encode_name(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    return len(raw).to_bytes(4, "little") + raw
 
 
 def fingerprint(system: CoveringDecisionSystem) -> str:
     """Stable hash of a system's content, used to stamp caches.
 
-    Invariant under reordering of blocks within a covering and of coverings
-    within the family (names are unique, so sorting by name is canonical).
-    Memoized on the (immutable) instance.
+    SHA-256 over the universe size, the (name, covering digest) pairs in
+    name order and a digest of the decision classes.  A covering's digest
+    is SHA-256 over its name and its blocks, the classes' digest SHA-256
+    over the classes; either encodes each mask in ``(n + 7) // 8``
+    little-endian bytes and sorts the encodings.  The stamp is therefore
+    invariant under reordering of blocks within a covering, of coverings
+    within the family (names are unique) and of classes.
+
+    The covering digests and the classes' digest are memoized on the
+    instance and inherited through ``with_covering``/``without_covering``,
+    so the stamp of an updated system hashes only the changed covering.
     """
-    cached = system.__dict__.get("_fingerprint")
-    if cached is not None:
-        return cached
-    h = hashlib.sha256()
-    h.update(system.universe_size.to_bytes(8, "little"))
-    for cov in sorted(system.coverings, key=lambda c: c.name):
-        raw = cov.name.encode("utf-8")
-        h.update(len(raw).to_bytes(4, "little"))
-        h.update(raw)
-        _hash_masks(h, sorted(cov.blocks))
-    _hash_masks(h, sorted(system.decision.classes))
-    digest = h.hexdigest()[:16]
-    object.__setattr__(system, "_fingerprint", digest)
-    return digest
+
+    def compute() -> str:
+        h = hashlib.sha256(system.universe_size.to_bytes(8, "little"))
+        for cov in sorted(system.coverings, key=lambda c: c.name):
+            h.update(_encode_name(cov.name))
+            h.update(system._covering_digest(cov))
+        h.update(system._memo("_decision_digest", system._classes_digest))
+        return h.hexdigest()[:16]
+
+    return system._memo("_fingerprint", compute)
 
 
 def same_system(a: CoveringDecisionSystem, b: CoveringDecisionSystem) -> bool:

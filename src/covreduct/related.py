@@ -9,6 +9,7 @@ minimal DNF is exactly the reduct set.
 
 from dataclasses import dataclass
 
+from .approximation import positive_region
 from .bitset import bits
 from .boolformula import MonotoneFormula
 from .model import CoveringDecisionSystem, union_of_coverings
@@ -44,35 +45,16 @@ class RelatedFamily:
 
 def admissible_blocks(system: CoveringDecisionSystem) -> AdmissibleBlocks:
     """Pooled blocks contained in some decision class, with contributors."""
-    classes = system.decision.classes
-    owner: list[int] = [0] * system.universe_size
-    for j, cls in enumerate(classes):
-        for x in bits(cls):
-            owner[x] = j
-    kept: list[tuple[int, tuple[str, ...]]] = []
-    union = 0
-    for block, names in union_of_coverings(system):
-        j = owner[(block & -block).bit_length() - 1]
-        if block & ~classes[j] == 0:
-            kept.append((block, names))
-            union |= block
-    return AdmissibleBlocks(tuple(kept), union)
+    pooled = union_of_coverings(system)
+    fits = set(system.admissible(block for block, _ in pooled))
+    _, pos = positive_region(system)
+    return AdmissibleBlocks(tuple(e for e in pooled if e[0] in fits), pos)
 
 
 def related_sets(system: CoveringDecisionSystem) -> RelatedFamily:
     """r(x) = coverings owning an admissible block that contains x."""
-    classes = system.decision.classes
-    owner: list[int] = [0] * system.universe_size
-    for j, cls in enumerate(classes):
-        for x in bits(cls):
-            owner[x] = j
     r = [0] * system.universe_size
-    for i, cov in enumerate(system.coverings):
-        covered = 0
-        for block in cov.blocks:
-            j = owner[(block & -block).bit_length() - 1]
-            if block & ~classes[j] == 0:
-                covered |= block
+    for i, covered in enumerate(system.admissible_unions()):
         bit = 1 << i
         for x in bits(covered):
             r[x] |= bit

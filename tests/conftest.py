@@ -34,6 +34,14 @@ INCONSISTENT8_COVERINGS = [
 EXTRA_COVERING_5 = ("C5", [obj(1, 5, 6), obj(4, 5), obj(2, 3, 4), obj(5, 6, 7, 8)])
 
 
+def partition_blocks(labels: list[int]) -> list[list[int]]:
+    """Objects grouped by label, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    return list(groups.values())
+
+
 def nameset(*groups: tuple[str, ...]) -> frozenset[frozenset[str]]:
     return frozenset(frozenset(g) for g in groups)
 

@@ -114,9 +114,16 @@ def test_removing_reducible_blocks_keeps_descriptions(consistent8):
 
 
 def test_positive_region_matches_admissible_union(consistent8, inconsistent8):
-    for system in (consistent8, inconsistent8):
-        _, pos = cr.positive_region(system)
+    rng = random.Random(10)
+    randoms = [
+        random_system(rng, n, rng.randint(1, 4), 4, rng.randint(2, 4), block_style="subset")
+        for n in range(2, 12)
+    ]
+    for system in [consistent8, inconsistent8] + randoms:
+        lower, pos = cr.positive_region(system)
         assert pos == cr.admissible_blocks(system).union
+        blocks = pooled_blocks(system)
+        assert lower == tuple(cr.third_lower(blocks, cls) for cls in system.decision.classes)
 
 
 def test_lower_and_upper_bracket_target():

@@ -120,6 +120,47 @@ def test_update_add_and_delete(capsys, tmp_path, consistent8_file):
     assert len(out.splitlines()) == 6
 
 
+@pytest.mark.parametrize("op", ["add", "del"])
+def test_update_output_reduces_to_the_same_reducts(capsys, tmp_path, consistent8_file, op):
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    if op == "add":
+        name, blocks = EXTRA_COVERING_6
+        change = tmp_path / "c6.json"
+        change.write_text(json.dumps({"name": name, "blocks": blocks}))
+    else:
+        change = "C5"
+    out_path = tmp_path / "updated.cds.json"
+    code, updated, _ = run(
+        capsys, "update", consistent8_file, f"--{op}", change, "--cache", cache_path, "-o", out_path
+    )
+    assert code == 0
+    code, batch, _ = run(capsys, "reduce", out_path)
+    assert code == 0
+    assert batch == updated
+
+
+def test_update_without_output_derives_the_system_once(
+    capsys, tmp_path, consistent8_file, monkeypatch
+):
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    name, blocks = EXTRA_COVERING_6
+    cov_path = tmp_path / "c6.json"
+    cov_path.write_text(json.dumps({"name": name, "blocks": blocks}))
+    derived = []
+    with_covering = cr.CoveringDecisionSystem.with_covering
+
+    def counting(self, covering):
+        derived.append(covering.name)
+        return with_covering(self, covering)
+
+    monkeypatch.setattr(cr.CoveringDecisionSystem, "with_covering", counting)
+    code, _, _ = run(capsys, "update", consistent8_file, "--add", cov_path, "--cache", cache_path)
+    assert code == 0
+    assert derived == ["C6"]
+
+
 def test_update_delete_golden(capsys, tmp_path, inconsistent8_file):
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", inconsistent8_file, "--cache", cache_path)

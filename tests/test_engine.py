@@ -25,6 +25,7 @@ from conftest import (
     INCONSISTENT8_REDUCTS,
     nameset,
     obj,
+    partition_blocks,
 )
 
 
@@ -417,3 +418,120 @@ def test_update_chain_across_the_word_boundary(monkeypatch):
         batch, _ = cr.batch_reducts(system)
         assert reducts.as_name_sets() == batch.as_name_sets()
     assert verified == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def _check_step(system, reducts, rng):
+    """Compare an updated system, derived with memos, to a memo-free rebuild."""
+    rebuilt = cr.CoveringDecisionSystem(system.universe_size, system.coverings, system.decision)
+    batch, _ = cr.batch_reducts(rebuilt)
+    assert reducts.as_name_sets() == batch.as_name_sets()
+    if len(system.coverings) <= 12:
+        assert reducts.as_name_sets() == cr.oracle_reducts(rebuilt).as_name_sets()
+    # Asking fills the memos, so only some steps hand a full memo onwards.
+    if rng.random() < 0.5:
+        assert cr.fingerprint(system) == cr.fingerprint(rebuilt)
+        assert cr.positive_region(system) == cr.positive_region(rebuilt)
+        assert cr.related_sets(system) == cr.related_sets(rebuilt)
+
+
+def _run_chain(rng, system, new_blocks, steps, pick_op):
+    """Random adds and deletes, each fed the previous step's reloaded cache.
+
+    An add may reuse the name of a deleted covering for new blocks, so a
+    memo the name kept from the old covering would show.
+    """
+    n = system.universe_size
+    _, cache = cr.batch_reducts(system)
+    deleted = []
+    for k in range(steps):
+        cache = cr.load_cache(cr.serialize_cache(cache))
+        if pick_op(len(system.coverings)) == "add":
+            name = deleted.pop() if deleted and rng.random() < 0.5 else f"X{k}"
+            covering = cr.make_covering(name, new_blocks(rng, n), n)
+            reducts, cache = cr.add_covering(system, cache, covering)
+            system = system.with_covering(covering)
+        else:
+            name = rng.choice(system.names())
+            deleted.append(name)
+            reducts, cache = cr.delete_covering(system, cache, name)
+            system = system.without_covering(name)
+        _check_step(system, reducts, rng)
+        assert cache.fingerprint == cr.fingerprint(
+            cr.CoveringDecisionSystem(n, system.coverings, system.decision)
+        )
+
+
+def _subset_blocks(rng: random.Random, n: int) -> list[list[int]]:
+    return [sorted(b) for b in map(to_indices, random_covering(rng, n, "_", 4, "subset").blocks)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_update_chain_fuzz(seed):
+    """Chains of 10-20 adds and deletes at up to about 12 coverings."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 12)
+    system = random_system(rng, n, rng.randint(2, 7), 4, rng.randint(2, 4), block_style="subset")
+
+    def pick_op(m):
+        return "add" if m == 1 or (m < 11 and rng.random() < 0.5) else "delete"
+
+    _run_chain(rng, system, _subset_blocks, rng.randint(10, 20), pick_op)
+
+
+def test_update_chain_fuzz_across_the_word_boundary():
+    """A random chain that starts at 60 coverings and crosses 64 both ways."""
+    rng = random.Random(11)
+    n = 16
+    decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
+    system = cr.build_system(
+        n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(60)], decision
+    )
+    ops = iter(["add"] * 7 + ["delete", "add"] * 2 + ["delete"] * 7)
+    counts = []
+
+    def pick_op(m):
+        counts.append(m)
+        return next(ops)
+
+    _run_chain(rng, system, _sparse_blocks, 18, pick_op)
+    assert min(counts) <= 64 < max(counts)
+
+
+@st.composite
+def _covering_blocks(draw, n):
+    """A partition of the universe plus up to two overlapping blocks."""
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = partition_blocks(labels)
+    extra = st.sets(st.integers(0, n - 1), min_size=1).map(sorted)
+    for block in draw(st.lists(extra, max_size=2)):
+        if block not in blocks:
+            blocks.append(block)
+    return blocks
+
+
+@st.composite
+def _permuted_systems(draw):
+    n = draw(st.integers(2, 7))
+    decision = partition_blocks(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    m = draw(st.integers(2, 6))
+    coverings = [(f"C{i}", draw(_covering_blocks(n))) for i in range(m)]
+    order = draw(st.permutations(range(m)))
+    system = cr.build_system(n, coverings, decision)
+    permuted = cr.build_system(n, [coverings[i] for i in order], decision)
+    extra = cr.make_covering("X", draw(_covering_blocks(n)), n)
+    victim = draw(st.sampled_from(system.names()))
+    return system, permuted, extra, victim
+
+
+@settings(max_examples=150, deadline=None)
+@given(_permuted_systems())
+def test_reducts_do_not_depend_on_covering_order(case):
+    system, permuted, extra, victim = case
+    answers = []
+    for s in (system, permuted):
+        reducts, cache = cr.batch_reducts(s)
+        added, _ = cr.add_covering(s, cache, extra)
+        deleted, _ = cr.delete_covering(s, cache, victim)
+        answers.append((reducts, added, deleted))
+    for ours, theirs in zip(*answers):
+        assert ours.as_name_sets() == theirs.as_name_sets()

@@ -15,7 +15,7 @@ from covreduct.io import (
     parse_document,
 )
 
-from conftest import CONSISTENT8_REDUCTS
+from conftest import CONSISTENT8_REDUCTS, partition_blocks
 
 
 def test_serialize_load_roundtrip(consistent8):
@@ -101,13 +101,6 @@ def test_cache_parse_error():
         cr.load_cache('{"fingerprint": "x"}')
 
 
-def _partition_blocks(labels: list[int]) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for x, label in enumerate(labels):
-        groups.setdefault(label, []).append(x)
-    return list(groups.values())
-
-
 @st.composite
 def _update_caches(draw):
     """Batch, add and delete caches of a random system.
@@ -121,7 +114,7 @@ def _update_caches(draw):
     n = draw(st.integers(2, 6))
     cut = draw(st.integers(1, n - 1))
     decision = [list(range(cut)), list(range(cut, n))]
-    partitions = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(_partition_blocks)
+    partitions = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(partition_blocks)
     active = draw(st.sets(st.integers(0, m - 1), max_size=3))
     coverings = [
         (f"C{i}", draw(partitions) if i in active else [list(range(n))]) for i in range(m)
@@ -142,7 +135,7 @@ def test_cache_roundtrip_property(caches):
         text = cr.serialize_cache(cache)
         assert cr.load_cache(text) == cache
         doc = json.loads(text)
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         assert doc["reducts"] == sorted(doc["reducts"], key=lambda h: int(h, 16))
         if cache.positive == 0:
             assert doc["positive"] == "0" and doc["reducts"] == ["0"]
@@ -173,6 +166,16 @@ def test_format_1_cache_rejected(consistent8):
     }
     with pytest.raises(ParseError, match="covreduct reduce --cache"):
         cr.load_cache(json.dumps(old, indent=2))
+
+
+def test_format_2_cache_rejected(consistent8):
+    # Format 2 had this layout but a fingerprint computed another way: it
+    # must ask for a rebuild, not fail later as a stale cache.
+    _, cache = cr.batch_reducts(consistent8)
+    doc = json.loads(cr.serialize_cache(cache))
+    doc["format"] = 2
+    with pytest.raises(ParseError, match="rebuild the cache with `covreduct reduce --cache`"):
+        cr.load_cache(json.dumps(doc))
 
 
 def _cache_doc(system) -> dict:

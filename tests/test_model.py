@@ -176,3 +176,23 @@ def test_last_covering_protected():
     system = cr.build_system(2, [("C1", [[0, 1]])], [[0], [1]])
     with pytest.raises(LastCovering):
         system.without_covering("C1")
+
+
+def test_derived_systems_keep_their_own_memos(consistent8):
+    # Two systems derived from one parent add different coverings under
+    # one name; each must answer for its own blocks, and so must a system
+    # that deletes the name and adds it back with other blocks.
+    first = cr.make_covering("X", [[0, 1, 2], [3, 4, 5], [6, 7]], 8)
+    second = cr.make_covering("X", [[0, 1, 2, 3, 4, 5, 6, 7]], 8)
+    cr.fingerprint(consistent8)
+    cr.positive_region(consistent8)
+    a = consistent8.with_covering(first)
+    b = consistent8.with_covering(second)
+    cr.fingerprint(a), cr.positive_region(a)
+    c = a.without_covering("X").with_covering(second)
+    for derived in (a, b, c, consistent8):
+        rebuilt = cr.CoveringDecisionSystem(8, derived.coverings, derived.decision)
+        assert cr.fingerprint(derived) == cr.fingerprint(rebuilt)
+        assert cr.positive_region(derived) == cr.positive_region(rebuilt)
+        assert cr.related_sets(derived) == cr.related_sets(rebuilt)
+    assert cr.fingerprint(b) == cr.fingerprint(c) != cr.fingerprint(a)
