@@ -30,17 +30,13 @@ from .boolformula import (
 )
 from .engine import (
     AddCovering,
-    DeleteCovering,
     ReductSet,
     ReductionCache,
     add_covering,
     add_delta,
     batch_reducts,
     delete_covering,
-    delete_delta,
     oracle_reducts,
-    update_related_add,
-    update_related_delete,
 )
 from .errors import (
     CovreductError,
@@ -74,7 +70,6 @@ from .related import (
     AdmissibleBlocks,
     RelatedFamily,
     admissible_blocks,
-    clause_provenance,
     related_function,
     related_sets,
 )
@@ -91,7 +86,6 @@ __all__ = [
     "CoverizationSpec",
     "CovreductError",
     "DecisionPartition",
-    "DeleteCovering",
     "EngineError",
     "MinimalDescriptionMap",
     "MonotoneFormula",
@@ -111,10 +105,8 @@ __all__ = [
     "batch_reducts",
     "build_system",
     "classify_consistency",
-    "clause_provenance",
     "coverize",
     "delete_covering",
-    "delete_delta",
     "evaluate",
     "filter_non_extensions",
     "fingerprint",
@@ -137,6 +129,4 @@ __all__ = [
     "third_upper",
     "union_of_coverings",
     "union_reducible_blocks",
-    "update_related_add",
-    "update_related_delete",
 ]

@@ -20,7 +20,7 @@ from typing import Callable, TextIO
 from .engine import add_covering, batch_reducts, delete_covering
 from .errors import EngineError, ParseError, ValidationError
 from .io import serialize_system
-from .model import CoveringDecisionSystem, fingerprint
+from .model import CoveringDecisionSystem
 from .synth import random_covering, random_system
 
 log = logging.getLogger(__name__)
@@ -162,12 +162,3 @@ def run_bench(config: BenchConfig, out: TextIO | None = None) -> list[BenchRow]:
                 if out is not None:
                     print(row.csv(), file=out, flush=True)
     return rows
-
-
-def grid_fingerprints(config: BenchConfig) -> dict[tuple[int, int], str]:
-    """Fingerprints of the generated base systems, keyed by (n, m)."""
-    return {
-        (n, m): fingerprint(_generate(config, n, m))
-        for n in config.universe_sizes
-        for m in config.covering_counts
-    }

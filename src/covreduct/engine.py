@@ -12,6 +12,10 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 * add, positive region grew: the same expansion IS the new reduct set (the
   handful of objects only the new covering resolves force it into every
   reduct, so no old reduct survives and no filtering applies).
+* delete, either way: the positive region of the shrunk system is
+  recomputed from its blocks; a cache whose updated related sets disagree
+  with it (the objects with a non-empty related set must be exactly that
+  region) raises StaleCache.
 * delete, positive region unchanged: keep the reducts that avoid the
   deleted covering.
 * delete, positive region shrank: drop the deleted covering from every
@@ -25,6 +29,7 @@ positive region and contain no superfluous covering.
 """
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .bitset import bits, full_mask
 from .boolformula import (
@@ -81,15 +86,6 @@ class AddCovering:
     union: int
 
 
-@dataclass(frozen=True)
-class DeleteCovering:
-    """A delete delta: the doomed covering, its position, its admissible union."""
-
-    name: str
-    index: int
-    union: int
-
-
 def _plan_add(
     system: CoveringDecisionSystem, covering: Covering
 ) -> tuple[AddCovering, CoveringDecisionSystem]:
@@ -106,24 +102,6 @@ def _plan_add(
 def add_delta(system: CoveringDecisionSystem, covering: Covering) -> AddCovering:
     """Validate a new covering against the system and derive its delta."""
     return _plan_add(system, covering)[0]
-
-
-def _plan_delete(
-    system: CoveringDecisionSystem, name: str
-) -> tuple[DeleteCovering, CoveringDecisionSystem]:
-    """The delete delta and the shrunk system, which is built once."""
-    idx = system.covering_index(name)
-    # Taken before the shrunk system is derived, so that it inherits the
-    # class-owner map the test built.
-    union = system.admissible_union(name)
-    # Raises LastCovering when it would empty the family.
-    system_minus = system.without_covering(name)
-    return DeleteCovering(name, idx, union), system_minus
-
-
-def delete_delta(system: CoveringDecisionSystem, name: str) -> DeleteCovering:
-    """Locate the covering to delete and derive its delta."""
-    return _plan_delete(system, name)[0]
 
 
 def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
@@ -174,37 +152,29 @@ def batch_reducts(
     return reducts, cache
 
 
-def update_related_add(cache: ReductionCache, delta: AddCovering) -> RelatedFamily:
-    """Extend the related sets with the added covering.
+def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily:
+    """Extend the related sets with a covering whose admissible union is ``union``.
 
-    Only objects inside the new covering's admissible union gain it; nothing
-    else changes, and no old block is re-tested.
+    Only objects inside that union gain it; nothing else changes, and no old
+    block is re-tested.
     """
-    old = cache.related
-    if delta.covering.union() != full_mask(old.universe_size):
-        raise UniverseMismatch(
-            f"covering {delta.covering.name!r} is not over a {old.universe_size}-object universe"
-        )
-    bit = 1 << len(old.covering_names)
-    r = list(old.r)
-    for x in bits(delta.union):
+    bit = 1 << len(related.covering_names)
+    r = list(related.r)
+    for x in bits(union):
         r[x] |= bit
-    return RelatedFamily(
-        old.universe_size, old.covering_names + (delta.covering.name,), tuple(r)
-    )
+    return RelatedFamily(related.universe_size, related.covering_names + (name,), tuple(r))
 
 
-def _drop_index(mask: int, idx: int) -> int:
-    low = mask & ((1 << idx) - 1)
-    return low | ((mask >> (idx + 1)) << idx)
+def _drop_index(masks: Iterable[int], idx: int) -> Iterator[int]:
+    """Each mask without bit ``idx``, its higher bits shifted down by one."""
+    low = (1 << idx) - 1
+    return ((mask & low) | (mask >> (idx + 1) << idx) for mask in masks)
 
 
-def update_related_delete(cache: ReductionCache, delta: DeleteCovering) -> RelatedFamily:
-    """Remove the deleted covering from every related set (and reindex)."""
-    old = cache.related
-    names = old.covering_names[: delta.index] + old.covering_names[delta.index + 1 :]
-    r = tuple(_drop_index(mask, delta.index) for mask in old.r)
-    return RelatedFamily(old.universe_size, names, r)
+def _related_delete(related: RelatedFamily, idx: int) -> RelatedFamily:
+    """Remove covering ``idx`` from every related set (and reindex)."""
+    names = related.covering_names[:idx] + related.covering_names[idx + 1 :]
+    return RelatedFamily(related.universe_size, names, tuple(_drop_index(related.r, idx)))
 
 
 def add_covering(
@@ -216,7 +186,7 @@ def add_covering(
     """Incrementally recompute the reduct set after appending a covering."""
     _check_cache(system, cache)
     delta, system_plus = _plan_add(system, new_covering)
-    related_plus = update_related_add(cache, delta)
+    related_plus = _related_add(cache.related, new_covering.name, delta.union)
     names_plus = related_plus.covering_names
     pos_plus = cache.positive | delta.union
     new_bit = 1 << (len(names_plus) - 1)
@@ -259,24 +229,27 @@ def delete_covering(
 ) -> tuple[ReductSet, ReductionCache]:
     """Incrementally recompute the reduct set after deleting a covering."""
     _check_cache(system, cache)
-    delta, system_minus = _plan_delete(system, name)
+    idx = system.covering_index(name)
+    # Raises LastCovering when it would empty the family.
+    system_minus = system.without_covering(name)
     _, pos_minus = positive_region(system_minus)  # no shortcut: recomputed
-    related_minus = update_related_delete(cache, delta)
+    related_minus = _related_delete(cache.related, idx)
+    # Both the filter and the verification trust the related sets, so they
+    # must account for exactly the recomputed region.
+    if related_minus.nonempty_objects != pos_minus:
+        raise StaleCache(
+            f"cached related sets disagree with the positive region of the "
+            f"system without {name!r}; rebuild the cache"
+        )
     names_minus = related_minus.covering_names
-    bit = 1 << delta.index
+    bit = 1 << idx
 
     if pos_minus == cache.positive:
-        kept = [r for r in cache.reducts.reducts if not r & bit]
-        reducts_minus = frozenset(_drop_index(r, delta.index) for r in kept)
+        kept = (r for r in cache.reducts.reducts if not r & bit)
+        reducts_minus = frozenset(_drop_index(kept, idx))
     else:
-        stripped = (
-            _drop_index(r & ~bit, delta.index) for r in cache.reducts.reducts
-        )
-        survivors = absorb(stripped, "minimal")
-        # Guard the clause-based verification with the recomputed region:
-        # the updated related sets must account for exactly pos_minus.
-        sound = related_minus.nonempty_objects == pos_minus
-        if sound and _verified(related_minus, survivors):
+        survivors = absorb(_drop_index(cache.reducts.reducts, idx), "minimal")
+        if _verified(related_minus, survivors):
             reducts_minus = survivors
         else:
             dnf = minimal_dnf(related_function(related_minus), max_terms)

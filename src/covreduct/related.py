@@ -9,6 +9,8 @@ minimal DNF is exactly the reduct set.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .approximation import positive_region
 from .bitset import bits
 from .boolformula import MonotoneFormula
@@ -33,11 +35,9 @@ class RelatedFamily:
 
     @property
     def nonempty_objects(self) -> int:
-        acc = 0
-        for x, mask in enumerate(self.r):
-            if mask:
-                acc |= 1 << x
-        return acc
+        """Mask of the objects whose related set is non-empty."""
+        flags = np.frombuffer(bytes(map(bool, self.r)), np.uint8)
+        return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
     def related_names(self, x: int) -> frozenset[str]:
         return frozenset(self.covering_names[i] for i in bits(self.r[x]))
@@ -65,12 +65,3 @@ def related_function(rf: RelatedFamily) -> MonotoneFormula:
     """The conjunction of the distinct non-empty related sets, as a CNF."""
     clauses = frozenset(mask for mask in rf.r if mask)
     return MonotoneFormula("cnf", clauses, rf.covering_names)
-
-
-def clause_provenance(rf: RelatedFamily) -> dict[int, int]:
-    """Which objects produced each distinct clause (clause mask -> object mask)."""
-    prov: dict[int, int] = {}
-    for x, mask in enumerate(rf.r):
-        if mask:
-            prov[mask] = prov.get(mask, 0) | (1 << x)
-    return prov

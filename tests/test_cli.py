@@ -4,7 +4,6 @@ import pytest
 
 import covreduct as cr
 import covreduct.cli as cli
-from covreduct.bench import BenchConfig, grid_fingerprints
 
 from conftest import EXTRA_COVERING_6
 
@@ -204,6 +203,21 @@ def test_update_short_related_cache(capsys, tmp_path, inconsistent8_file):
     assert err.startswith("error: cache holds related sets for 2 objects")
 
 
+def test_update_rejects_tampered_related_sets(capsys, tmp_path, consistent8_file):
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    doc = json.loads(cache_path.read_text())
+    assert doc["related"][0] == "15"
+    doc["related"][0] = "1"
+    cache_path.write_text(json.dumps(doc))
+    before = cache_path.read_bytes()
+    code, out, err = run(capsys, "update", consistent8_file, "--del", "C1", "--cache", cache_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cached related sets disagree with the positive region")
+    assert cache_path.read_bytes() == before
+
+
 def test_update_unknown_covering(capsys, tmp_path, consistent8_file):
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", consistent8_file, "--cache", cache_path)
@@ -246,14 +260,6 @@ def test_bench_command(capsys, tmp_path):
     assert lines[0] == "n,m,update,batch_s,incremental_s,speedup,equal"
     assert len(lines) == 3
     assert all(line.endswith(",true") for line in lines[1:])
-
-
-def test_bench_fingerprints_deterministic():
-    config = BenchConfig(
-        universe_sizes=(30,), covering_counts=(4,), blocks_per_covering=4,
-        decision_classes=3, seed=5, trials=1,
-    )
-    assert grid_fingerprints(config) == grid_fingerprints(config)
 
 
 def test_bench_bad_config(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -87,9 +88,8 @@ def test_add_covering_consistent_golden(consistent8, covering6):
 
 def test_update_related_add_golden(consistent8, covering6):
     _, cache = cr.batch_reducts(consistent8)
-    delta = cr.add_delta(consistent8, covering6)
-    assert to_indices(delta.union) == obj(2, 7, 8)
-    rf_plus = cr.update_related_add(cache, delta)
+    assert to_indices(cr.add_delta(consistent8, covering6).union) == obj(2, 7, 8)
+    rf_plus = cr.add_covering(consistent8, cache, covering6)[1].related
     rf = cache.related
     for label in (2, 7, 8):
         assert rf_plus.related_names(label - 1) == rf.related_names(label - 1) | {"C6"}
@@ -184,8 +184,7 @@ def test_delete_covering_consistent_golden(consistent8):
 
 def test_update_related_delete_golden(consistent8):
     _, cache = cr.batch_reducts(consistent8)
-    delta = cr.delete_delta(consistent8, "C5")
-    rf_minus = cr.update_related_delete(cache, delta)
+    rf_minus = cr.delete_covering(consistent8, cache, "C5")[1].related
     assert rf_minus.related_names(obj(1)[0]) == {"C1", "C3"}
     assert rf_minus.related_names(obj(7)[0]) == {"C2", "C4"}
     assert "C5" not in rf_minus.covering_names
@@ -201,9 +200,8 @@ def test_delete_covering_inconsistent_golden(inconsistent8):
 
 def test_delete_covering_with_no_admissible_blocks_keeps_related(inconsistent8):
     _, cache = cr.batch_reducts(inconsistent8)
-    delta = cr.delete_delta(inconsistent8, "C4")
-    assert delta.union == 0
-    rf_minus = cr.update_related_delete(cache, delta)
+    assert inconsistent8.admissible_union("C4") == 0
+    rf_minus = cr.delete_covering(inconsistent8, cache, "C4")[1].related
     for x in range(8):
         assert rf_minus.related_names(x) == cache.related.related_names(x)
 
@@ -282,6 +280,29 @@ def test_short_related_cache_rejected(inconsistent8, covering5):
         cr.add_covering(inconsistent8, short, covering5)
     with pytest.raises(StaleCache, match="2 objects"):
         cr.delete_covering(inconsistent8, short, "C4")
+
+
+@pytest.mark.parametrize(
+    "fixture, x, tampered",
+    [
+        # The region survives deleting C1: the filter path.
+        ("consistent8", 0, "1"),
+        # The region shrinks: the strip-and-verify path.
+        ("inconsistent8", 3, "1"),
+    ],
+)
+def test_delete_rejects_related_sets_that_disagree_with_the_region(
+    fixture, x, tampered, request
+):
+    # The tampered related set is still non-empty, so the cache loads; only
+    # the delete, which empties it, can see that it misdescribes the system.
+    system = request.getfixturevalue(fixture)
+    _, cache = cr.batch_reducts(system)
+    doc = json.loads(cr.serialize_cache(cache))
+    doc["related"][x] = tampered
+    loaded = cr.load_cache(json.dumps(doc))
+    with pytest.raises(StaleCache, match="positive region"):
+        cr.delete_covering(system, loaded, "C1")
 
 
 def test_delete_errors(consistent8):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import covreduct as cr
-from covreduct.bitset import mask_of, to_indices
+from covreduct.bitset import mask_of
 from covreduct.synth import random_system
 
 from conftest import obj
@@ -108,18 +108,6 @@ def test_related_function_empty_when_all_related_sets_empty():
     assert cr.related_function(rf).terms == frozenset()
 
 
-def test_clause_provenance(inconsistent8):
-    rf = cr.related_sets(inconsistent8)
-    prov = cr.clause_provenance(rf)
-    by_names = {
-        frozenset(rf.covering_names[i] for i in to_indices(clause)): members
-        for clause, members in prov.items()
-    }
-    assert to_indices(by_names[frozenset({"C1"})]) == obj(7, 8)
-    assert to_indices(by_names[frozenset({"C2", "C3"})]) == obj(1)
-    assert to_indices(by_names[frozenset({"C1", "C2"})]) == obj(4, 5, 6)
-
-
 def test_nonempty_objects_equals_positive_region():
     rng = random.Random(17)
     for _ in range(40):
@@ -130,6 +118,13 @@ def test_nonempty_objects_equals_positive_region():
         rf = cr.related_sets(system)
         _, pos = cr.positive_region(system)
         assert rf.nonempty_objects == pos
+    # Universes on both sides of the byte and word boundaries, against a
+    # plain per-object loop.
+    for n in (1, 7, 8, 9, 64, 65, 2000):
+        for _ in range(4):
+            r = tuple(rng.choice((0, rng.getrandbits(3))) for _ in range(n))
+            rf = cr.RelatedFamily(n, ("A", "B", "C"), r)
+            assert rf.nonempty_objects == sum(1 << x for x, mask in enumerate(r) if mask)
 
 
 def test_consistent_system_has_no_empty_related_set(consistent8):
