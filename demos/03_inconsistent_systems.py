@@ -54,8 +54,9 @@ plus, cache_plus = cr.add_covering(system, cache, c5)
 print("add C5 (positive region unchanged):",
       [",".join(r) for r in plus.sorted_name_lists()])
 
-# Deleting C1 shrinks the positive region; the engine verifies the cheap
-# survivor rule and falls back to re-minimization when it lies.
+# Deleting C1 shrinks the positive region; the engine strips C1 from the
+# old reducts and continues the expansion from them through the clauses
+# that lost C1.
 minus, cache_minus = cr.delete_covering(system, cache, "C1")
 print("del C1 (positive region shrinks): ",
       [",".join(r) for r in minus.sorted_name_lists()])

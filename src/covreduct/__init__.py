@@ -29,11 +29,9 @@ from .boolformula import (
     names_to_mask,
 )
 from .engine import (
-    AddCovering,
     ReductSet,
     ReductionCache,
     add_covering,
-    add_delta,
     batch_reducts,
     delete_covering,
     oracle_reducts,
@@ -77,7 +75,6 @@ from .related import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddCovering",
     "AdmissibleBlocks",
     "Categorical",
     "Consistency",
@@ -100,7 +97,6 @@ __all__ = [
     "ValidationError",
     "absorb",
     "add_covering",
-    "add_delta",
     "admissible_blocks",
     "batch_reducts",
     "build_system",

@@ -6,10 +6,13 @@ index space shared with a name tuple.  A CNF is a conjunction of clauses
 a conjunction).  Normal form for both is an antichain: no term contains
 another.  The minimal DNF of a monotone CNF is the set of minimal hitting
 sets of its clauses, computed by clause-by-clause distribution with
-absorption after every product step.
+absorption after every product step.  After any prefix of the clauses the
+implicants are the minimal hitting sets of that prefix (Berge), so an
+expansion can also continue from a known antichain: the minimal hitting
+sets of clauses already multiplied in, times the clauses that remain.
 
 Absorption, the product step, the filter of incremental adds and the
-engine's verification of delete survivors are all quadratic in the term
+survivor check of shrinking deletes are all quadratic in the term
 count (sets in the thousands are routine for dense systems), so they run on
 numpy, for any number of variables: a set of k terms over m variables is a
 ``(k, W)`` uint64 array with W = ceil(m / 64) words per term, least
@@ -164,26 +167,35 @@ def absorb(terms: Iterable[int], keep: str = "minimal") -> frozenset[int]:
     return _unpack(~_absorb_into(rows[:0], ~rows))
 
 
-def minimal_dnf(cnf: MonotoneFormula, max_terms: int = DEFAULT_TERM_LIMIT) -> MonotoneFormula:
-    """Expand a monotone CNF into its minimal DNF (all prime implicants).
+def minimal_dnf(
+    cnf: MonotoneFormula,
+    max_terms: int = DEFAULT_TERM_LIMIT,
+    start: Iterable[int] = frozenset({0}),
+) -> MonotoneFormula:
+    """The minimal DNF (all prime implicants) of ``(OR start) AND cnf``.
 
-    Clauses are absorbed first and multiplied in ascending size order; after
-    each product step the implicant set is absorbed again, which keeps the
-    intermediate sets antichains and bounds the blowup on typical inputs.
-    A growth past ``max_terms`` raises TermBlowup instead of exhausting
-    memory.  The empty CNF yields the single empty implicant (true).
+    ``start`` is the implicant set the product begins from and must be an
+    antichain; the default, the single empty implicant (true), expands the
+    CNF alone.  Clauses are absorbed first and multiplied in ascending size
+    order; after each product step the implicant set is absorbed again,
+    which keeps the intermediate sets antichains and bounds the blowup on
+    typical inputs.  A growth past ``max_terms``, the start terms included,
+    raises TermBlowup instead of exhausting memory.  The empty CNF yields
+    ``start``.
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
     clauses = sorted(absorb(cnf.terms, "minimal"), key=lambda c: (c.bit_count(), c))
     if any(c == 0 for c in clauses):
         raise ValueError("monotone CNF must not contain an empty clause")
-    return MonotoneFormula("dnf", _expand(clauses, len(cnf.names), max_terms), cnf.names)
+    return MonotoneFormula("dnf", _expand(start, clauses, len(cnf.names), max_terms), cnf.names)
 
 
-def _expand(clauses: list[int], n_vars: int, max_terms: int) -> frozenset[int]:
-    """Product-with-absorption over word arrays."""
-    implicants = _pack([0], n_vars)
+def _expand(
+    start: Iterable[int], clauses: list[int], n_vars: int, max_terms: int
+) -> frozenset[int]:
+    """Product-with-absorption over word arrays, from the antichain ``start``."""
+    implicants = _pack(start, n_vars)
     for clause in clauses:
         missing = ~(implicants & _pack([clause], n_vars)).any(axis=1)
         missed = implicants[missing]
@@ -224,37 +236,11 @@ def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) ->
     return _unpack(cand[keep])
 
 
-def are_minimal_hitting_sets(
-    candidates: Iterable[int], clauses: Iterable[int], n_vars: int
-) -> bool:
-    """Whether every candidate is a minimal hitting set of the clauses.
-
-    A clause misses ``p`` iff it sits inside the complement of ``p``, and
-    ``p`` is minimal iff for each of its elements ``i`` some clause sits
-    inside the complement of ``p - {i}``.  Only the minimal clauses can
-    decide either test.  Candidates are checked a chunk at a time, so a
-    failure stops the check early.
-    """
-    clauses = _pack(clauses, n_vars)
-    clauses = _absorb_into(clauses[:0], clauses)
-    candidates = _pack(candidates, n_vars)
-    step = max(1, CHUNK_CELLS // max(1, clauses.size))
-    for lo in range(0, len(candidates), step):
-        chunk = candidates[lo : lo + step]
-        if _contains_subset(~chunk, clauses).any():
-            return False
-        if not _contains_subset(~_drop_each_bit(chunk), clauses).all():
-            return False
-    return True
-
-
-def _drop_each_bit(rows: np.ndarray) -> np.ndarray:
-    """One row ``p - {i}`` for each row ``p`` and each set bit ``i`` of it."""
-    bitmap = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    row, bit = np.nonzero(bitmap)
-    dropped = rows[row]
-    dropped[np.arange(len(row)), bit // 64] ^= np.uint64(1) << (bit % 64).astype(np.uint64)
-    return dropped
+def hits_all(terms: Iterable[int], clauses: Iterable[int], n_vars: int) -> bool:
+    """Whether every term meets every clause (shares a variable with it)."""
+    # A term misses a clause iff the clause sits inside its complement.
+    outside = ~_pack(terms, n_vars)
+    return not _contains_subset(outside, _pack(clauses, n_vars)).any()
 
 
 def evaluate(formula: MonotoneFormula, true_vars: int) -> bool:

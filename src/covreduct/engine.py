@@ -18,17 +18,20 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
   region) raises StaleCache.
 * delete, positive region unchanged: keep the reducts that avoid the
   deleted covering.
-* delete, positive region shrank: drop the deleted covering from every
-  reduct, normalize to an antichain, verify every survivor (positive-region
-  preservation and per-element indispensability); if any check fails, fall
-  back to re-minimizing the CNF of the updated related family.  When all
-  survivors verify, the result provably equals the batch answer.
+* delete, positive region shrank: some object's only related covering was
+  the deleted one, d, so {d} was a clause and every old reduct is d plus a
+  minimal hitting set of the clauses without d.  Dropping d from the old
+  reducts therefore leaves exactly those minimal hitting sets, and the
+  expansion continues from them through the residual clauses
+  {r(x) - d : d in r(x), r(x) != {d}} alone (Berge).  When every survivor
+  already meets every residual clause, the survivors are the answer.
 
 Every returned ReductSet is an antichain of sub-families that preserve the
 positive region and contain no superfluous covering.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .bitset import bits, full_mask
@@ -36,7 +39,7 @@ from .boolformula import (
     DEFAULT_TERM_LIMIT,
     MonotoneFormula,
     absorb,
-    are_minimal_hitting_sets,
+    hits_all,
     mask_to_names,
     minimal_dnf,
     filter_non_extensions,
@@ -70,8 +73,12 @@ class ReductionCache:
 
     fingerprint: str
     related: RelatedFamily
-    positive: int
     reducts: ReductSet
+
+    @cached_property
+    def positive(self) -> int:
+        """The positive region: the objects with a non-empty related set."""
+        return self.related.nonempty_objects
 
     @property
     def consistent(self) -> bool:
@@ -124,31 +131,14 @@ def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
         )
 
 
-def _verified(related: RelatedFamily, reducts: frozenset[int]) -> bool:
-    """Check preservation and indispensability of every candidate reduct.
-
-    A sub-family preserves the positive region of the full family iff it
-    meets every non-empty related set, so both checks reduce to hitting-set
-    tests against the distinct clauses.
-    """
-    clauses = {mask for mask in related.r if mask}
-    return are_minimal_hitting_sets(reducts, clauses, len(related.covering_names))
-
-
 def batch_reducts(
     system: CoveringDecisionSystem, max_terms: int = DEFAULT_TERM_LIMIT
 ) -> tuple[ReductSet, ReductionCache]:
     """Compute all reducts from scratch and a fresh cache for later updates."""
-    _, pos = positive_region(system)
     related = related_sets(system)
     dnf = minimal_dnf(related_function(related), max_terms)
     reducts = ReductSet(system.names(), dnf.terms)
-    cache = ReductionCache(
-        fingerprint=fingerprint(system),
-        related=related,
-        positive=pos,
-        reducts=reducts,
-    )
+    cache = ReductionCache(fingerprint(system), related, reducts)
     return reducts, cache
 
 
@@ -212,12 +202,7 @@ def add_covering(
             reducts_plus = expansion.terms
 
     reduct_set = ReductSet(names_plus, frozenset(reducts_plus))
-    new_cache = ReductionCache(
-        fingerprint=fingerprint(system_plus),
-        related=related_plus,
-        positive=pos_plus,
-        reducts=reduct_set,
-    )
+    new_cache = ReductionCache(fingerprint(system_plus), related_plus, reduct_set)
     return reduct_set, new_cache
 
 
@@ -234,7 +219,7 @@ def delete_covering(
     system_minus = system.without_covering(name)
     _, pos_minus = positive_region(system_minus)  # no shortcut: recomputed
     related_minus = _related_delete(cache.related, idx)
-    # Both the filter and the verification trust the related sets, so they
+    # Both the filter and the continuation trust the related sets, so they
     # must account for exactly the recomputed region.
     if related_minus.nonempty_objects != pos_minus:
         raise StaleCache(
@@ -248,20 +233,19 @@ def delete_covering(
         kept = (r for r in cache.reducts.reducts if not r & bit)
         reducts_minus = frozenset(_drop_index(kept, idx))
     else:
-        survivors = absorb(_drop_index(cache.reducts.reducts, idx), "minimal")
-        if _verified(related_minus, survivors):
-            reducts_minus = survivors
-        else:
-            dnf = minimal_dnf(related_function(related_minus), max_terms)
-            reducts_minus = dnf.terms
+        # The stripped reducts, the minimal hitting sets of the clauses
+        # without d; absorbing them keeps the continuation's start an
+        # antichain.
+        reducts_minus = absorb(_drop_index(cache.reducts.reducts, idx), "minimal")
+        residual = {
+            r_minus for r, r_minus in zip(cache.related.r, related_minus.r) if r & bit and r_minus
+        }
+        if not hits_all(reducts_minus, residual, len(names_minus)):
+            cnf = MonotoneFormula("cnf", frozenset(residual), names_minus)
+            reducts_minus = minimal_dnf(cnf, max_terms, start=reducts_minus).terms
 
     reduct_set = ReductSet(names_minus, reducts_minus)
-    new_cache = ReductionCache(
-        fingerprint=fingerprint(system_minus),
-        related=related_minus,
-        positive=pos_minus,
-        reducts=reduct_set,
-    )
+    new_cache = ReductionCache(fingerprint(system_minus), related_minus, reduct_set)
     return reduct_set, new_cache
 
 

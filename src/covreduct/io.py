@@ -14,19 +14,21 @@ inside each block, blocks lexicographically within a covering, and keeps
 coverings in declaration order, so equal systems produce byte-equal
 documents.
 
-Cache document layout (JSON, compact, format 3)::
+Cache document layout (JSON, compact, format 4)::
 
-    {"format": 3, "fingerprint": "...", "covering_names": ["C1", ...],
-     "positive": "ff", "related": ["3", ...], "reducts": ["3", "5", ...]}
+    {"format": 4, "fingerprint": "...", "covering_names": ["C1", ...],
+     "related": ["3", ...], "reducts": ["3", "5", ...], "digest": "..."}
 
-Every mask is a lowercase hex string: bit i of a related or reduct mask
-is ``covering_names[i]``, bit x of ``positive`` is object x.  ``related``
-holds one mask per object; ``reducts`` are sorted.  ``fingerprint`` is
-``model.fingerprint`` of the system the cache describes, a hash built from
-per-covering digests.  ``load_cache`` accepts only format 3 and checks the
-invariants the engine relies on before it returns.  Format 2 caches carry a
-fingerprint computed another way, and older ones another layout; they must
-be rebuilt with ``covreduct reduce --cache``.
+Every mask is a lowercase hex string whose bit i is ``covering_names[i]``.
+``related`` holds one mask per object; ``reducts`` are sorted.
+``fingerprint`` is ``model.fingerprint`` of the system the cache describes,
+a hash built from per-covering digests.  ``digest`` is SHA-256 over the
+fingerprint, the names, the related sets and the reducts: it catches
+corruption and hand edits, not a forger who recomputes it.  ``load_cache``
+accepts only format 4 and checks the invariants the engine relies on and
+the digest before it returns.  Format 3 caches carry a ``positive`` field
+and no digest, format 2 ones a fingerprint computed another way, and older
+ones another layout; they must be rebuilt with ``covreduct reduce --cache``.
 
 Coverization turns a table (columns of strings) into a system: categorical
 columns become one block per distinct value, numeric columns a tolerance
@@ -34,6 +36,7 @@ covering (per object, the block of rows within epsilon times the column
 range), and the decision column a partition by value.
 """
 
+import hashlib
 import json
 import logging
 import re
@@ -264,21 +267,34 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
 # --- reduction caches ------------------------------------------------------
 
 
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
+CACHE_FIELDS = ("format", "fingerprint", "covering_names", "related", "reducts", "digest")
 _HEX = re.compile(r"[0-9a-f]+")
 _HEX_LIST = re.compile(r"[0-9a-f]+(?:,[0-9a-f]+)*")
 
 
+def _digest(fingerprint: str, names: list[str], related: list[str], reducts: list[str]) -> str:
+    """SHA-256 over the cached content, as its fields appear on the wire.
+
+    The hex masks hold no comma or newline, and JSON escapes a newline
+    inside a name, so the joined content reads back one way only.
+    """
+    content = "\n".join((json.dumps([fingerprint, names]), ",".join(related), ",".join(reducts)))
+    return hashlib.sha256(content.encode()).hexdigest()
+
+
 def serialize_cache(cache: ReductionCache) -> str:
     """The compact cache document: every mask a lowercase hex string."""
-    rel = cache.related
+    names = list(cache.related.covering_names)
+    related = [format(mask, "x") for mask in cache.related.r]
+    reducts = [format(r, "x") for r in sorted(cache.reducts.reducts)]
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": cache.fingerprint,
-        "covering_names": list(rel.covering_names),
-        "positive": format(cache.positive, "x"),
-        "related": [format(mask, "x") for mask in rel.r],
-        "reducts": [format(r, "x") for r in sorted(cache.reducts.reducts)],
+        "covering_names": names,
+        "related": related,
+        "reducts": reducts,
+        "digest": _digest(cache.fingerprint, names, related, reducts),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
@@ -315,9 +331,9 @@ def _check_width(masks: list[int], width: int, where: str) -> None:
 def load_cache(text: str) -> ReductionCache:
     """Parse a cache document and check it against the cache invariants.
 
-    The masks must fit the covering list, the positive region must be the
-    set of objects with a non-empty related set, and the reducts must be a
-    non-empty antichain; any breach raises ParseError.
+    The document must hold exactly the format's fields, the masks must fit
+    the covering list, the reducts must be a non-empty antichain and the
+    digest must match the content; any breach raises ParseError.
     """
     try:
         data = json.loads(text)
@@ -329,8 +345,10 @@ def load_cache(text: str) -> ReductionCache:
         f"cache format {data.get('format')!r} is not {CACHE_FORMAT}; "
         "rebuild the cache with `covreduct reduce --cache`",
     )
-    for key in ("fingerprint", "covering_names", "positive", "related", "reducts"):
+    for key in CACHE_FIELDS:
         _expect(key in data, f"cache is missing field {key!r}")
+    for key in data:
+        _expect(key in CACHE_FIELDS, f"{key}: not a field of a format {CACHE_FORMAT} cache")
     _expect(isinstance(data["fingerprint"], str), "fingerprint: expected a string")
     names = data["covering_names"]
     _expect(
@@ -338,15 +356,8 @@ def load_cache(text: str) -> ReductionCache:
         "covering_names: expected a list of strings",
     )
     _expect(len(set(names)) == len(names), "covering_names: names must be distinct")
-    names = tuple(names)
     r = _hex_masks(data["related"], "related")
     _check_width(r, len(names), "related")
-    related = RelatedFamily(len(r), names, tuple(r))
-    positive = _hex_mask(data["positive"], "positive")
-    _expect(
-        positive == related.nonempty_objects,
-        "positive: differs from the objects with a non-empty related set",
-    )
     masks = _hex_masks(data["reducts"], "reducts")
     _check_width(masks, len(names), "reducts")
     reducts = frozenset(masks)
@@ -356,9 +367,14 @@ def load_cache(text: str) -> ReductionCache:
         len(absorb(reducts, "minimal")) == len(reducts),
         "reducts: one reduct contains another",
     )
+    _expect(
+        data["digest"] == _digest(data["fingerprint"], names, data["related"], data["reducts"]),
+        "digest: does not match the cache content; "
+        "rebuild the cache with `covreduct reduce --cache`",
+    )
+    names = tuple(names)
     return ReductionCache(
         fingerprint=data["fingerprint"],
-        related=related,
-        positive=positive,
+        related=RelatedFamily(len(r), names, tuple(r)),
         reducts=ReductSet(names, reducts),
     )

@@ -24,6 +24,12 @@ def minimal_hitting_sets(clauses: list[frozenset], variables: list) -> set[froze
     }
 
 
+def minimal_models(holds, variables: list) -> set[frozenset]:
+    """All inclusion-minimal variable sets on which ``holds`` is true."""
+    true_sets = [frozenset(s) for s in all_subsets(variables) if holds(frozenset(s))]
+    return {t for t in true_sets if not any(o < t for o in true_sets)}
+
+
 def eval_cnf(clauses: list[frozenset], true_vars: frozenset) -> bool:
     return all(clause & true_vars for clause in clauses)
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
 from covreduct.bitset import to_indices
-from covreduct.boolformula import MonotoneFormula
+from covreduct.boolformula import MonotoneFormula, hits_all
 from covreduct.errors import TermBlowup
 
-from bruteforce import minimal_hitting_sets, truth_table_equal
+from bruteforce import minimal_hitting_sets, minimal_models, truth_table_equal
 
 NAMES6 = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -236,6 +236,34 @@ def test_minimal_dnf_matches_brute_force_at_every_width(data):
     used = sorted({v for c in clauses for v in to_indices(c)})
     clause_sets = [frozenset(to_indices(c)) for c in clauses]
     assert {frozenset(to_indices(t)) for t in dnf.terms} == minimal_hitting_sets(clause_sets, used)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minimal_dnf_from_start_matches_brute_force(data):
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    names = tuple(f"V{i}" for i in range(m))
+    clauses = [c for c in data.draw(term_lists(m)) if c]
+    k = data.draw(st.integers(0, len(clauses)))
+    prefix, rest = clauses[:k], clauses[k:]
+    used = sorted({v for c in clauses for v in to_indices(c)})
+    sets = [frozenset(to_indices(c)) for c in clauses]
+    prefix_hitting = {sum(1 << v for v in h) for h in minimal_hitting_sets(sets[:k], used)}
+    start = data.draw(st.sampled_from([frozenset({0}), frozenset(prefix_hitting)]))
+    dnf = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(rest), names), start=start)
+
+    def holds(true_vars):
+        mask = sum(1 << v for v in true_vars)
+        return any(_inside(t, mask) for t in start) and all(c & mask for c in rest)
+
+    got = {frozenset(to_indices(t)) for t in dnf.terms}
+    assert got == minimal_models(holds, used)
+    if start == prefix_hitting:
+        # Berge: continuing from a prefix's hitting sets finishes the CNF.
+        assert got == minimal_hitting_sets(sets, used)
+    # The survivor check of a shrinking delete, against a plain loop.
+    candidates = list(start) + data.draw(term_lists(m))
+    assert hits_all(candidates, rest, m) == all(t & c for t in candidates for c in rest)
 
 
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)

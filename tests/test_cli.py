@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -189,27 +190,44 @@ def test_update_corrupted_cache(capsys, tmp_path, consistent8_file):
     assert "Traceback" not in err
 
 
+def _reseal(cache_path, edit):
+    """Rewrite a cache file with ``edit`` applied to its related masks and
+    the digest recomputed, as a forger would."""
+    cache = cr.load_cache(cache_path.read_text())
+    r = edit(list(cache.related.r))
+    related = cr.RelatedFamily(len(r), cache.related.covering_names, tuple(r))
+    cache_path.write_text(cr.serialize_cache(dataclasses.replace(cache, related=related)))
+
+
 def test_update_short_related_cache(capsys, tmp_path, inconsistent8_file):
     # Index 1 has an empty related set, so a document cut to the first two
     # objects is self-consistent and only the system shows the gap.
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", inconsistent8_file, "--cache", cache_path)
-    doc = json.loads(cache_path.read_text())
-    doc["related"] = doc["related"][:2]
-    doc["positive"] = "1"
-    cache_path.write_text(json.dumps(doc))
+    _reseal(cache_path, lambda r: r[:2])
     code, _, err = run(capsys, "update", inconsistent8_file, "--del", "C4", "--cache", cache_path)
     assert code == 2
     assert err.startswith("error: cache holds related sets for 2 objects")
 
 
 def test_update_rejects_tampered_related_sets(capsys, tmp_path, consistent8_file):
+    # A hand edit fails the digest at load; a forger who recomputes the
+    # digest still meets the delete's check against the recomputed region.
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", consistent8_file, "--cache", cache_path)
     doc = json.loads(cache_path.read_text())
     assert doc["related"][0] == "15"
     doc["related"][0] = "1"
     cache_path.write_text(json.dumps(doc))
+    before = cache_path.read_bytes()
+    code, out, err = run(capsys, "update", consistent8_file, "--del", "C1", "--cache", cache_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: digest: does not match the cache content")
+    assert cache_path.read_bytes() == before
+
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    _reseal(cache_path, lambda r: [1] + r[1:])
     before = cache_path.read_bytes()
     code, out, err = run(capsys, "update", consistent8_file, "--del", "C1", "--cache", cache_path)
     assert code == 2

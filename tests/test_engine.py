@@ -1,24 +1,24 @@
 import dataclasses
-import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
 from covreduct import engine
-from covreduct.bitset import bits, to_indices
+from covreduct.bitset import to_indices
 from covreduct.errors import (
     DuplicateCoveringName,
     LastCovering,
     StaleCache,
+    TermBlowup,
     TooManyCoverings,
     UniverseMismatch,
     UnknownCovering,
 )
 from covreduct.synth import random_covering, random_system
 
-from bruteforce import minimal_hitting_sets
 from conftest import (
     CONSISTENT8_MINUS_REDUCTS,
     CONSISTENT8_PLUS_REDUCTS,
@@ -88,7 +88,7 @@ def test_add_covering_consistent_golden(consistent8, covering6):
 
 def test_update_related_add_golden(consistent8, covering6):
     _, cache = cr.batch_reducts(consistent8)
-    assert to_indices(cr.add_delta(consistent8, covering6).union) == obj(2, 7, 8)
+    assert to_indices(engine.add_delta(consistent8, covering6).union) == obj(2, 7, 8)
     rf_plus = cr.add_covering(consistent8, cache, covering6)[1].related
     rf = cache.related
     for label in (2, 7, 8):
@@ -218,7 +218,8 @@ def test_delete_covering_shrinking_positive_region(inconsistent8):
 
 def test_delete_covering_can_break_consistency():
     # C1 sits in every reduct; deleting it shrinks the positive region and
-    # the survivor rule's residue fails verification, forcing the repair.
+    # the stripped reduct, the empty family, misses both residual clauses,
+    # so the expansion continues from it.
     system = cr.build_system(
         3,
         [("C1", [[0], [1], [2]]), ("C2", [[0, 1], [2]]), ("C3", [[0], [1, 2]])],
@@ -272,9 +273,7 @@ def test_short_related_cache_rejected(inconsistent8, covering5):
     _, cache = cr.batch_reducts(inconsistent8)
     related = cache.related
     short = dataclasses.replace(
-        cache,
-        related=cr.RelatedFamily(2, related.covering_names, related.r[:2]),
-        positive=cache.positive & 0b11,
+        cache, related=cr.RelatedFamily(2, related.covering_names, related.r[:2])
     )
     with pytest.raises(StaleCache, match="2 objects"):
         cr.add_covering(inconsistent8, short, covering5)
@@ -286,21 +285,23 @@ def test_short_related_cache_rejected(inconsistent8, covering5):
     "fixture, x, tampered",
     [
         # The region survives deleting C1: the filter path.
-        ("consistent8", 0, "1"),
-        # The region shrinks: the strip-and-verify path.
-        ("inconsistent8", 3, "1"),
+        ("consistent8", 0, 0b1),
+        # The region shrinks: the strip-and-continue path.
+        ("inconsistent8", 3, 0b1),
     ],
 )
 def test_delete_rejects_related_sets_that_disagree_with_the_region(
     fixture, x, tampered, request
 ):
-    # The tampered related set is still non-empty, so the cache loads; only
-    # the delete, which empties it, can see that it misdescribes the system.
+    # The tampered related set is still non-empty, so a cache written with
+    # it (digest and all, as a forger would) loads; only the delete, which
+    # empties it, can see that it misdescribes the system.
     system = request.getfixturevalue(fixture)
     _, cache = cr.batch_reducts(system)
-    doc = json.loads(cr.serialize_cache(cache))
-    doc["related"][x] = tampered
-    loaded = cr.load_cache(json.dumps(doc))
+    r = list(cache.related.r)
+    r[x] = tampered
+    related = cr.RelatedFamily(len(r), cache.related.covering_names, tuple(r))
+    loaded = cr.load_cache(cr.serialize_cache(dataclasses.replace(cache, related=related)))
     with pytest.raises(StaleCache, match="positive region"):
         cr.delete_covering(system, loaded, "C1")
 
@@ -363,32 +364,6 @@ def test_sorted_name_lists_display_order(consistent8):
     assert lines[0] == ("C1", "C2")
 
 
-def _is_minimal_hitting_set(p: int, clauses: list[int]) -> bool:
-    if not all(c & p for c in clauses):
-        return False
-    return all(not all(c & p & ~(1 << i) for c in clauses) for i in bits(p))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_verified_matches_hitting_set_definition(data):
-    m = data.draw(st.sampled_from((6, 64, 65, 130)))
-    pool = sorted({p for p in (0, 1, 2, 62, 63, 64, 65, m - 1) if p < m})
-    masks = st.sets(st.sampled_from(pool), max_size=3).map(lambda ps: sum(1 << p for p in ps))
-    r = data.draw(st.lists(masks, min_size=1, max_size=6))
-    clauses = [c for c in r if c]
-    used = sorted({v for c in clauses for v in to_indices(c)})
-    minimal = sorted(
-        sum(1 << v for v in h)
-        for h in minimal_hitting_sets([frozenset(to_indices(c)) for c in clauses], used)
-    )
-    candidates = data.draw(st.lists(st.sampled_from(minimal), max_size=4))
-    candidates += data.draw(st.lists(masks, max_size=1))
-    related = cr.RelatedFamily(len(r), tuple(f"C{i}" for i in range(m)), tuple(r))
-    expected = all(_is_minimal_hitting_set(p, clauses) for p in candidates)
-    assert engine._verified(related, frozenset(candidates)) == expected
-
-
 def _sparse_blocks(rng: random.Random, n: int) -> list[list[int]]:
     """One block over everything and, one time in five, a block of one or
     two objects inside one of four decision classes: the only admissible
@@ -400,23 +375,30 @@ def _sparse_blocks(rng: random.Random, n: int) -> list[list[int]]:
     return blocks
 
 
-def test_update_chain_across_the_word_boundary(monkeypatch):
+@pytest.fixture
+def expansions(monkeypatch):
+    """The arguments of every ``engine.minimal_dnf`` call, as they happen."""
+    calls = []
+    expand = engine.minimal_dnf
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "minimal_dnf", recording)
+    return calls
+
+
+def test_update_chain_across_the_word_boundary(expansions):
     """Adds and deletes that take the covering count 62 -> 67 -> 62 twice.
 
     Every step feeds the previous step's cache and must equal batch on the
     updated system.  Deletes pick coverings with an admissible block, so
-    many shrink the positive region; the chain verifies survivors and
-    falls back, with one- and two-word related sets.
+    many shrink the positive region; of those, some keep the stripped
+    reducts as they stand and some continue the expansion, with one- and
+    two-word related sets.
     """
-    verified = set()
-    checked = engine._verified
-
-    def recording(related, reducts):
-        ok = checked(related, reducts)
-        verified.add((len(related.covering_names) > 64, ok))
-        return ok
-
-    monkeypatch.setattr(engine, "_verified", recording)
+    shrinking = set()
     rng = random.Random(7)
     n = 16
     decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
@@ -434,11 +416,80 @@ def test_update_chain_across_the_word_boundary(monkeypatch):
         else:
             live = [c.name for c in system.coverings if len(c.blocks) > 1]
             name = rng.choice(live or list(system.names()))
-            reducts, cache = cr.delete_covering(system, cache, name)
+            expansions.clear()
+            reducts, new_cache = cr.delete_covering(system, cache, name)
+            if new_cache.positive != cache.positive:
+                wide = len(new_cache.related.covering_names) > 64
+                shrinking.add((wide, bool(expansions)))
+            cache = new_cache
             system = system.without_covering(name)
         batch, _ = cr.batch_reducts(system)
         assert reducts.as_name_sets() == batch.as_name_sets()
-    assert verified == {(False, True), (False, False), (True, True), (True, False)}
+    assert shrinking == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_deletes_match_batch_and_oracle(expansions):
+    """Over two thousand seeded deletes, each against batch, and against the
+    oracle up to twelve coverings.
+
+    Small systems lose each covering in turn; systems of 65-70 sparse
+    coverings lose ten with an admissible block, so shrinking deletes both
+    keep the stripped reducts and continue the expansion at two words.
+    """
+    paths = Counter()
+
+    def delete_each(system, names):
+        _, cache = cr.batch_reducts(system)
+        for name in names:
+            expansions.clear()
+            reducts, new_cache = cr.delete_covering(system, cache, name)
+            continued = bool(expansions)
+            reduced = system.without_covering(name)
+            batch, _ = cr.batch_reducts(reduced)
+            assert reducts.as_name_sets() == batch.as_name_sets()
+            if len(reduced.coverings) <= 12:
+                assert reducts.as_name_sets() == cr.oracle_reducts(reduced).as_name_sets()
+            shrank = new_cache.positive != cache.positive
+            path = "continue" if continued else "keep" if shrank else "filter"
+            paths[len(reduced.coverings) > 64, path] += 1
+
+    rng = random.Random(41)
+    for _ in range(400):
+        n, m = rng.randint(3, 12), rng.randint(2, 7)
+        system = random_system(rng, n, m, rng.randint(2, 6), rng.randint(2, 4), "subset")
+        delete_each(system, system.names())
+    n = 16
+    decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
+    for _ in range(30):
+        m = rng.randint(65, 70)
+        system = cr.build_system(n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(m)], decision)
+        live = [c.name for c in system.coverings if len(c.blocks) > 1]
+        delete_each(system, rng.sample(live, min(10, len(live))))
+    assert sum(paths.values()) >= 2000
+    assert all(paths[wide, path] for wide in (False, True) for path in ("filter", "keep", "continue"))
+
+
+@pytest.mark.parametrize("padding", [0, 64], ids=["one word", "two words"])
+def test_continued_delete_counts_the_start_toward_the_term_limit(padding):
+    # Every object is its own decision class, so the admissible blocks are
+    # the singletons, and each covering's related objects are listed below.
+    # The clauses are {D}, {D, E}, {A1, B1}, {A2, B2} and {A3, E}: deleting
+    # D shrinks the region and leaves the residual clause {E}, which four
+    # of the eight stripped reducts miss.
+    related = {"D": [0, 1], "E": [1, 4], "A1": [2], "B1": [2], "A2": [3], "B2": [3], "A3": [4]}
+    n = 5
+    coverings = [(f"P{i}", [list(range(n))]) for i in range(padding)]
+    coverings += [(name, [list(range(n))] + [[x] for x in xs]) for name, xs in related.items()]
+    system = cr.build_system(n, coverings, [[x] for x in range(n)])
+    _, cache = cr.batch_reducts(system)
+    assert len(cache.reducts.reducts) == 8
+    # Four hit terms and four expanded ones: eight intermediate terms.
+    with pytest.raises(TermBlowup):
+        cr.delete_covering(system, cache, "D", max_terms=7)
+    reducts, _ = cr.delete_covering(system, cache, "D", max_terms=8)
+    batch, _ = cr.batch_reducts(system.without_covering("D"))
+    assert reducts.as_name_sets() == batch.as_name_sets()
+    assert len(reducts.reducts) == 4
 
 
 def _check_step(system, reducts, rng):

@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from covreduct.io import (
     parse_coverization_spec,
     parse_document,
 )
+from covreduct.synth import random_system
 
 from conftest import CONSISTENT8_REDUCTS, partition_blocks
 
@@ -135,10 +137,10 @@ def test_cache_roundtrip_property(caches):
         text = cr.serialize_cache(cache)
         assert cr.load_cache(text) == cache
         doc = json.loads(text)
-        assert doc["format"] == 3
+        assert doc["format"] == 4
         assert doc["reducts"] == sorted(doc["reducts"], key=lambda h: int(h, 16))
         if cache.positive == 0:
-            assert doc["positive"] == "0" and doc["reducts"] == ["0"]
+            assert doc["reducts"] == ["0"]
 
 
 def test_empty_positive_region_cache_roundtrip():
@@ -178,6 +180,16 @@ def test_format_2_cache_rejected(consistent8):
         cr.load_cache(json.dumps(doc))
 
 
+def test_format_3_cache_rejected(consistent8):
+    # Format 3 stored the positive region and carried no digest.
+    _, cache = cr.batch_reducts(consistent8)
+    doc = json.loads(cr.serialize_cache(cache))
+    del doc["digest"]
+    doc.update(format=3, positive="ff")
+    with pytest.raises(ParseError, match="rebuild the cache with `covreduct reduce --cache`"):
+        cr.load_cache(json.dumps(doc))
+
+
 def _cache_doc(system) -> dict:
     _, cache = cr.batch_reducts(system)
     return json.loads(cr.serialize_cache(cache))
@@ -208,7 +220,12 @@ CORRUPTIONS = [
     ("duplicate names", lambda d: _set(d, "covering_names", "C1", 1), "covering_names"),
     ("non-string name", lambda d: _set(d, "covering_names", 7, 1), "covering_names"),
     ("positive disagrees", lambda d: _set(d, "positive", "7f"), "positive"),
-    ("empty related set inside positive", lambda d: _set(d, "related", "0", 7), "positive"),
+    ("empty related set inside positive", lambda d: _set(d, "related", "0", 7), "digest"),
+    # Both pass every other load check: only the digest ties the reducts to
+    # the related sets, and a related set to the system.
+    ("reducts replaced by the full family", lambda d: _set(d, "reducts", ["1f"]), "digest"),
+    ("related set swapped", lambda d: _set(d, "related", "3", 0), "digest"),
+    ("digest edited", lambda d: _set(d, "digest", "0" + d["digest"][1:]), "digest"),
     ("not an antichain", lambda d: d["reducts"].append("7"), "reducts"),
     ("duplicate reduct", lambda d: d["reducts"].append(d["reducts"][0]), "reducts"),
     ("no reducts", lambda d: _set(d, "reducts", []), "reducts"),
@@ -226,6 +243,45 @@ def test_corrupted_cache_rejected(consistent8, edit, field):
     edit(doc)
     with pytest.raises(ParseError, match=re.escape(field)):
         cr.load_cache(json.dumps(doc))
+
+
+def _edit_one_field(rng: random.Random, doc: dict, width: int) -> None:
+    """Change one field of a cache document, keeping it well-formed."""
+    key = rng.choice(["fingerprint", "covering_names", "related", "reducts", "digest"])
+    value = doc[key]
+    if isinstance(value, str):
+        k = rng.randrange(len(value))
+        doc[key] = value[:k] + rng.choice("0123456789abcdef") + value[k + 1 :]
+    elif key == "covering_names":
+        i, j = rng.randrange(len(value)), rng.randrange(len(value))
+        value[i], value[j] = value[j], value[i]
+    else:
+        value[rng.randrange(len(value))] = format(rng.randrange(1 << width), "x")
+
+
+def test_single_field_edits_are_rejected_or_harmless():
+    """Every edited cache is rejected at load, or answers as batch does."""
+    rng = random.Random(13)
+    rejected = 0
+    for _ in range(400):
+        system = random_system(
+            rng, rng.randint(3, 10), rng.randint(2, 6), rng.randint(2, 5), 3, "subset"
+        )
+        _, cache = cr.batch_reducts(system)
+        doc = json.loads(cr.serialize_cache(cache))
+        edited = json.loads(json.dumps(doc))
+        _edit_one_field(rng, edited, len(system.coverings))
+        try:
+            loaded = cr.load_cache(json.dumps(edited))
+        except ParseError:
+            rejected += 1
+            continue
+        assert edited == doc
+        victim = rng.choice(system.names())
+        reducts, _ = cr.delete_covering(system, loaded, victim)
+        batch, _ = cr.batch_reducts(system.without_covering(victim))
+        assert reducts.as_name_sets() == batch.as_name_sets()
+    assert rejected > 300
 
 
 def test_coverize_categorical_partition():
