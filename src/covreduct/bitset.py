@@ -7,6 +7,8 @@ word-parallel union/intersection/subset tests with no fixed width.
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
@@ -21,6 +23,16 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def flags(mask: int, n: int) -> np.ndarray:
+    """The membership flags of objects 0..n-1 in ``mask`` (< 2**n), as uint8 0/1.
+
+    One pass over the mask's bytes, where walking ``bits(mask)`` costs a
+    big-int operation per member.
+    """
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def to_indices(mask: int) -> list[int]:

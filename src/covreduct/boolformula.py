@@ -6,10 +6,15 @@ index space shared with a name tuple.  A CNF is a conjunction of clauses
 a conjunction).  Normal form for both is an antichain: no term contains
 another.  The minimal DNF of a monotone CNF is the set of minimal hitting
 sets of its clauses, computed by clause-by-clause distribution with
-absorption after every product step.  After any prefix of the clauses the
-implicants are the minimal hitting sets of that prefix (Berge), so an
-expansion can also continue from a known antichain: the minimal hitting
-sets of clauses already multiplied in, times the clauses that remain.
+absorption after every product step.  A step keeps the implicants that hit
+the clause and replaces each one that misses it by its extensions with one
+clause variable.  Only a kept implicant can absorb an extension: if t' | v'
+sits inside t | v, with t and t' missing the clause and v, v' in it, then
+v' = v and t' sits inside t, so the antichain makes them equal.  After any
+prefix of the clauses the implicants are the minimal hitting sets of that
+prefix (Berge), so an expansion can also continue from a known antichain:
+the minimal hitting sets of clauses already multiplied in, times the
+clauses that remain.
 
 Absorption, the product step, the filter of incremental adds and the
 survivor check of shrinking deletes are all quadratic in the term
@@ -129,18 +134,18 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return ordered[fresh]
 
 
-def _absorb_into(kept: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``kept`` plus the distinct ``rows`` that contain no other term.
+def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct ``rows`` that contain no other row.
 
-    No row of ``kept`` may strictly contain a row of ``rows``.  The rows of
-    the lowest popcount left contain no other row left, so they are kept
-    and every row containing one of them is dropped, one level at a time.
+    The rows of the lowest popcount left contain no other row left, so they
+    are kept and every row containing one of them is dropped, one level at
+    a time.
     """
     rows = _unique_rows(rows)
-    rows = rows[~_contains_subset(rows, kept)]
     counts = _popcounts(rows)
     order = np.argsort(counts, kind="stable")
     rows, counts = rows[order], counts[order]
+    kept = rows[:0]
     while len(rows):
         low = np.searchsorted(counts, counts[0], side="right")
         level, rows, counts = rows[:low], rows[low:], counts[low:]
@@ -162,9 +167,9 @@ def absorb(terms: Iterable[int], keep: str = "minimal") -> frozenset[int]:
     terms = list(terms)
     rows = _pack(terms, max(terms, default=0).bit_length())
     if keep == "minimal":
-        return _unpack(_absorb_into(rows[:0], rows))
+        return _unpack(_minimal_rows(rows))
     # The maximal terms are the complements of the minimal complements.
-    return _unpack(~_absorb_into(rows[:0], ~rows))
+    return _unpack(~_minimal_rows(~rows))
 
 
 def minimal_dnf(
@@ -208,7 +213,10 @@ def _expand(
         expanded = (missed[:, None, :] | var_bits[None, :, :]).reshape(-1, implicants.shape[1])
         # Hit terms are untouched: an expanded term extends an implicant
         # incomparable with every hit term, so it can never absorb one.
-        implicants = _absorb_into(hit, expanded)
+        # Expanded terms are distinct and never nest (t | v inside t' | v'
+        # forces v = v' and t = t', see the module docstring), so only a
+        # hit term can absorb one.
+        implicants = np.concatenate((hit, expanded[~_contains_subset(expanded, hit)]))
     return _unpack(implicants)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .bitset import bits, full_mask
+from .bitset import bits, flags, full_mask
 from .boolformula import (
     DEFAULT_TERM_LIMIT,
     MonotoneFormula,
@@ -149,10 +149,9 @@ def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily
     block is re-tested.
     """
     bit = 1 << len(related.covering_names)
-    r = list(related.r)
-    for x in bits(union):
-        r[x] |= bit
-    return RelatedFamily(related.universe_size, related.covering_names + (name,), tuple(r))
+    inside = flags(union, related.universe_size).tolist()
+    r = tuple(mask | bit if f else mask for mask, f in zip(related.r, inside))
+    return RelatedFamily(related.universe_size, related.covering_names + (name,), r)
 
 
 def _drop_index(masks: Iterable[int], idx: int) -> Iterator[int]:
@@ -185,10 +184,9 @@ def add_covering(
         # No admissible blocks: related sets and reducts are untouched.
         reducts_plus = cache.reducts.reducts
     else:
-        restricted = cache.positive & ~delta.union
+        restricted = flags(cache.positive & ~delta.union, system.universe_size).tolist()
         clauses = {new_bit}
-        for x in bits(restricted):
-            clauses.add(cache.related.r[x])
+        clauses.update(mask for mask, f in zip(cache.related.r, restricted) if f)
         expansion = minimal_dnf(
             MonotoneFormula("cnf", frozenset(clauses), names_plus), max_terms
         )

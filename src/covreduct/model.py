@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bitset import full_mask, to_indices
+from .bitset import flags, full_mask, to_indices
 from .errors import (
     CoverageGap,
     DecisionNotPartition,
@@ -57,10 +57,11 @@ class CoveringDecisionSystem:
 
     Facts derived from the blocks are memoized on the instance when first
     asked for: per covering name, the covering's digest and admissible
-    union; the class owning each object; the digest of the decision classes;
-    and the fingerprint.  ``with_covering`` and ``without_covering`` hand
-    the memos of the coverings they keep to the system they derive, so an
-    updated system computes them only for the covering that changed.
+    union; per object, the objects outside its decision class; the digest
+    of the decision classes; and the fingerprint.  ``with_covering`` and
+    ``without_covering`` hand the memos of the coverings they keep to the
+    system they derive, so an updated system computes them only for the
+    covering that changed.
     """
 
     universe_size: int
@@ -102,12 +103,13 @@ class CoveringDecisionSystem:
     def admissible(self, blocks: Iterable[int]) -> list[int]:
         """The blocks that fit inside one decision class, in input order.
 
-        A non-empty block fits inside at most one class of a partition, so
-        each block is tested only against the class owning its lowest object.
+        A non-empty block fits inside at most one class of a partition, the
+        class of any of its objects, so each block is tested against the
+        class of its highest object: the block fits when it meets nothing
+        outside that class.  That costs one big-int ``&`` per block.
         """
-        classes = self.decision.classes
-        owner = self._memo("_owner", self._class_owner)
-        return [b for b in blocks if b & ~classes[owner[(b & -b).bit_length() - 1]] == 0]
+        outside = self._memo("_outside", self._class_complements)
+        return [b for b in blocks if not b & outside[b.bit_length() - 1]]
 
     def admissible_union(self, name: str) -> int:
         """Union of the admissible blocks of the covering ``name``."""
@@ -144,14 +146,14 @@ class CoveringDecisionSystem:
         width = (self.universe_size + 7) // 8
         return b"".join(sorted(m.to_bytes(width, "little") for m in masks))
 
-    def _class_owner(self) -> list[int]:
-        """owner[x] = index of the decision class holding object x."""
+    def _class_complements(self) -> list[int]:
+        """outside[x] = the objects outside the decision class holding x."""
         n = self.universe_size
         owner = np.empty(n, dtype=np.intp)
         for j, cls in enumerate(self.decision.classes):
-            raw = np.frombuffer(cls.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-            owner[np.unpackbits(raw, count=n, bitorder="little").view(bool)] = j
-        return owner.tolist()
+            owner[flags(cls, n).view(bool)] = j
+        complements = [self.full ^ cls for cls in self.decision.classes]
+        return [complements[j] for j in owner.tolist()]
 
     def _memo(self, key: str, compute: Callable[[], Any]) -> Any:
         """The memo ``key`` of this instance, computed on first use."""
@@ -165,7 +167,7 @@ class CoveringDecisionSystem:
     def _derive(self, coverings: tuple[Covering, ...]) -> "CoveringDecisionSystem":
         """A system over ``coverings`` and this decision, inheriting memos."""
         child = CoveringDecisionSystem(self.universe_size, coverings, self.decision)
-        for key in ("_owner", "_decision_digest"):
+        for key in ("_outside", "_decision_digest"):
             if key in self.__dict__:
                 object.__setattr__(child, key, self.__dict__[key])
         for key in ("_unions", "_digests"):

@@ -492,6 +492,70 @@ def test_continued_delete_counts_the_start_toward_the_term_limit(padding):
     assert len(reducts.reducts) == 4
 
 
+def _minimal(terms):
+    return {t for t in terms if not any(u != t and u & ~t == 0 for u in terms)}
+
+
+def _peak_terms(start, clauses):
+    """The largest intermediate term count the blowup guard sees.
+
+    A plain-Python product from the antichain ``start`` over the minimal
+    clauses, smallest first: each step that meets a missing implicant
+    counts the hit implicants plus the missed ones times the clause size.
+    """
+    implicants, peak = set(start), 0
+    for clause in sorted(_minimal(set(clauses)), key=lambda c: (c.bit_count(), c)):
+        hit = {t for t in implicants if t & clause}
+        missed = implicants - hit
+        if missed:
+            peak = max(peak, len(hit) + len(missed) * clause.bit_count())
+            implicants = _minimal(hit | {t | 1 << v for t in missed for v in to_indices(clause)})
+    return peak
+
+
+@pytest.mark.parametrize("padding", [0, 64], ids=["one word", "two words"])
+def test_term_limit_boundary_of_batch_and_continued_delete(padding):
+    # Every object is its own decision class, so the admissible blocks are
+    # the singletons and each object's related set is drawn directly.  The
+    # padding coverings have no admissible block; they only move the
+    # related sets to the second word.
+    rng = random.Random(padding)
+    continued = 0
+    for _ in range(20):
+        n, m = rng.randint(6, 14), rng.randint(6, 12)
+        drawn = [rng.sample(range(m), rng.choice((1, 2, 2, 3, 3, 4))) for _ in range(n)]
+        coverings = [(f"P{i}", [list(range(n))]) for i in range(padding)]
+        coverings += [
+            (f"V{i}", [list(range(n))] + [[x] for x in range(n) if i in drawn[x]])
+            for i in range(m)
+        ]
+        system = cr.build_system(n, coverings, [[x] for x in range(n)])
+        related = cr.related_sets(system)
+        peak = _peak_terms({0}, [r for r in related.r if r])
+        with pytest.raises(TermBlowup):
+            cr.batch_reducts(system, max_terms=peak - 1)
+        _, cache = cr.batch_reducts(system, max_terms=peak)
+        for idx, name in enumerate(system.names()):
+            d = 1 << idx
+            if d not in related.r:
+                continue  # the region keeps its size: the filter path
+
+            def drop(t):
+                return (t & d - 1) | (t >> (idx + 1) << idx)
+
+            start = _minimal({drop(t) for t in cache.reducts.reducts})
+            peak = _peak_terms(start, {drop(r) for r in related.r if r & d and r != d})
+            if not peak:
+                continue  # the stripped reducts stand: no product step
+            with pytest.raises(TermBlowup):
+                cr.delete_covering(system, cache, name, max_terms=peak - 1)
+            reducts, _ = cr.delete_covering(system, cache, name, max_terms=peak)
+            batch, _ = cr.batch_reducts(system.without_covering(name))
+            assert reducts.as_name_sets() == batch.as_name_sets()
+            continued += 1
+    assert continued >= 10
+
+
 def _check_step(system, reducts, rng):
     """Compare an updated system, derived with memos, to a memo-free rebuild."""
     rebuilt = cr.CoveringDecisionSystem(system.universe_size, system.coverings, system.decision)

@@ -14,7 +14,7 @@ from covreduct.errors import (
     LastCovering,
     UnknownCovering,
 )
-from covreduct.synth import random_system
+from covreduct.synth import random_decision, random_system
 
 from conftest import CONSISTENT8_COVERINGS, DECISION_8, obj
 
@@ -196,3 +196,35 @@ def test_derived_systems_keep_their_own_memos(consistent8):
         assert cr.positive_region(derived) == cr.positive_region(rebuilt)
         assert cr.related_sets(derived) == cr.related_sets(rebuilt)
     assert cr.fingerprint(b) == cr.fingerprint(c) != cr.fingerprint(a)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 2000])
+def test_admissible_matches_the_definition(n):
+    # Blocks drawn inside one class, the same blocks with an object of
+    # another class added (often the lowest or the highest object, so the
+    # block's two ends fall in different classes), and arbitrary blocks.
+    rng = random.Random(n)
+    decision = random_decision(rng, n, 4)
+    full = (1 << n) - 1
+    system = cr.CoveringDecisionSystem(n, (cr.Covering("C", (full,)),), decision)
+    classes = decision.classes
+    members = [to_indices(cls) for cls in classes]
+
+    def class_of(x):
+        return next(j for j, cls in enumerate(classes) if cls >> x & 1)
+
+    blocks, split_ends = [], 0
+    for _ in range(200):
+        j = rng.randrange(len(classes))
+        block = mask_of(rng.sample(members[j], rng.randint(1, len(members[j]))))
+        blocks += [block, rng.randint(1, full)]
+        others = to_indices(full & ~classes[j])
+        if others:
+            for x in (others[0], others[-1], rng.choice(others)):
+                mixed = block | 1 << x
+                blocks.append(mixed)
+                lowest, highest = (mixed & -mixed).bit_length() - 1, mixed.bit_length() - 1
+                split_ends += class_of(lowest) != class_of(highest)
+    expected = [b for b in blocks if any(b & ~cls == 0 for cls in classes)]
+    assert system.admissible(blocks) == expected
+    assert n == 1 or split_ends > 100
