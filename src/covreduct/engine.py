@@ -8,7 +8,14 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 * add, positive region unchanged (always the case on a consistent base):
   expand  new AND (AND over x in POS outside the new covering's admissible
   union of OR r(x)),  then keep the expansion terms no existing reduct is a
-  strict subset of, and union them with the old reducts.
+  strict subset of, and union them with the old reducts.  Only the old
+  reducts among the stripped terms can absorb: with c the new covering and
+  R those restricted related sets, the expansion is
+  {c + q : q a minimal hitting set of R}.  An old reduct p lacks c, so p
+  strictly inside c + q puts p inside q; p meets every clause of R (R is a
+  subset of the old clauses) and q is a minimal hitting set of R, so
+  p = q.  The filter therefore meets only the old reducts that equal some
+  term with c removed.
 * add, positive region grew: the same expansion IS the new reduct set (the
   handful of objects only the new covering resolves force it into every
   reduct, so no old reduct survives and no filtering applies).
@@ -191,8 +198,12 @@ def add_covering(
             MonotoneFormula("cnf", frozenset(clauses), names_plus), max_terms
         )
         if pos_plus == cache.positive:
-            added = filter_non_extensions(expansion.terms, cache.reducts.reducts)
-            reducts_plus = cache.reducts.reducts | added
+            # Only an old reduct equal to a term with the new bit stripped
+            # can absorb that term (see the module docstring).
+            old = cache.reducts.reducts
+            absorbers = old.intersection([t & ~new_bit for t in expansion.terms])
+            added = filter_non_extensions(expansion.terms, absorbers)
+            reducts_plus = old | added
         else:
             # The positive region grew, so some object is resolved only by
             # the new covering: every reduct must contain it and the old

@@ -10,7 +10,9 @@ the way in, so downstream code can assume the structural invariants:
 * covering names are unique and there is at least one covering
 """
 
+import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -188,10 +190,31 @@ def _block_mask(block: BlockInput, n: int, where: str) -> int:
 
 
 def _check_covering(name: str, blocks: Sequence[int], n: int) -> None:
+    """Reject a covering with an empty, out-of-range or repeated block, or
+    one whose blocks miss an object.
+
+    The blocks are sorted once as ints, so an empty or negative block comes
+    first, the widest block last and equal blocks side by side: the first
+    and the last block and one C-level pass over adjacent pairs find any
+    faulty block, and an OR-reduce over the blocks checks coverage.  The
+    per-block loop runs only when a block is at fault, to name the first
+    faulty block in input order.
+    """
     if not blocks:
         raise CoverageGap(f"covering {name!r} has no blocks")
+    ordered = sorted(blocks)
+    if ordered[0] <= 0 or ordered[-1] >> n or any(map(operator.eq, ordered, ordered[1:])):
+        _name_block_fault(name, blocks, n)
+    union = functools.reduce(operator.or_, blocks)
+    if union != full_mask(n):
+        missing = to_indices(full_mask(n) & ~union)
+        raise CoverageGap(f"covering {name!r} does not cover objects {missing}")
+
+
+def _name_block_fault(name: str, blocks: Sequence[int], n: int) -> None:
+    """Raise for the first block, in input order, that is empty, reaches
+    past object ``n - 1`` or repeats an earlier block."""
     seen: set[int] = set()
-    union = 0
     for k, b in enumerate(blocks):
         if b == 0:
             raise EmptyBlock(f"covering {name!r}: block {k} is empty")
@@ -200,10 +223,6 @@ def _check_covering(name: str, blocks: Sequence[int], n: int) -> None:
         if b in seen:
             raise DuplicateBlock(f"covering {name!r}: block {k} duplicates an earlier block")
         seen.add(b)
-        union |= b
-    if union != full_mask(n):
-        missing = to_indices(full_mask(n) & ~union)
-        raise CoverageGap(f"covering {name!r} does not cover objects {missing}")
 
 
 def make_covering(name: str, blocks: Iterable[BlockInput], universe_size: int) -> Covering:

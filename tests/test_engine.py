@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import covreduct as cr
 from covreduct import engine
 from covreduct.bitset import to_indices
+from covreduct.boolformula import filter_non_extensions
 from covreduct.errors import (
     DuplicateCoveringName,
     LastCovering,
@@ -671,3 +672,91 @@ def test_reducts_do_not_depend_on_covering_order(case):
         answers.append((reducts, added, deleted))
     for ours, theirs in zip(*answers):
         assert ours.as_name_sets() == theirs.as_name_sets()
+
+
+@pytest.fixture
+def filters(monkeypatch):
+    """The candidates, the existing terms and the result of every
+    ``engine.filter_non_extensions`` call, as they happen."""
+    calls = []
+
+    def recording(candidates, existing):
+        candidates, existing = frozenset(candidates), frozenset(existing)
+        kept = filter_non_extensions(candidates, existing)
+        calls.append((candidates, existing, kept))
+        return kept
+
+    monkeypatch.setattr(engine, "filter_non_extensions", recording)
+    return calls
+
+
+def _key_covering(name, n):
+    return cr.make_covering(name, [[x] for x in range(n)], n)
+
+
+def test_add_filter_meets_only_the_stripped_old_reducts(filters):
+    """Seeded adds that keep the positive region, at one and two words.
+
+    Each add's filter must get exactly the old reducts that sit strictly
+    inside some expansion term, and those must be the old reducts among
+    the terms with the new covering's bit removed; filtering against every
+    old reduct must keep the same terms; and the add must equal batch, and
+    the oracle up to twelve coverings.  Adds whose stripped terms are the
+    old reducts (nothing new), adds whose expansion is the new covering
+    alone (a key covering on a consistent system) and ordinary adds all
+    occur at both widths.
+    """
+    kinds = Counter()
+
+    def add(system, cache, covering):
+        filters.clear()
+        reducts, new_cache = cr.add_covering(system, cache, covering)
+        grown = system.with_covering(covering)
+        batch, _ = cr.batch_reducts(grown)
+        assert reducts.as_name_sets() == batch.as_name_sets()
+        if len(grown.coverings) <= 12:
+            assert reducts.as_name_sets() == cr.oracle_reducts(grown).as_name_sets()
+        if filters:
+            (candidates, narrowed, kept), = filters
+            old = cache.reducts.reducts
+            new_bit = 1 << len(system.coverings)
+            stripped = {t & ~new_bit for t in candidates}
+            inside = {p for p in old if any(p != t and p & ~t == 0 for t in candidates)}
+            assert inside == old & stripped == narrowed
+            assert filter_non_extensions(candidates, old) == kept
+            if candidates == {new_bit}:
+                kind = "expansion is c"
+            elif stripped == old:
+                kind = "nothing new"
+            else:
+                kind = "ordinary"
+            kinds[len(grown.coverings) > 64, kind] += 1
+        return grown, new_cache
+
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        system = random_system(rng, n, rng.randint(2, 6), rng.randint(2, 5), rng.randint(2, 4), "subset")
+        _, cache = cr.batch_reducts(system)
+        for j in range(rng.randint(1, 3)):
+            covering = cr.make_covering(f"X{j}", _subset_blocks(rng, n), n)
+            system, cache = add(system, cache, covering)
+        for j in range(2):
+            system, cache = add(system, cache, _key_covering(f"K{j}", n))
+    n = 16
+    decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
+    for _ in range(10):
+        m = rng.randint(58, 62)
+        system = cr.build_system(n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(m)], decision)
+        _, cache = cr.batch_reducts(system)
+        for j in range(8):
+            covering = cr.make_covering(f"X{j}", _sparse_blocks(rng, n), n)
+            system, cache = add(system, cache, covering)
+        for j in range(2):
+            system, cache = add(system, cache, _key_covering(f"K{j}", n))
+        for j in range(8, 12):
+            covering = cr.make_covering(f"X{j}", _sparse_blocks(rng, n), n)
+            system, cache = add(system, cache, covering)
+    assert all(
+        kinds[wide, kind] for wide in (False, True) for kind in ("expansion is c", "nothing new", "ordinary")
+    )

@@ -1,8 +1,12 @@
+import functools
+import operator
 import random
+from collections import Counter
 
 import pytest
 
 import covreduct as cr
+from covreduct import model
 from covreduct.bitset import mask_of, to_indices
 from covreduct.errors import (
     CoverageGap,
@@ -228,3 +232,112 @@ def test_admissible_matches_the_definition(n):
     expected = [b for b in blocks if any(b & ~cls == 0 for cls in classes)]
     assert system.admissible(blocks) == expected
     assert n == 1 or split_ends > 100
+
+
+def _reference_check_covering(name, blocks, n):
+    """The per-block validation loop that the sorted passes replaced, kept
+    as the reference for which fault is named and how."""
+    if not blocks:
+        raise CoverageGap(f"covering {name!r} has no blocks")
+    seen = set()
+    union = 0
+    for k, b in enumerate(blocks):
+        if b == 0:
+            raise EmptyBlock(f"covering {name!r}: block {k} is empty")
+        if b >> n:
+            raise IndexOutOfRange(f"covering {name!r}: block {k} exceeds universe size {n}")
+        if b in seen:
+            raise DuplicateBlock(f"covering {name!r}: block {k} duplicates an earlier block")
+        seen.add(b)
+        union |= b
+    if union != (1 << n) - 1:
+        missing = to_indices((1 << n) - 1 & ~union)
+        raise CoverageGap(f"covering {name!r} does not cover objects {missing}")
+
+
+def _outcome(check, blocks, n):
+    try:
+        check("C", blocks, n)
+    except cr.ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _valid_blocks(rng, n):
+    """Distinct random blocks plus one block for the objects they miss."""
+    full = (1 << n) - 1
+    blocks = {rng.randint(1, full) for _ in range(rng.randint(1, 6))}
+    rest = full & ~functools.reduce(operator.or_, blocks)
+    if rest:
+        blocks.add(rest)
+    blocks = list(blocks)
+    rng.shuffle(blocks)
+    return blocks
+
+
+def _insert_at(rng, blocks, block, near=None):
+    """Insert ``block`` at a random position, or right after index ``near``."""
+    k = rng.randint(0, len(blocks)) if near is None else near + 1
+    blocks.insert(k, block)
+
+
+def _add_fault(rng, blocks, n, fault):
+    full = (1 << n) - 1
+    if fault == "empty":
+        _insert_at(rng, blocks, 0)
+    elif fault == "negative":
+        _insert_at(rng, blocks, -rng.choice([1, rng.randint(1, full), rng.choice(blocks) or 1]))
+    elif fault == "range":
+        # Past-n bits that still fit the last byte of an n-bit encoding
+        # are the ones a byte-level check would miss.
+        same_byte = range(n, -(-n // 8) * 8)
+        if same_byte and rng.random() < 0.5:
+            bit = rng.choice(same_byte)
+        else:
+            bit = n + rng.choice([0, 1, rng.randrange(200)])
+        if rng.random() < 0.5:
+            k = rng.randrange(len(blocks))
+            blocks[k] |= 1 << bit
+        else:
+            _insert_at(rng, blocks, 1 << bit | rng.randint(0, full))
+    elif fault == "duplicate":
+        pick = rng.choice(["smallest", "largest", "any"])
+        block = min(blocks) if pick == "smallest" else max(blocks) if pick == "largest" else rng.choice(blocks)
+        near = blocks.index(block) if rng.random() < 0.5 else None
+        _insert_at(rng, blocks, block, near)
+    else:  # uncovered: strip an object from every block, or drop its blocks
+        x = 1 << rng.randrange(n)
+        if rng.random() < 0.5:
+            blocks[:] = [b & ~x for b in blocks]
+        else:
+            blocks[:] = [b for b in blocks if not b & x]
+
+
+FAULTS = ("empty", "negative", "range", "duplicate", "uncovered")
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 2000])
+def test_check_covering_matches_the_per_block_loop(n):
+    """Every fault, alone and together at random positions: the sorted
+    passes raise what the loop raises, with the same message, and pass
+    exactly when it passes."""
+    rng = random.Random(f"check-covering:{n}")
+    seen = Counter()
+    for trial in range(400):
+        blocks = _valid_blocks(rng, n)
+        faults = [] if trial % 8 == 0 else rng.sample(FAULTS, rng.randint(1, len(FAULTS)))
+        # Uncovering last, since it may drop every block.
+        for fault in sorted(faults, key=FAULTS.index):
+            _add_fault(rng, blocks, n, fault)
+        expected = _outcome(_reference_check_covering, tuple(blocks), n)
+        assert _outcome(model._check_covering, tuple(blocks), n) == expected
+        seen[expected[0] if expected else None] += 1
+    assert set(seen) == {None, EmptyBlock, IndexOutOfRange, DuplicateBlock, CoverageGap}
+
+
+def test_check_covering_accepts_two_thousand_singletons():
+    n = 2000
+    blocks = [1 << x for x in range(n)]
+    random.Random(5).shuffle(blocks)
+    model._check_covering("KEY", tuple(blocks), n)
+    assert cr.make_covering("KEY", [[x] for x in range(n)], n).blocks == tuple(1 << x for x in range(n))
