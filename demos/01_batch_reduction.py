@@ -35,7 +35,7 @@ print()
 
 print("Admissible blocks (blocks that fit inside one decision class):")
 admissible = cr.admissible_blocks(system)
-for block, contributors in admissible.blocks:
+for block, contributors in admissible:
     print(f"  {show(block):<14} from {', '.join(contributors)}")
 print()
 

@@ -61,11 +61,9 @@ from .model import (
     build_system,
     fingerprint,
     make_covering,
-    same_system,
     union_of_coverings,
 )
 from .related import (
-    AdmissibleBlocks,
     RelatedFamily,
     admissible_blocks,
     related_function,
@@ -75,7 +73,6 @@ from .related import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleBlocks",
     "Categorical",
     "Consistency",
     "Covering",
@@ -118,7 +115,6 @@ __all__ = [
     "regions",
     "related_function",
     "related_sets",
-    "same_system",
     "serialize_cache",
     "serialize_system",
     "third_lower",

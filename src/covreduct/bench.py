@@ -9,8 +9,6 @@ aborts the run with the offending system serialized, so an emitted table
 never contains an unequal row.
 """
 
-import json
-import logging
 import random
 import statistics
 import time
@@ -19,13 +17,13 @@ from typing import Callable, TextIO
 
 from .engine import add_covering, batch_reducts, delete_covering
 from .errors import EngineError, ParseError, ValidationError
-from .io import serialize_system
+from .io import decode_json, serialize_system
 from .model import CoveringDecisionSystem
 from .synth import random_covering, random_system
 
-log = logging.getLogger(__name__)
-
 CSV_HEADER = "n,m,update,batch_s,incremental_s,speedup,equal"
+_LISTS = ("universe_sizes", "covering_counts", "updates")
+_COUNTS = ("universe_sizes", "covering_counts", "blocks_per_covering", "decision_classes", "trials")
 
 
 @dataclass(frozen=True)
@@ -40,32 +38,24 @@ class BenchConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}") from exc
+        data = decode_json(text)
         if not isinstance(data, dict):
             raise ParseError("bench config root must be an object")
-        known = {
-            "universe_sizes": tuple,
-            "covering_counts": tuple,
-            "blocks_per_covering": int,
-            "decision_classes": int,
-            "seed": int,
-            "trials": int,
-            "updates": tuple,
-        }
         kwargs = {}
         for key, value in data.items():
-            if key not in known:
+            if key not in cls.__dataclass_fields__:
                 raise ParseError(f"unknown bench config field {key!r}")
-            kwargs[key] = known[key](value) if known[key] is tuple else value
+            values = value if key in _LISTS else [value]
+            if not isinstance(values, list):
+                raise ParseError(f"{key}: expected a list, got {value!r}")
+            # type(), not isinstance(): a bool is no count.
+            if key in _COUNTS and any(type(v) is not int or v < 1 for v in values):
+                raise ValidationError(f"{key}: expected positive integers, got {value!r}")
+            kwargs[key] = tuple(value) if key in _LISTS else value
         cfg = cls(**kwargs)
-        if cfg.trials < 1:
-            raise ValidationError("trials must be at least 1")
-        bad = set(cfg.updates) - {"add", "delete"}
+        bad = [u for u in cfg.updates if u not in ("add", "delete")]
         if bad:
-            raise ValidationError(f"unknown update kinds: {sorted(bad)}")
+            raise ValidationError(f"unknown update kinds: {bad}")
         return cfg
 
 
@@ -91,21 +81,15 @@ class BenchMismatch(EngineError):
 
 
 def _generate(config: BenchConfig, n: int, m: int) -> CoveringDecisionSystem:
-    rng = random.Random(f"{config.seed}:{n}:{m}")
-    for attempt in range(3):
-        try:
-            return random_system(
-                rng,
-                n,
-                m,
-                config.blocks_per_covering,
-                config.decision_classes,
-                block_style="interval",
-                contiguous_decision=True,
-            )
-        except ValidationError as exc:  # pragma: no cover - generator guards coverage
-            log.warning("generation attempt %d failed: %s", attempt + 1, exc)
-    raise EngineError(f"could not generate a valid system for n={n}, m={m}")
+    return random_system(
+        random.Random(f"{config.seed}:{n}:{m}"),
+        n,
+        m,
+        config.blocks_per_covering,
+        config.decision_classes,
+        block_style="interval",
+        contiguous_decision=True,
+    )
 
 
 def _median_time(fn: Callable[[], object], trials: int) -> float:

@@ -155,21 +155,12 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     return kept
 
 
-def absorb(terms: Iterable[int], keep: str = "minimal") -> frozenset[int]:
-    """Reduce a term collection to an antichain.
-
-    keep="minimal" drops every strict superset of another term (absorption
-    as used for CNF clauses and DNF implicants); keep="maximal" drops strict
-    subsets instead.
+def absorb(terms: Iterable[int]) -> frozenset[int]:
+    """Reduce a term collection to an antichain by dropping every strict
+    superset of another term (absorption of CNF clauses and DNF implicants).
     """
-    if keep not in ("minimal", "maximal"):
-        raise ValueError(f"keep must be 'minimal' or 'maximal', got {keep!r}")
     terms = list(terms)
-    rows = _pack(terms, max(terms, default=0).bit_length())
-    if keep == "minimal":
-        return _unpack(_minimal_rows(rows))
-    # The maximal terms are the complements of the minimal complements.
-    return _unpack(~_minimal_rows(~rows))
+    return _unpack(_minimal_rows(_pack(terms, max(terms, default=0).bit_length())))
 
 
 def minimal_dnf(
@@ -190,7 +181,7 @@ def minimal_dnf(
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
-    clauses = sorted(absorb(cnf.terms, "minimal"), key=lambda c: (c.bit_count(), c))
+    clauses = sorted(absorb(cnf.terms), key=lambda c: (c.bit_count(), c))
     if any(c == 0 for c in clauses):
         raise ValueError("monotone CNF must not contain an empty clause")
     return MonotoneFormula("dnf", _expand(start, clauses, len(cnf.names), max_terms), cnf.names)

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .approximation import classify_consistency, Consistency
+from .approximation import classify_consistency
 from .bench import BenchConfig, BenchMismatch, run_bench
 from .engine import add_covering, batch_reducts, delete_covering, oracle_reducts
 from .errors import EngineError, ValidationError
@@ -59,7 +59,7 @@ def _cmd_validate(args) -> int:
 def _cmd_reduce(args) -> int:
     system = load_system(Path(args.file).read_text())
     reducts, cache = batch_reducts(system)
-    if classify_consistency(system) is Consistency.INCONSISTENT:
+    if not cache.consistent:
         print("inconsistent (POS != U)")
     _print_reducts(reducts)
     if args.cache:

@@ -5,6 +5,8 @@ the DNF terms are exactly the attribute reducts.
 
 Incremental updates reuse a ReductionCache built for the pre-update system:
 
+* add, either way: ``add_delta`` validates the new covering once, through
+  ``with_covering``, and reads its admissible union off the grown system.
 * add, positive region unchanged (always the case on a consistent base):
   expand  new AND (AND over x in POS outside the new covering's admissible
   union of OR r(x)),  then keep the expansion terms no existing reduct is a
@@ -51,7 +53,7 @@ from .boolformula import (
     minimal_dnf,
     filter_non_extensions,
 )
-from .errors import StaleCache, TooManyCoverings, UniverseMismatch
+from .errors import StaleCache, TooManyCoverings
 from .model import Covering, CoveringDecisionSystem, fingerprint
 from .related import RelatedFamily, related_function, related_sets
 from .approximation import positive_region
@@ -94,28 +96,16 @@ class ReductionCache:
 
 @dataclass(frozen=True)
 class AddCovering:
-    """An add delta: the new covering plus its admissible union."""
+    """An add delta: the grown system and the new covering's admissible union."""
 
-    covering: Covering
+    system: CoveringDecisionSystem
     union: int
 
 
-def _plan_add(
-    system: CoveringDecisionSystem, covering: Covering
-) -> tuple[AddCovering, CoveringDecisionSystem]:
-    """The add delta and the grown system, which is validated once."""
-    if covering.union() != system.full:
-        raise UniverseMismatch(
-            f"covering {covering.name!r} does not cover the {system.universe_size}-object universe"
-        )
-    # Raises DuplicateCoveringName / block validation errors as appropriate.
-    system_plus = system.with_covering(covering)
-    return AddCovering(covering, system_plus.admissible_union(covering.name)), system_plus
-
-
 def add_delta(system: CoveringDecisionSystem, covering: Covering) -> AddCovering:
-    """Validate a new covering against the system and derive its delta."""
-    return _plan_add(system, covering)[0]
+    """Append ``covering``, validated once by ``with_covering``, and derive the delta."""
+    system_plus = system.with_covering(covering)
+    return AddCovering(system_plus, system_plus.admissible_union(covering.name))
 
 
 def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
@@ -158,7 +148,7 @@ def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily
     bit = 1 << len(related.covering_names)
     inside = flags(union, related.universe_size).tolist()
     r = tuple(mask | bit if f else mask for mask, f in zip(related.r, inside))
-    return RelatedFamily(related.universe_size, related.covering_names + (name,), r)
+    return RelatedFamily(related.covering_names + (name,), r)
 
 
 def _drop_index(masks: Iterable[int], idx: int) -> Iterator[int]:
@@ -170,7 +160,7 @@ def _drop_index(masks: Iterable[int], idx: int) -> Iterator[int]:
 def _related_delete(related: RelatedFamily, idx: int) -> RelatedFamily:
     """Remove covering ``idx`` from every related set (and reindex)."""
     names = related.covering_names[:idx] + related.covering_names[idx + 1 :]
-    return RelatedFamily(related.universe_size, names, tuple(_drop_index(related.r, idx)))
+    return RelatedFamily(names, tuple(_drop_index(related.r, idx)))
 
 
 def add_covering(
@@ -181,7 +171,7 @@ def add_covering(
 ) -> tuple[ReductSet, ReductionCache]:
     """Incrementally recompute the reduct set after appending a covering."""
     _check_cache(system, cache)
-    delta, system_plus = _plan_add(system, new_covering)
+    delta = add_delta(system, new_covering)
     related_plus = _related_add(cache.related, new_covering.name, delta.union)
     names_plus = related_plus.covering_names
     pos_plus = cache.positive | delta.union
@@ -211,7 +201,7 @@ def add_covering(
             reducts_plus = expansion.terms
 
     reduct_set = ReductSet(names_plus, frozenset(reducts_plus))
-    new_cache = ReductionCache(fingerprint(system_plus), related_plus, reduct_set)
+    new_cache = ReductionCache(fingerprint(delta.system), related_plus, reduct_set)
     return reduct_set, new_cache
 
 
@@ -245,7 +235,7 @@ def delete_covering(
         # The stripped reducts, the minimal hitting sets of the clauses
         # without d; absorbing them keeps the continuation's start an
         # antichain.
-        reducts_minus = absorb(_drop_index(cache.reducts.reducts, idx), "minimal")
+        reducts_minus = absorb(_drop_index(cache.reducts.reducts, idx))
         residual = {
             r_minus for r, r_minus in zip(cache.related.r, related_minus.r) if r & bit and r_minus
         }

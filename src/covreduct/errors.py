@@ -55,10 +55,6 @@ class TermBlowup(EngineError):
     """Intermediate term count exceeded the configured guard limit."""
 
 
-class UniverseMismatch(EngineError):
-    pass
-
-
 class StaleCache(EngineError):
     """Cache fingerprint does not match the system it is used with."""
 

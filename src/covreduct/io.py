@@ -30,6 +30,10 @@ the digest before it returns.  Format 3 caches carry a ``positive`` field
 and no digest, format 2 ones a fingerprint computed another way, and older
 ones another layout; they must be rebuilt with ``covreduct reduce --cache``.
 
+Every JSON reader, the bench config's included, decodes through
+``decode_json``, so a syntax error raises ParseError naming its line and
+column; system and covering documents share one ``{"name", "blocks"}`` parser.
+
 Coverization turns a table (columns of strings) into a system: categorical
 columns become one block per distinct value, numeric columns a tolerance
 covering (per object, the block of rows within epsilon times the column
@@ -78,27 +82,34 @@ def _index_list(raw: Any, where: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def parse_document(text: str) -> SystemDocument:
-    """Parse a system document, reporting the offending field on error."""
+def decode_json(text: str) -> Any:
+    """``json.loads``, raising a syntax error as ParseError with its line and column."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _named_blocks(entry: dict, where: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """Name and index lists of a ``{"name", "blocks"}`` object; messages prefix ``where``."""
+    _expect(isinstance(entry.get("name"), str), f"{where}name: expected a string")
+    raw_blocks = entry.get("blocks")
+    _expect(isinstance(raw_blocks, list), f"{where}blocks: expected a list")
+    blocks = tuple(_index_list(b, f"{where}blocks[{k}]") for k, b in enumerate(raw_blocks))
+    return entry["name"], blocks
+
+
+def parse_document(text: str) -> SystemDocument:
+    """Parse a system document, reporting the offending field on error."""
+    data = decode_json(text)
     _expect(isinstance(data, dict), "document root must be an object")
     _expect(isinstance(data.get("universe_size"), int), "universe_size: expected an integer")
     raw_covs = data.get("coverings")
     _expect(isinstance(raw_covs, list), "coverings: expected a list")
     coverings = []
     for i, entry in enumerate(raw_covs):
-        where = f"coverings[{i}]"
-        _expect(isinstance(entry, dict), f"{where}: expected an object")
-        _expect(isinstance(entry.get("name"), str), f"{where}.name: expected a string")
-        raw_blocks = entry.get("blocks")
-        _expect(isinstance(raw_blocks, list), f"{where}.blocks: expected a list")
-        blocks = tuple(
-            _index_list(b, f"{where}.blocks[{k}]") for k, b in enumerate(raw_blocks)
-        )
-        coverings.append((entry["name"], blocks))
+        _expect(isinstance(entry, dict), f"coverings[{i}]: expected an object")
+        coverings.append(_named_blocks(entry, f"coverings[{i}]."))
     raw_decision = data.get("decision")
     _expect(isinstance(raw_decision, list), "decision: expected a list")
     decision = tuple(
@@ -141,16 +152,10 @@ def serialize_system(
 
 def parse_covering(text: str, universe_size: int) -> Covering:
     """Parse a single-covering document: {"name": ..., "blocks": [[...], ...]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = decode_json(text)
     _expect(isinstance(data, dict), "covering document root must be an object")
-    _expect(isinstance(data.get("name"), str), "name: expected a string")
-    raw_blocks = data.get("blocks")
-    _expect(isinstance(raw_blocks, list), "blocks: expected a list")
-    blocks = [_index_list(b, f"blocks[{k}]") for k, b in enumerate(raw_blocks)]
-    return make_covering(data["name"], blocks, universe_size)
+    name, blocks = _named_blocks(data, "")
+    return make_covering(name, blocks, universe_size)
 
 
 # --- coverization ----------------------------------------------------------
@@ -247,10 +252,7 @@ def coverize(
 
 def parse_coverization_spec(text: str) -> CoverizationSpec:
     """Parse a spec document: {"decision": "col", "rules": {"col": "categorical" | {"tolerance": 0.5}}}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = decode_json(text)
     _expect(isinstance(data, dict), "spec root must be an object")
     _expect(isinstance(data.get("decision"), str), "decision: expected a column name")
     rules: dict[str, Rule] = {}
@@ -335,10 +337,7 @@ def load_cache(text: str) -> ReductionCache:
     the covering list, the reducts must be a non-empty antichain and the
     digest must match the content; any breach raises ParseError.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = decode_json(text)
     _expect(isinstance(data, dict), "cache root must be an object")
     _expect(
         data.get("format") == CACHE_FORMAT,
@@ -364,7 +363,7 @@ def load_cache(text: str) -> ReductionCache:
     _expect(bool(reducts), "reducts: a cache holds at least one reduct")
     _expect(len(reducts) == len(masks), "reducts: duplicate reduct")
     _expect(
-        len(absorb(reducts, "minimal")) == len(reducts),
+        len(absorb(reducts)) == len(reducts),
         "reducts: one reduct contains another",
     )
     _expect(
@@ -375,6 +374,6 @@ def load_cache(text: str) -> ReductionCache:
     names = tuple(names)
     return ReductionCache(
         fingerprint=data["fingerprint"],
-        related=RelatedFamily(len(r), names, tuple(r)),
+        related=RelatedFamily(names, tuple(r)),
         reducts=ReductSet(names, reducts),
     )

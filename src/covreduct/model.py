@@ -41,12 +41,6 @@ class Covering:
     name: str
     blocks: tuple[int, ...]
 
-    def union(self) -> int:
-        u = 0
-        for b in self.blocks:
-            u |= b
-        return u
-
 
 @dataclass(frozen=True)
 class DecisionPartition:
@@ -76,12 +70,6 @@ class CoveringDecisionSystem:
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coverings)
-
-    def covering(self, name: str) -> Covering:
-        for c in self.coverings:
-            if c.name == name:
-                return c
-        raise UnknownCovering(f"no covering named {name!r}")
 
     def covering_index(self, name: str) -> int:
         for i, c in enumerate(self.coverings):
@@ -115,7 +103,7 @@ class CoveringDecisionSystem:
 
     def admissible_union(self, name: str) -> int:
         """Union of the admissible blocks of the covering ``name``."""
-        return self._admissible_union(self.covering(name))
+        return self._admissible_union(self.coverings[self.covering_index(name)])
 
     def admissible_unions(self) -> tuple[int, ...]:
         """``admissible_union`` of every covering, in declaration order."""
@@ -327,13 +315,3 @@ def fingerprint(system: CoveringDecisionSystem) -> str:
 
     return system._memo("_fingerprint", compute)
 
-
-def same_system(a: CoveringDecisionSystem, b: CoveringDecisionSystem) -> bool:
-    """Semantic equality: ignores block order inside coverings and class order."""
-    if a.universe_size != b.universe_size:
-        return False
-    if sorted(a.decision.classes) != sorted(b.decision.classes):
-        return False
-    by_name_a = {c.name: sorted(c.blocks) for c in a.coverings}
-    by_name_b = {c.name: sorted(c.blocks) for c in b.coverings}
-    return by_name_a == by_name_b

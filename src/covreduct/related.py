@@ -4,34 +4,29 @@ A block is admissible when it fits inside a single decision class.  The
 related set r(x) collects the coverings that own an admissible block
 containing x; pooled over all objects (empty sets dropped, duplicates
 collapsed) the related sets form a monotone CNF over covering names whose
-minimal DNF is exactly the reduct set.
+minimal DNF is exactly the reduct set.  The union of the admissible blocks
+is the positive region, which ``approximation.positive_region`` computes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import positive_region
 from .bitset import bits
 from .boolformula import MonotoneFormula
 from .model import CoveringDecisionSystem, union_of_coverings
 
 
 @dataclass(frozen=True)
-class AdmissibleBlocks:
-    """Blocks of the pooled coverings contained in some decision class."""
-
-    blocks: tuple[tuple[int, tuple[str, ...]], ...]
-    union: int
-
-
-@dataclass(frozen=True)
 class RelatedFamily:
     """Per-object related sets, as bit masks over the covering index space."""
 
-    universe_size: int
     covering_names: tuple[str, ...]
     r: tuple[int, ...]
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.r)
 
     @property
     def nonempty_objects(self) -> int:
@@ -43,12 +38,12 @@ class RelatedFamily:
         return frozenset(self.covering_names[i] for i in bits(self.r[x]))
 
 
-def admissible_blocks(system: CoveringDecisionSystem) -> AdmissibleBlocks:
-    """Pooled blocks contained in some decision class, with contributors."""
+def admissible_blocks(system: CoveringDecisionSystem) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """The ``(block, contributors)`` entries of ``union_of_coverings`` whose
+    block fits inside some decision class."""
     pooled = union_of_coverings(system)
     fits = set(system.admissible(block for block, _ in pooled))
-    _, pos = positive_region(system)
-    return AdmissibleBlocks(tuple(e for e in pooled if e[0] in fits), pos)
+    return tuple(e for e in pooled if e[0] in fits)
 
 
 def related_sets(system: CoveringDecisionSystem) -> RelatedFamily:
@@ -58,7 +53,7 @@ def related_sets(system: CoveringDecisionSystem) -> RelatedFamily:
         bit = 1 << i
         for x in bits(covered):
             r[x] |= bit
-    return RelatedFamily(system.universe_size, system.names(), tuple(r))
+    return RelatedFamily(system.names(), tuple(r))
 
 
 def related_function(rf: RelatedFamily) -> MonotoneFormula:

@@ -42,16 +42,6 @@ def test_absorb_drops_supersets():
     assert got == terms(("C1",), ("C2",))
 
 
-def test_absorb_keep_maximal():
-    got = cr.absorb(terms(("C1", "C2"), ("C1",), ("C2",), ("C3",)), keep="maximal")
-    assert got == terms(("C1", "C2"), ("C3",))
-
-
-def test_absorb_rejects_bad_keep():
-    with pytest.raises(ValueError):
-        cr.absorb(terms(("C1",)), keep="median")
-
-
 def test_minimal_dnf_two_clause_product():
     cnf = MonotoneFormula("cnf", terms(("C1", "C3", "C5"), ("C2", "C4")), NAMES6)
     got = cr.minimal_dnf(cnf)
@@ -207,9 +197,6 @@ def test_absorb_matches_subset_loop(data):
     assert cr.absorb(terms) == {
         t for t in distinct if not any(s != t and _inside(s, t) for s in distinct)
     }
-    assert cr.absorb(terms, keep="maximal") == {
-        t for t in distinct if not any(s != t and _inside(t, s) for s in distinct)
-    }
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,7 +257,6 @@ def test_minimal_dnf_from_start_matches_brute_force(data):
 def test_kernel_users_on_empty_inputs(m):
     some = frozenset({1 << (m - 1), 0b11})
     assert cr.absorb([]) == frozenset()
-    assert cr.absorb([], keep="maximal") == frozenset()
     assert cr.filter_non_extensions([], some) == frozenset()
     assert cr.filter_non_extensions(some, []) == some
     names = tuple(f"V{i}" for i in range(m))

@@ -195,7 +195,7 @@ def _reseal(cache_path, edit):
     the digest recomputed, as a forger would."""
     cache = cr.load_cache(cache_path.read_text())
     r = edit(list(cache.related.r))
-    related = cr.RelatedFamily(len(r), cache.related.covering_names, tuple(r))
+    related = cr.RelatedFamily(cache.related.covering_names, tuple(r))
     cache_path.write_text(cr.serialize_cache(dataclasses.replace(cache, related=related)))
 
 
@@ -257,6 +257,18 @@ def test_coverize_command(capsys, tmp_path):
     assert system.names() == ("size", "color")
 
 
+def test_coverize_empty_csv(capsys, tmp_path):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"decision": "class"}')
+    out_path = tmp_path / "out.cds.json"
+    code, out, err = run(capsys, "coverize", csv_path, "--spec", spec_path, "-o", out_path)
+    assert (code, out) == (1, "")
+    assert err == "error: CSV file is empty\n"
+    assert not out_path.exists()
+
+
 def test_bench_command(capsys, tmp_path):
     config = tmp_path / "bench.json"
     config.write_text(
@@ -280,9 +292,43 @@ def test_bench_command(capsys, tmp_path):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+def test_bench_writes_csv_to_out(capsys, tmp_path):
+    config = tmp_path / "bench.json"
+    config.write_text(
+        '{"universe_sizes": [20], "covering_counts": [3], "blocks_per_covering": 4,'
+        ' "decision_classes": 2, "trials": 1, "updates": ["add"]}'
+    )
+    csv_path = tmp_path / "bench.csv"
+    code, out, _ = run(capsys, "bench", config, "--out", csv_path)
+    assert code == 0
+    assert out == ""
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "n,m,update,batch_s,incremental_s,speedup,equal"
+    assert len(lines) == 2 and lines[1].startswith("20,3,add,") and lines[1].endswith(",true")
+
+
+# Each config and the field its error line must name.  Zero sizes once
+# crashed in randrange, a string grid in int arithmetic, and zero decision
+# classes silently ran with one class.
+BAD_BENCH_CONFIGS = [
+    ('{"trials": 0}', "trials"),
+    ('{"universe_sizes": [0]}', "universe_sizes"),
+    ('{"covering_counts": [0]}', "covering_counts"),
+    ('{"universe_sizes": "ab"}', "universe_sizes"),
+    ('{"universe_sizes": [true]}', "universe_sizes"),
+    ('{"covering_counts": [2.5]}', "covering_counts"),
+    ('{"decision_classes": 0}', "decision_classes"),
+    ('{"blocks_per_covering": -1}', "blocks_per_covering"),
+    ('{"updates": "add"}', "updates"),
+    ('{"updates": [["add"]]}', "update"),
+]
+
+
 def test_bench_bad_config(capsys, tmp_path):
     config = tmp_path / "bench.json"
-    config.write_text('{"trials": 0}')
-    code, _, err = run(capsys, "bench", config)
-    assert code == 1
-    assert "trials" in err
+    for text, field in BAD_BENCH_CONFIGS:
+        config.write_text(text)
+        code, out, err = run(capsys, "bench", config)
+        assert (code, out) == (1, ""), text
+        assert err.startswith("error: ") and field in err.splitlines()[0], (text, err)
+        assert "Traceback" not in err

@@ -10,12 +10,12 @@ from covreduct import engine
 from covreduct.bitset import to_indices
 from covreduct.boolformula import filter_non_extensions
 from covreduct.errors import (
+    CoverageGap,
     DuplicateCoveringName,
     LastCovering,
     StaleCache,
     TermBlowup,
     TooManyCoverings,
-    UniverseMismatch,
     UnknownCovering,
 )
 from covreduct.synth import random_covering, random_system
@@ -168,7 +168,7 @@ def test_add_covering_pos_monotone():
 def test_add_covering_errors(consistent8, covering6):
     _, cache = cr.batch_reducts(consistent8)
     short = cr.Covering("C9", (0b0111,))  # covers only a 3-object universe
-    with pytest.raises(UniverseMismatch):
+    with pytest.raises(CoverageGap):
         cr.add_covering(consistent8, cache, short)
     dupe = cr.make_covering("C5", [obj(1, 2, 3, 4, 5, 6, 7, 8)], 8)
     with pytest.raises(DuplicateCoveringName):
@@ -274,7 +274,7 @@ def test_short_related_cache_rejected(inconsistent8, covering5):
     _, cache = cr.batch_reducts(inconsistent8)
     related = cache.related
     short = dataclasses.replace(
-        cache, related=cr.RelatedFamily(2, related.covering_names, related.r[:2])
+        cache, related=cr.RelatedFamily(related.covering_names, related.r[:2])
     )
     with pytest.raises(StaleCache, match="2 objects"):
         cr.add_covering(inconsistent8, short, covering5)
@@ -301,7 +301,7 @@ def test_delete_rejects_related_sets_that_disagree_with_the_region(
     _, cache = cr.batch_reducts(system)
     r = list(cache.related.r)
     r[x] = tampered
-    related = cr.RelatedFamily(len(r), cache.related.covering_names, tuple(r))
+    related = cr.RelatedFamily(cache.related.covering_names, tuple(r))
     loaded = cr.load_cache(cr.serialize_cache(dataclasses.replace(cache, related=related)))
     with pytest.raises(StaleCache, match="positive region"):
         cr.delete_covering(system, loaded, "C1")

@@ -33,21 +33,21 @@ INCONSISTENT8_RELATED = {
 
 def test_admissible_blocks_of_inconsistent_system(inconsistent8):
     adm = cr.admissible_blocks(inconsistent8)
-    from_c1 = {block for block, names in adm.blocks if "C1" in names}
+    from_c1 = {block for block, names in adm if "C1" in names}
     assert from_c1 == {mask_of(obj(4, 5)), mask_of(obj(6)), mask_of(obj(7, 8))}
     excluded = {mask_of(obj(1, 2, 3, 4)), mask_of(obj(3, 6, 7))}
-    assert excluded.isdisjoint(b for b, _ in adm.blocks)
+    assert excluded.isdisjoint(b for b, _ in adm)
     union = 0
-    for block, _ in adm.blocks:
+    for block, _ in adm:
         union |= block
-    assert union == adm.union
+    assert union == cr.positive_region(inconsistent8)[1]
 
 
 def test_single_class_makes_every_block_admissible():
     system = cr.build_system(3, [("C1", [[0, 1], [2], [0, 1, 2]])], [[0, 1, 2]])
     adm = cr.admissible_blocks(system)
-    assert len(adm.blocks) == 3
-    assert adm.union == system.full
+    assert len(adm) == 3
+    assert cr.positive_region(system)[1] == system.full
 
 
 def test_straddling_covering_contributes_nothing():
@@ -55,7 +55,7 @@ def test_straddling_covering_contributes_nothing():
         4, [("C1", [[0], [1], [2], [3]]), ("S", [[0, 1], [1, 2], [2, 3]])], [[0, 2], [1, 3]]
     )
     adm = cr.admissible_blocks(system)
-    assert all("S" not in names for _, names in adm.blocks)
+    assert all("S" not in names for _, names in adm)
     rf = cr.related_sets(system)
     assert all("S" not in rf.related_names(x) for x in range(4))
 
@@ -123,7 +123,7 @@ def test_nonempty_objects_equals_positive_region():
     for n in (1, 7, 8, 9, 64, 65, 2000):
         for _ in range(4):
             r = tuple(rng.choice((0, rng.getrandbits(3))) for _ in range(n))
-            rf = cr.RelatedFamily(n, ("A", "B", "C"), r)
+            rf = cr.RelatedFamily(("A", "B", "C"), r)
             assert rf.nonempty_objects == sum(1 << x for x, mask in enumerate(r) if mask)
 
 

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -30,7 +32,7 @@ def test_generated_systems_are_valid(style, contiguous):
             block_style=style,
             contiguous_decision=contiguous,
         )
-        assert cr.same_system(system, revalidate(system))
+        assert cr.fingerprint(system) == cr.fingerprint(revalidate(system))
 
 
 def test_generation_is_deterministic():
@@ -46,7 +48,7 @@ def test_random_covering_patches_leftovers():
     for _ in range(50):
         n = rng.randint(1, 30)
         cov = random_covering(rng, n, "C", rng.randint(1, 6))
-        assert cov.union() == (1 << n) - 1
+        assert functools.reduce(operator.or_, cov.blocks) == (1 << n) - 1
         assert len(set(cov.blocks)) == len(cov.blocks)
         assert all(b for b in cov.blocks)
 
