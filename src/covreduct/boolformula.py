@@ -39,6 +39,9 @@ from .bitset import bits
 from .errors import TermBlowup
 
 DEFAULT_TERM_LIMIT = 1_000_000
+# Kernel cells (expanded terms x hit terms, summed over the product steps)
+# one expansion may test per unit of its term limit.
+CELLS_PER_TERM = 10_000
 # Words (rows of A x rows of B x W) one broadcast step of _contains_subset
 # covers: 256 KiB of uint64 temporaries, which stay in a core's cache.
 CHUNK_CELLS = 1 << 15
@@ -86,6 +89,21 @@ def _unpack(rows: np.ndarray) -> frozenset[int]:
     return frozenset(
         int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
     )
+
+
+def drop_variable(rows: np.ndarray, idx: int) -> np.ndarray:
+    """The ``(k, W)`` word array ``rows`` with variable ``idx`` removed.
+
+    Bits below ``idx`` stay; every bit above moves down by one, bit 0 of
+    word w + 1 into bit 63 of word w.  The width stays W.
+    """
+    word, bit = divmod(idx, 64)
+    out = rows >> np.uint64(1)
+    out[:, :-1] |= rows[:, 1:] << np.uint64(63)
+    out[:, :word] = rows[:, :word]
+    low = np.uint64((1 << bit) - 1)
+    out[:, word] = (rows[:, word] & low) | (out[:, word] & ~low)
+    return out
 
 
 def _contains_subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,8 +194,10 @@ def minimal_dnf(
     order; after each product step the implicant set is absorbed again,
     which keeps the intermediate sets antichains and bounds the blowup on
     typical inputs.  A growth past ``max_terms``, the start terms included,
-    raises TermBlowup instead of exhausting memory.  The empty CNF yields
-    ``start``.
+    raises TermBlowup instead of exhausting memory, and so does a product
+    whose subset tests (expanded terms times hit terms, summed over the
+    steps) pass ``CELLS_PER_TERM * max_terms`` instead of running for hours.
+    The empty CNF yields ``start``.
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
@@ -192,6 +212,7 @@ def _expand(
 ) -> frozenset[int]:
     """Product-with-absorption over word arrays, from the antichain ``start``."""
     implicants = _pack(start, n_vars)
+    cells_left = CELLS_PER_TERM * max_terms
     for clause in clauses:
         missing = ~(implicants & _pack([clause], n_vars)).any(axis=1)
         missed = implicants[missing]
@@ -201,6 +222,11 @@ def _expand(
         hit = implicants[~missing]
         if len(hit) + len(missed) * len(var_bits) > max_terms:
             raise TermBlowup(f"DNF expansion exceeded {max_terms} intermediate terms")
+        cells_left -= len(missed) * len(var_bits) * len(hit)
+        if cells_left < 0:
+            raise TermBlowup(
+                f"DNF expansion exceeded {CELLS_PER_TERM * max_terms} subset tests"
+            )
         expanded = (missed[:, None, :] | var_bits[None, :, :]).reshape(-1, implicants.shape[1])
         # Hit terms are untouched: an expanded term extends an implicant
         # incomparable with every hit term, so it can never absorb one.

@@ -110,6 +110,11 @@ def _cmd_coverize(args) -> int:
     if not rows:
         raise ValidationError("CSV file is empty")
     header, data = rows[0], rows[1:]
+    for line, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"CSV line {line}: {len(row)} cells, the header has {len(header)}"
+            )
     columns = {name: [row[i] for row in data] for i, name in enumerate(header)}
     system = coverize(columns, spec)
     Path(args.out).write_text(serialize_system(system))

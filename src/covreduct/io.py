@@ -14,21 +14,28 @@ inside each block, blocks lexicographically within a covering, and keeps
 coverings in declaration order, so equal systems produce byte-equal
 documents.
 
-Cache document layout (JSON, compact, format 4)::
+Cache document layout (JSON, compact, format 5)::
 
-    {"format": 4, "fingerprint": "...", "covering_names": ["C1", ...],
-     "related": ["3", ...], "reducts": ["3", "5", ...], "digest": "..."}
+    {"format": 5, "fingerprint": "...", "covering_names": ["C1", ...],
+     "related": "0300...", "reducts": "0105...", "digest": "..."}
 
-Every mask is a lowercase hex string whose bit i is ``covering_names[i]``.
-``related`` holds one mask per object; ``reducts`` are sorted.
+``related`` and ``reducts`` are each one lowercase hex string: a run of
+fixed-width fields of B = max(1, ceil(m / 8)) bytes, m the number of
+covering names, each field a mask in little-endian byte order whose bit i
+is ``covering_names[i]``.  ``related`` holds one field per object in object
+order, ``reducts`` one per reduct in ascending order.  Both are converted
+in bulk (a byte view of uint64 words up to 8 bytes, one join or slice pass
+when wider) and checked by two conditions: the text is exactly the hex of
+the bytes it decodes to, and its length is a multiple of 2B digits.
 ``fingerprint`` is ``model.fingerprint`` of the system the cache describes,
 a hash built from per-covering digests.  ``digest`` is SHA-256 over the
-fingerprint, the names, the related sets and the reducts: it catches
-corruption and hand edits, not a forger who recomputes it.  ``load_cache``
-accepts only format 4 and checks the invariants the engine relies on and
-the digest before it returns.  Format 3 caches carry a ``positive`` field
-and no digest, format 2 ones a fingerprint computed another way, and older
-ones another layout; they must be rebuilt with ``covreduct reduce --cache``.
+fingerprint and names (as JSON) and the two hex strings as written: it
+catches corruption and hand edits, not a forger who recomputes it.
+``load_cache`` accepts only format 5 and checks the invariants the engine
+relies on and the digest before it returns.  Format 4 caches list one hex
+string per mask, format 3 ones carry a ``positive`` field and no digest,
+format 2 ones a fingerprint computed another way, and older ones another
+layout; they must be rebuilt with ``covreduct reduce --cache``.
 
 Every JSON reader, the bench config's included, decodes through
 ``decode_json``, so a syntax error raises ParseError naming its line and
@@ -43,9 +50,10 @@ range), and the decision column a partition by value.
 import hashlib
 import json
 import logging
-import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Collection, Mapping, Sequence, Union
+
+import numpy as np
 
 from .bitset import to_indices
 from .boolformula import absorb
@@ -103,7 +111,10 @@ def parse_document(text: str) -> SystemDocument:
     """Parse a system document, reporting the offending field on error."""
     data = decode_json(text)
     _expect(isinstance(data, dict), "document root must be an object")
-    _expect(isinstance(data.get("universe_size"), int), "universe_size: expected an integer")
+    size = data.get("universe_size")
+    _expect(
+        isinstance(size, int) and not isinstance(size, bool), "universe_size: expected an integer"
+    )
     raw_covs = data.get("coverings")
     _expect(isinstance(raw_covs, list), "coverings: expected a list")
     coverings = []
@@ -259,7 +270,11 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
     for col, raw in data.get("rules", {}).items():
         if raw == "categorical":
             rules[col] = Categorical()
-        elif isinstance(raw, dict) and isinstance(raw.get("tolerance"), (int, float)):
+        elif (
+            isinstance(raw, dict)
+            and isinstance(raw.get("tolerance"), (int, float))
+            and not isinstance(raw["tolerance"], bool)
+        ):
             rules[col] = Tolerance(float(raw["tolerance"]))
         else:
             raise ParseError(f"rules[{col!r}]: expected 'categorical' or {{'tolerance': eps}}")
@@ -269,27 +284,80 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
 # --- reduction caches ------------------------------------------------------
 
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 CACHE_FIELDS = ("format", "fingerprint", "covering_names", "related", "reducts", "digest")
-_HEX = re.compile(r"[0-9a-f]+")
-_HEX_LIST = re.compile(r"[0-9a-f]+(?:,[0-9a-f]+)*")
 
 
-def _digest(fingerprint: str, names: list[str], related: list[str], reducts: list[str]) -> str:
+def _field_bytes(n_names: int) -> int:
+    """Bytes per mask field: enough for one bit per covering, at least one."""
+    return max(1, -(-n_names // 8))
+
+
+def _encode_masks(masks: Collection[int], width: int, ascending: bool = False) -> str:
+    """The masks, in ascending order if asked, as one lowercase hex string
+    of ``width``-byte little-endian fields."""
+    if width <= 8:
+        words = np.fromiter(masks, dtype=np.uint64, count=len(masks))
+        if ascending:
+            words.sort()
+        fields = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
+        return fields.tobytes().hex()
+    if ascending:
+        masks = sorted(masks)
+    return b"".join(mask.to_bytes(width, "little") for mask in masks).hex()
+
+
+def _decode_masks(raw: Any, width: int, n_names: int, where: str) -> list[int]:
+    """The masks of a hex string written by ``_encode_masks``.
+
+    ``bytes.fromhex`` also takes upper case and whitespace, so the text must
+    equal the hex of what it decoded to.  A mask that sets a bit past the
+    ``n_names`` listed coverings is reported by its index.
+    """
+    _expect(isinstance(raw, str), f"{where}: expected a hex string, got {type(raw).__name__}")
+    try:
+        data = bytes.fromhex(raw)
+    except ValueError:
+        data = None
+    _expect(
+        data is not None and data.hex() == raw,
+        f"{where}: expected lowercase hex digits only, with no prefix or whitespace",
+    )
+    _expect(
+        len(data) % width == 0,
+        f"{where}: {len(raw)} hex digits is not a multiple of the {2 * width}-digit mask field",
+    )
+    fields = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    # Bits of the last byte that no listed covering owns.
+    spare = 0xFF << (n_names - 8 * (width - 1)) & 0xFF
+    over = np.flatnonzero(fields[:, -1] & spare)
+    if len(over):
+        raise ParseError(
+            f"{where}[{over[0]}]: mask sets a bit past the {n_names} listed coverings"
+        )
+    if width <= 8:
+        words = np.zeros((len(fields), 8), dtype=np.uint8)
+        words[:, :width] = fields
+        return words.view("<u8")[:, 0].tolist()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def _digest(fingerprint: str, names: list[str], related: str, reducts: str) -> str:
     """SHA-256 over the cached content, as its fields appear on the wire.
 
-    The hex masks hold no comma or newline, and JSON escapes a newline
-    inside a name, so the joined content reads back one way only.
+    The hex strings hold no newline, and JSON escapes a newline inside a
+    name, so the joined content reads back one way only.
     """
-    content = "\n".join((json.dumps([fingerprint, names]), ",".join(related), ",".join(reducts)))
+    content = "\n".join((json.dumps([fingerprint, names]), related, reducts))
     return hashlib.sha256(content.encode()).hexdigest()
 
 
 def serialize_cache(cache: ReductionCache) -> str:
-    """The compact cache document: every mask a lowercase hex string."""
+    """The compact cache document: related sets and reducts as fixed-width hex."""
     names = list(cache.related.covering_names)
-    related = [format(mask, "x") for mask in cache.related.r]
-    reducts = [format(r, "x") for r in sorted(cache.reducts.reducts)]
+    width = _field_bytes(len(names))
+    related = _encode_masks(cache.related.r, width)
+    reducts = _encode_masks(cache.reducts.reducts, width, ascending=True)
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": cache.fingerprint,
@@ -299,35 +367,6 @@ def serialize_cache(cache: ReductionCache) -> str:
         "digest": _digest(cache.fingerprint, names, related, reducts),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _hex_mask(raw: Any, where: str) -> int:
-    _expect(
-        isinstance(raw, str) and _HEX.fullmatch(raw) is not None,
-        f"{where}: expected a lowercase hex mask, got {raw!r}",
-    )
-    return int(raw, 16)
-
-
-def _hex_masks(raw: Any, where: str) -> list[int]:
-    """Parse a list of hex masks, naming the first malformed entry."""
-    _expect(isinstance(raw, list), f"{where}: expected a list of hex masks")
-    try:
-        joined = ",".join(raw)
-    except TypeError:  # a non-string entry
-        joined = ""
-    # One regex pass over the joined list; the comma count rules out an
-    # entry that itself holds a comma.
-    if raw and (_HEX_LIST.fullmatch(joined) is None or joined.count(",") != len(raw) - 1):
-        for k, entry in enumerate(raw):
-            _hex_mask(entry, f"{where}[{k}]")
-    return [int(entry, 16) for entry in raw]
-
-
-def _check_width(masks: list[int], width: int, where: str) -> None:
-    if max(masks, default=0) >> width:
-        k = next(k for k, mask in enumerate(masks) if mask >> width)
-        raise ParseError(f"{where}[{k}]: mask sets a bit past the {width} listed coverings")
 
 
 def load_cache(text: str) -> ReductionCache:
@@ -355,10 +394,9 @@ def load_cache(text: str) -> ReductionCache:
         "covering_names: expected a list of strings",
     )
     _expect(len(set(names)) == len(names), "covering_names: names must be distinct")
-    r = _hex_masks(data["related"], "related")
-    _check_width(r, len(names), "related")
-    masks = _hex_masks(data["reducts"], "reducts")
-    _check_width(masks, len(names), "reducts")
+    width = _field_bytes(len(names))
+    r = _decode_masks(data["related"], width, len(names), "related")
+    masks = _decode_masks(data["reducts"], width, len(names), "reducts")
     reducts = frozenset(masks)
     _expect(bool(reducts), "reducts: a cache holds at least one reduct")
     _expect(len(reducts) == len(masks), "reducts: duplicate reduct")

@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
 from covreduct.bitset import to_indices
-from covreduct.boolformula import MonotoneFormula, hits_all
+from covreduct import boolformula
+from covreduct.bench import BenchConfig, _generate
+from covreduct.boolformula import MonotoneFormula, _pack, _unpack, drop_variable, hits_all
+from covreduct.engine import _drop_index
 from covreduct.errors import TermBlowup
 
 from bruteforce import minimal_hitting_sets, minimal_models, truth_table_equal
@@ -271,6 +275,49 @@ def test_term_blowup_guard_on_multiword_terms():
     with pytest.raises(TermBlowup):
         cr.minimal_dnf(cnf, max_terms=100)
     assert len(cr.minimal_dnf(cnf).terms) == 256
+
+
+def test_cell_budget_bounds_work_below_the_term_limit(monkeypatch):
+    # Eight disjoint pairs give 256 implicants and no hit term; the last
+    # clause then hits 224 of them and extends the other 32 three ways:
+    # 96 x 224 = 21504 subset tests, while the term count peaks at 320.
+    names = tuple(f"V{i}" for i in range(16))
+    clauses = {(1 << (2 * i)) | (1 << (2 * i + 1)) for i in range(8)}
+    cnf = MonotoneFormula("cnf", frozenset(clauses | {0b100101}), names)
+    expected = cr.minimal_dnf(cnf).terms
+    monkeypatch.setattr(boolformula, "CELLS_PER_TERM", 21)
+    with pytest.raises(TermBlowup, match="exceeded 21000 subset tests"):
+        cr.minimal_dnf(cnf, max_terms=1000)
+    monkeypatch.setattr(boolformula, "CELLS_PER_TERM", 22)
+    assert cr.minimal_dnf(cnf, max_terms=1000).terms == expected
+
+
+def test_cell_budget_stops_the_m72_bench_system():
+    # n=1000, m=72 from the bench generator (seed 2024): its intermediate
+    # antichain passes 10^5 terms within 13 of 72 clauses, and each later
+    # product step tests over 10^10 pairs.  The term guard alone lets it
+    # run for hours; the cell budget raises before the first such step.
+    system = _generate(BenchConfig(), 1000, 72)
+    with pytest.raises(TermBlowup, match="subset tests"):
+        cr.batch_reducts(system, max_terms=120_000)
+
+
+DROP_WIDTHS = (1, 63, 64, 65, 130)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drop_variable_matches_drop_index(data):
+    m = data.draw(st.sampled_from(DROP_WIDTHS))
+    idx = data.draw(st.sampled_from(sorted({i for i in (0, 62, 63, 64, m - 1) if i < m})))
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=12))
+    rows = _pack(masks, m)
+    assert _unpack(drop_variable(rows, idx)) == frozenset(_drop_index(masks, idx))
+    # The delete filter's row selection: the terms without the variable.
+    word, bit = divmod(idx, 64)
+    kept = rows[rows[:, word] & np.uint64(1 << bit) == 0]
+    without = [t for t in masks if not t >> idx & 1]
+    assert _unpack(drop_variable(kept, idx)) == frozenset(_drop_index(without, idx))
 
 
 def test_names_mask_roundtrip():

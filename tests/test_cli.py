@@ -5,6 +5,7 @@ import pytest
 
 import covreduct as cr
 import covreduct.cli as cli
+from covreduct.bench import BenchConfig, _generate
 
 from conftest import EXTRA_COVERING_6
 
@@ -182,11 +183,11 @@ def test_update_corrupted_cache(capsys, tmp_path, consistent8_file):
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", consistent8_file, "--cache", cache_path)
     doc = json.loads(cache_path.read_text())
-    doc["related"][0] = "-3"
+    doc["related"] = "-3" + doc["related"][2:]
     cache_path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "update", consistent8_file, "--del", "C5", "--cache", cache_path)
     assert code == 1
-    assert err.startswith("error: related[0]")
+    assert err.startswith("error: related: expected lowercase hex digits")
     assert "Traceback" not in err
 
 
@@ -216,8 +217,9 @@ def test_update_rejects_tampered_related_sets(capsys, tmp_path, consistent8_file
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", consistent8_file, "--cache", cache_path)
     doc = json.loads(cache_path.read_text())
-    assert doc["related"][0] == "15"
-    doc["related"][0] = "1"
+    # One byte per mask: the first two digits are object 0's related set.
+    assert doc["related"][:2] == "15"
+    doc["related"] = "01" + doc["related"][2:]
     cache_path.write_text(json.dumps(doc))
     before = cache_path.read_bytes()
     code, out, err = run(capsys, "update", consistent8_file, "--del", "C1", "--cache", cache_path)
@@ -244,6 +246,17 @@ def test_update_unknown_covering(capsys, tmp_path, consistent8_file):
     assert "C9" in err
 
 
+def test_reduce_exits_on_the_cell_budget(capsys, tmp_path):
+    # The n=1000, m=72 bench system (seed 2024) never passes the default
+    # 10^6-term limit before its product steps reach 10^10 subset tests;
+    # the cell budget turns what was a hang into exit code 2.
+    path = tmp_path / "m72.cds.json"
+    path.write_text(cr.serialize_system(_generate(BenchConfig(), 1000, 72)))
+    code, out, err = run(capsys, "reduce", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DNF expansion exceeded 10000000000 subset tests")
+
+
 def test_coverize_command(capsys, tmp_path):
     csv_path = tmp_path / "table.csv"
     csv_path.write_text("size,color,class\n1,r,p\n2,g,p\n2,r,q\n9,g,q\n")
@@ -267,6 +280,34 @@ def test_coverize_empty_csv(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == "error: CSV file is empty\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "table, line, cells",
+    [("a,b,class\n1,2\n3,4,p\n", 2, 2), ("a,b,class\n1,2,p\n3,4,p,q\n", 3, 4)],
+    ids=["short row", "long row"],
+)
+def test_coverize_rejects_ragged_rows(capsys, tmp_path, table, line, cells):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(table)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"decision": "class"}')
+    out_path = tmp_path / "out.cds.json"
+    code, out, err = run(capsys, "coverize", csv_path, "--spec", spec_path, "-o", out_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: CSV line {line}: {cells} cells, the header has 3\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_bool_universe_size_rejected(capsys, tmp_path, command):
+    path = tmp_path / "bool.cds.json"
+    path.write_text(
+        '{"universe_size": true, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [[0]]}'
+    )
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err == "error: universe_size: expected an integer\n"
 
 
 def test_bench_command(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -18,7 +19,7 @@ from covreduct.io import (
 )
 from covreduct.synth import random_system
 
-from conftest import CONSISTENT8_REDUCTS, partition_blocks
+from conftest import CONSISTENT8_COVERINGS, CONSISTENT8_REDUCTS, DECISION_8, partition_blocks
 
 
 def test_serialize_load_roundtrip(consistent8):
@@ -67,6 +68,7 @@ def test_load_rejects_empty_coverings():
         ("{", "invalid JSON"),
         ("[]", "document root"),
         ('{"universe_size": "8", "coverings": [], "decision": []}', "universe_size"),
+        ('{"universe_size": true, "coverings": [], "decision": []}', "universe_size"),
         ('{"universe_size": 2, "coverings": [{"name": 3, "blocks": []}], "decision": []}', "coverings[0].name"),
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0, "x"]]}], "decision": []}', "coverings[0].blocks[0]"),
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [0]}', "decision[0]"),
@@ -119,6 +121,12 @@ def test_every_reader_locates_invalid_json(read):
         read('{\n  "name": }')
 
 
+def _fields(text: str, width: int) -> list[int]:
+    """The masks of a format-5 hex string, read one field at a time."""
+    data = bytes.fromhex(text)
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
 @st.composite
 def _update_caches(draw):
     """Batch, add and delete caches of a random system.
@@ -126,9 +134,10 @@ def _update_caches(draw):
     At most three coverings split the universe; the others are one block
     over it, which never fits a decision class, so the reduct count stays
     small at any covering count.  With no splitting covering, or none with
-    an admissible block, the positive region is empty.
+    an admissible block, the positive region is empty.  The covering counts
+    put the last covering on both sides of every byte and word boundary.
     """
-    m = draw(st.sampled_from((1, 63, 64, 65, 130)))
+    m = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 72, 130)))
     n = draw(st.integers(2, 6))
     cut = draw(st.integers(1, n - 1))
     decision = [list(range(cut)), list(range(cut, n))]
@@ -153,10 +162,12 @@ def test_cache_roundtrip_property(caches):
         text = cr.serialize_cache(cache)
         assert cr.load_cache(text) == cache
         doc = json.loads(text)
-        assert doc["format"] == 4
-        assert doc["reducts"] == sorted(doc["reducts"], key=lambda h: int(h, 16))
+        assert doc["format"] == 5
+        width = max(1, -(-len(cache.related.covering_names) // 8))
+        assert _fields(doc["related"], width) == list(cache.related.r)
+        assert _fields(doc["reducts"], width) == sorted(cache.reducts.reducts)
         if cache.positive == 0:
-            assert doc["reducts"] == ["0"]
+            assert doc["reducts"] == "00" * width
 
 
 def test_empty_positive_region_cache_roundtrip():
@@ -165,10 +176,22 @@ def test_empty_positive_region_cache_roundtrip():
     assert cache.positive == 0 and cache.reducts.reducts == {0}
     text = cr.serialize_cache(cache)
     doc = json.loads(text)
-    assert doc["related"] == ["0", "0", "0"]
-    assert doc["reducts"] == ["0"]
+    assert doc["related"] == "000000"
+    assert doc["reducts"] == "00"
     assert cr.load_cache(text) == cache
     assert not cr.load_cache(text).consistent
+
+
+def test_cache_fields_are_little_endian_and_fixed_width():
+    # Ten coverings: two bytes per mask, low byte first.
+    names = [f"C{i}" for i in range(10)]
+    related = cr.RelatedFamily(tuple(names), (0x201, 0x001, 0x300))
+    reducts = cr.ReductSet(tuple(names), frozenset({0x201, 0x100}))
+    cache = cr.ReductionCache("f", related, reducts)
+    doc = json.loads(cr.serialize_cache(cache))
+    assert doc["related"] == "010201000003"
+    assert doc["reducts"] == "00010102"
+    assert cr.load_cache(cr.serialize_cache(cache)) == cache
 
 
 def test_format_1_cache_rejected(consistent8):
@@ -187,7 +210,7 @@ def test_format_1_cache_rejected(consistent8):
 
 
 def test_format_2_cache_rejected(consistent8):
-    # Format 2 had this layout but a fingerprint computed another way: it
+    # Format 2 had a list layout but a fingerprint computed another way: it
     # must ask for a rebuild, not fail later as a stale cache.
     _, cache = cr.batch_reducts(consistent8)
     doc = json.loads(cr.serialize_cache(cache))
@@ -206,9 +229,38 @@ def test_format_3_cache_rejected(consistent8):
         cr.load_cache(json.dumps(doc))
 
 
+def test_format_4_cache_rejected(consistent8):
+    # Format 4 listed one variable-width hex string per mask, sealed by a
+    # digest over the comma-joined lists.
+    _, cache = cr.batch_reducts(consistent8)
+    names = list(cache.related.covering_names)
+    related = [format(mask, "x") for mask in cache.related.r]
+    reducts = [format(r, "x") for r in sorted(cache.reducts.reducts)]
+    content = "\n".join(
+        (json.dumps([cache.fingerprint, names]), ",".join(related), ",".join(reducts))
+    )
+    doc = {
+        "format": 4,
+        "fingerprint": cache.fingerprint,
+        "covering_names": names,
+        "related": related,
+        "reducts": reducts,
+        "digest": hashlib.sha256(content.encode()).hexdigest(),
+    }
+    rebuild = "cache format 4 is not 5; rebuild the cache with `covreduct reduce --cache`"
+    with pytest.raises(ParseError, match=rebuild):
+        cr.load_cache(json.dumps(doc, separators=(",", ":")))
+
+
 def _cache_doc(system) -> dict:
     _, cache = cr.batch_reducts(system)
     return json.loads(cr.serialize_cache(cache))
+
+
+def _field(doc, key, k, digits):
+    """Replace byte ``k`` of a hex string with ``digits`` (mask ``k`` when a
+    mask takes one byte)."""
+    doc[key] = doc[key][: 2 * k] + digits + doc[key][2 * k + 2 :]
 
 
 def _set(doc, key, value, index=None):
@@ -218,34 +270,38 @@ def _set(doc, key, value, index=None):
         doc[key][index] = value
 
 
-# (description, edit of the consistent8 cache document, field in the message)
+# (description, edit of the consistent8 cache document, field in the
+# message).  Its five coverings take one byte, two hex digits, per mask:
+# related "151f1f1b1b1b0a0a", reducts "0306090c1218".
 CORRUPTIONS = [
-    ("negative mask", lambda d: _set(d, "related", "-3", 0), "related[0]"),
-    ("signed mask", lambda d: _set(d, "related", "+3", 1), "related[1]"),
-    ("underscore", lambda d: _set(d, "related", "1_0", 2), "related[2]"),
-    ("whitespace", lambda d: _set(d, "related", " 3", 3), "related[3]"),
-    ("hex prefix", lambda d: _set(d, "reducts", "0x3", 0), "reducts[0]"),
-    ("upper case", lambda d: _set(d, "reducts", "A", 0), "reducts[0]"),
-    ("non-hex digit", lambda d: _set(d, "related", "1g", 4), "related[4]"),
-    ("comma inside", lambda d: _set(d, "related", "1,2", 4), "related[4]"),
-    ("empty string", lambda d: _set(d, "related", "", 5), "related[5]"),
-    ("number not string", lambda d: _set(d, "related", 3, 6), "related[6]"),
+    ("negative mask", lambda d: _field(d, "related", 0, "-3"), "related"),
+    ("signed mask", lambda d: _field(d, "related", 1, "+3"), "related"),
+    ("underscore", lambda d: _field(d, "related", 2, "1_"), "related"),
+    ("whitespace", lambda d: _field(d, "related", 3, " 1b"), "related"),
+    ("trailing whitespace", lambda d: _set(d, "related", d["related"] + " "), "related"),
+    ("hex prefix", lambda d: _set(d, "reducts", "0x" + d["reducts"]), "reducts"),
+    ("upper case", lambda d: _set(d, "reducts", d["reducts"].upper()), "reducts"),
+    ("non-hex digit", lambda d: _field(d, "related", 4, "1g"), "related"),
+    ("comma inside", lambda d: _field(d, "related", 4, "1,"), "related"),
+    ("odd length", lambda d: _set(d, "related", d["related"][:-1]), "related"),
+    ("number not string", lambda d: _set(d, "related", 3), "related"),
+    ("list of masks", lambda d: _set(d, "related", ["15", "1f"]), "related"),
     ("bad positive", lambda d: _set(d, "positive", "ff "), "positive"),
-    ("related past last covering", lambda d: _set(d, "related", "21", 0), "related[0]"),
-    ("reduct past last covering", lambda d: _set(d, "reducts", "20", 1), "reducts[1]"),
+    ("related past last covering", lambda d: _field(d, "related", 0, "35"), "related[0]"),
+    ("reduct past last covering", lambda d: _field(d, "reducts", 1, "26"), "reducts[1]"),
+    ("reduct past last byte bit", lambda d: _field(d, "reducts", 5, "98"), "reducts[5]"),
     ("duplicate names", lambda d: _set(d, "covering_names", "C1", 1), "covering_names"),
     ("non-string name", lambda d: _set(d, "covering_names", 7, 1), "covering_names"),
     ("positive disagrees", lambda d: _set(d, "positive", "7f"), "positive"),
-    ("empty related set inside positive", lambda d: _set(d, "related", "0", 7), "digest"),
+    ("empty related set inside positive", lambda d: _field(d, "related", 7, "00"), "digest"),
     # Both pass every other load check: only the digest ties the reducts to
     # the related sets, and a related set to the system.
-    ("reducts replaced by the full family", lambda d: _set(d, "reducts", ["1f"]), "digest"),
-    ("related set swapped", lambda d: _set(d, "related", "3", 0), "digest"),
+    ("reducts replaced by the full family", lambda d: _set(d, "reducts", "1f"), "digest"),
+    ("related set swapped", lambda d: _field(d, "related", 0, "03"), "digest"),
     ("digest edited", lambda d: _set(d, "digest", "0" + d["digest"][1:]), "digest"),
-    ("not an antichain", lambda d: d["reducts"].append("7"), "reducts"),
-    ("duplicate reduct", lambda d: d["reducts"].append(d["reducts"][0]), "reducts"),
-    ("no reducts", lambda d: _set(d, "reducts", []), "reducts"),
-    ("related not a list", lambda d: _set(d, "related", "ff"), "related"),
+    ("not an antichain", lambda d: _set(d, "reducts", d["reducts"] + "07"), "reducts"),
+    ("duplicate reduct", lambda d: _set(d, "reducts", d["reducts"] + d["reducts"][:2]), "reducts"),
+    ("no reducts", lambda d: _set(d, "reducts", ""), "reducts"),
     ("missing field", lambda d: d.pop("reducts"), "reducts"),
     ("fingerprint not a string", lambda d: _set(d, "fingerprint", 5), "fingerprint"),
     ("wrong format", lambda d: _set(d, "format", 1), "format"),
@@ -261,18 +317,42 @@ def test_corrupted_cache_rejected(consistent8, edit, field):
         cr.load_cache(json.dumps(doc))
 
 
-def _edit_one_field(rng: random.Random, doc: dict, width: int) -> None:
-    """Change one field of a cache document, keeping it well-formed."""
+# With four more coverings, none admissible, the consistent8 masks take two
+# bytes each: related "1500" "1f00" ..., reducts "0300" ... "1800".  Byte 1
+# is the high byte of related[0], byte 11 that of reducts[5].
+WIDE_CORRUPTIONS = [
+    ("length not a whole mask", lambda d: _set(d, "related", d["related"][:-2]), "related"),
+    ("reducts not whole masks", lambda d: _set(d, "reducts", d["reducts"] + "00"), "reducts"),
+    ("related past last covering", lambda d: _field(d, "related", 1, "02"), "related[0]"),
+    ("reduct past last covering", lambda d: _field(d, "reducts", 11, "80"), "reducts[5]"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,field", [c[1:] for c in WIDE_CORRUPTIONS], ids=[c[0] for c in WIDE_CORRUPTIONS]
+)
+def test_corrupted_two_byte_cache_rejected(edit, field):
+    coverings = CONSISTENT8_COVERINGS + [(f"P{i}", [list(range(8))]) for i in range(4)]
+    doc = _cache_doc(cr.build_system(8, coverings, DECISION_8))
+    assert doc["related"][:8] == "15001f00" and doc["reducts"][:4] == "0300"
+    cr.load_cache(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(ParseError, match=re.escape(field)):
+        cr.load_cache(json.dumps(doc))
+
+
+def _edit_one_field(rng: random.Random, doc: dict) -> None:
+    """Change one field of a cache document, keeping it well-formed JSON:
+    one character of a string (a hex digit of a mask string or of a
+    hash), or the order of two covering names."""
     key = rng.choice(["fingerprint", "covering_names", "related", "reducts", "digest"])
     value = doc[key]
     if isinstance(value, str):
         k = rng.randrange(len(value))
         doc[key] = value[:k] + rng.choice("0123456789abcdef") + value[k + 1 :]
-    elif key == "covering_names":
+    else:
         i, j = rng.randrange(len(value)), rng.randrange(len(value))
         value[i], value[j] = value[j], value[i]
-    else:
-        value[rng.randrange(len(value))] = format(rng.randrange(1 << width), "x")
 
 
 def test_single_field_edits_are_rejected_or_harmless():
@@ -286,7 +366,7 @@ def test_single_field_edits_are_rejected_or_harmless():
         _, cache = cr.batch_reducts(system)
         doc = json.loads(cr.serialize_cache(cache))
         edited = json.loads(json.dumps(doc))
-        _edit_one_field(rng, edited, len(system.coverings))
+        _edit_one_field(rng, edited)
         try:
             loaded = cr.load_cache(json.dumps(edited))
         except ParseError:
@@ -388,3 +468,6 @@ def test_parse_coverization_spec():
     assert spec.rules["b"] == cr.Tolerance(0.25)
     with pytest.raises(ParseError):
         parse_coverization_spec('{"decision": "class", "rules": {"a": 5}}')
+    # A bool is no number: true once passed as epsilon 1.
+    with pytest.raises(ParseError, match="rules\\['a'\\]"):
+        parse_coverization_spec('{"decision": "class", "rules": {"a": {"tolerance": true}}}')
