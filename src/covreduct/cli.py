@@ -110,6 +110,9 @@ def _cmd_coverize(args) -> int:
     if not rows:
         raise ValidationError("CSV file is empty")
     header, data = rows[0], rows[1:]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise ValidationError(f"CSV header repeats column {name!r}")
     for line, row in enumerate(data, start=2):
         if len(row) != len(header):
             raise ValidationError(

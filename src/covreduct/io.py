@@ -70,14 +70,6 @@ from .related import RelatedFamily
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SystemDocument:
-    universe_size: int
-    coverings: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
-    decision: tuple[tuple[int, ...], ...]
-    object_names: tuple[str, ...] | None = None
-
-
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ParseError(msg)
@@ -107,8 +99,12 @@ def _named_blocks(entry: dict, where: str) -> tuple[str, tuple[tuple[int, ...], 
     return entry["name"], blocks
 
 
-def parse_document(text: str) -> SystemDocument:
-    """Parse a system document, reporting the offending field on error."""
+def load_system(text: str) -> CoveringDecisionSystem:
+    """Parse and validate a system document, reporting the offending field on error.
+
+    ``object_names``, when present, must be a list of ``universe_size``
+    strings; the system does not keep it.
+    """
     data = decode_json(text)
     _expect(isinstance(data, dict), "document root must be an object")
     size = data.get("universe_size")
@@ -123,27 +119,15 @@ def parse_document(text: str) -> SystemDocument:
         coverings.append(_named_blocks(entry, f"coverings[{i}]."))
     raw_decision = data.get("decision")
     _expect(isinstance(raw_decision, list), "decision: expected a list")
-    decision = tuple(
-        _index_list(c, f"decision[{j}]") for j, c in enumerate(raw_decision)
-    )
+    decision = [_index_list(c, f"decision[{j}]") for j, c in enumerate(raw_decision)]
     names = data.get("object_names")
     if names is not None:
         _expect(
             isinstance(names, list) and all(isinstance(s, str) for s in names),
             "object_names: expected a list of strings",
         )
-        _expect(
-            len(names) == data["universe_size"],
-            "object_names: length must equal universe_size",
-        )
-        names = tuple(names)
-    return SystemDocument(data["universe_size"], tuple(coverings), decision, names)
-
-
-def load_system(text: str) -> CoveringDecisionSystem:
-    """Parse and validate a system document."""
-    doc = parse_document(text)
-    return build_system(doc.universe_size, doc.coverings, doc.decision)
+        _expect(len(names) == size, "object_names: length must equal universe_size")
+    return build_system(size, coverings, decision)
 
 
 def serialize_system(
@@ -237,7 +221,8 @@ def coverize(
 
     One covering per non-decision column, named after it; the decision
     partition groups rows by decision-column value in first-appearance
-    order.  Deterministic for a fixed (table, spec).
+    order.  Every rule must name a non-decision column of the table.
+    Deterministic for a fixed (table, spec).
     """
     if spec.decision_column not in columns:
         raise ValidationError(f"decision column {spec.decision_column!r} not in table")
@@ -247,6 +232,9 @@ def coverize(
     n = n_rows.pop()
     if n == 0:
         raise ValidationError("table has no rows")
+    for name in spec.rules:
+        if name == spec.decision_column or name not in columns:
+            raise ValidationError(f"rule for column {name!r}: not a condition column of the table")
     coverings = []
     for name, values in columns.items():
         if name == spec.decision_column:
@@ -266,8 +254,10 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
     data = decode_json(text)
     _expect(isinstance(data, dict), "spec root must be an object")
     _expect(isinstance(data.get("decision"), str), "decision: expected a column name")
+    raw_rules = data.get("rules", {})
+    _expect(isinstance(raw_rules, dict), "rules: expected an object")
     rules: dict[str, Rule] = {}
-    for col, raw in data.get("rules", {}).items():
+    for col, raw in raw_rules.items():
         if raw == "categorical":
             rules[col] = Categorical()
         elif (

@@ -14,7 +14,7 @@ import functools
 import hashlib
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class CoveringDecisionSystem:
         class of its highest object: the block fits when it meets nothing
         outside that class.  That costs one big-int ``&`` per block.
         """
-        outside = self._memo("_outside", self._class_complements)
+        outside = self._outside
         return [b for b in blocks if not b & outside[b.bit_length() - 1]]
 
     def admissible_union(self, name: str) -> int:
@@ -110,33 +110,29 @@ class CoveringDecisionSystem:
         return tuple(self._admissible_union(c) for c in self.coverings)
 
     def _admissible_union(self, covering: Covering) -> int:
-        unions = self._memo("_unions", dict)
-        union = unions.get(covering.name)
+        union = self._unions.get(covering.name)
         if union is None:
             union = 0
             for b in self.admissible(covering.blocks):
                 union |= b
-            unions[covering.name] = union
+            self._unions[covering.name] = union
         return union
 
     def _covering_digest(self, covering: Covering) -> bytes:
-        digests = self._memo("_digests", dict)
-        digest = digests.get(covering.name)
+        digest = self._digests.get(covering.name)
         if digest is None:
             h = hashlib.sha256(_encode_name(covering.name))
             h.update(self._encode_masks(covering.blocks))
-            digest = digests[covering.name] = h.digest()
+            digest = self._digests[covering.name] = h.digest()
         return digest
-
-    def _classes_digest(self) -> bytes:
-        return hashlib.sha256(self._encode_masks(self.decision.classes)).digest()
 
     def _encode_masks(self, masks: Iterable[int]) -> bytes:
         """Masks as sorted fixed-width little-endian byte strings, joined."""
         width = (self.universe_size + 7) // 8
         return b"".join(sorted(m.to_bytes(width, "little") for m in masks))
 
-    def _class_complements(self) -> list[int]:
+    @functools.cached_property
+    def _outside(self) -> list[int]:
         """outside[x] = the objects outside the decision class holding x."""
         n = self.universe_size
         owner = np.empty(n, dtype=np.intp)
@@ -145,26 +141,37 @@ class CoveringDecisionSystem:
         complements = [self.full ^ cls for cls in self.decision.classes]
         return [complements[j] for j in owner.tolist()]
 
-    def _memo(self, key: str, compute: Callable[[], Any]) -> Any:
-        """The memo ``key`` of this instance, computed on first use."""
-        try:
-            return self.__dict__[key]
-        except KeyError:
-            value = compute()
-            object.__setattr__(self, key, value)
-            return value
+    @functools.cached_property
+    def _unions(self) -> dict[str, int]:
+        return {}
+
+    @functools.cached_property
+    def _digests(self) -> dict[str, bytes]:
+        return {}
+
+    @functools.cached_property
+    def _decision_digest(self) -> bytes:
+        return hashlib.sha256(self._encode_masks(self.decision.classes)).digest()
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        h = hashlib.sha256(self.universe_size.to_bytes(8, "little"))
+        for cov in sorted(self.coverings, key=lambda c: c.name):
+            h.update(_encode_name(cov.name))
+            h.update(self._covering_digest(cov))
+        h.update(self._decision_digest)
+        return h.hexdigest()[:16]
 
     def _derive(self, coverings: tuple[Covering, ...]) -> "CoveringDecisionSystem":
         """A system over ``coverings`` and this decision, inheriting memos."""
         child = CoveringDecisionSystem(self.universe_size, coverings, self.decision)
         for key in ("_outside", "_decision_digest"):
             if key in self.__dict__:
-                object.__setattr__(child, key, self.__dict__[key])
+                child.__dict__[key] = self.__dict__[key]
         for key in ("_unions", "_digests"):
             memo = self.__dict__.get(key)
             if memo:
-                kept = {c.name: memo[c.name] for c in coverings if c.name in memo}
-                object.__setattr__(child, key, kept)
+                child.__dict__[key] = {c.name: memo[c.name] for c in coverings if c.name in memo}
         return child
 
 
@@ -304,14 +311,4 @@ def fingerprint(system: CoveringDecisionSystem) -> str:
     instance and inherited through ``with_covering``/``without_covering``,
     so the stamp of an updated system hashes only the changed covering.
     """
-
-    def compute() -> str:
-        h = hashlib.sha256(system.universe_size.to_bytes(8, "little"))
-        for cov in sorted(system.coverings, key=lambda c: c.name):
-            h.update(_encode_name(cov.name))
-            h.update(system._covering_digest(cov))
-        h.update(system._memo("_decision_digest", system._classes_digest))
-        return h.hexdigest()[:16]
-
-    return system._memo("_fingerprint", compute)
-
+    return system._fingerprint

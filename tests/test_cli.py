@@ -299,6 +299,18 @@ def test_coverize_rejects_ragged_rows(capsys, tmp_path, table, line, cells):
     assert not out_path.exists()
 
 
+def test_coverize_rejects_a_repeated_column(capsys, tmp_path):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text("a,a,d\n1,x,p\n2,y,q\n")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"decision": "d"}')
+    out_path = tmp_path / "out.cds.json"
+    code, out, err = run(capsys, "coverize", csv_path, "--spec", spec_path, "-o", out_path)
+    assert (code, out) == (1, "")
+    assert err == "error: CSV header repeats column 'a'\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "reduce"])
 def test_bool_universe_size_rejected(capsys, tmp_path, command):
     path = tmp_path / "bool.cds.json"

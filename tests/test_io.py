@@ -11,12 +11,7 @@ import covreduct as cr
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.errors import DecisionNotPartition, ParseError
-from covreduct.io import (
-    NonNumericForTolerance,
-    parse_covering,
-    parse_coverization_spec,
-    parse_document,
-)
+from covreduct.io import NonNumericForTolerance, parse_covering, parse_coverization_spec
 from covreduct.synth import random_system
 
 from conftest import CONSISTENT8_COVERINGS, CONSISTENT8_REDUCTS, DECISION_8, partition_blocks
@@ -45,8 +40,7 @@ def test_loaded_fixture_reduces_to_golden(consistent8):
 def test_object_names_roundtrip(consistent8):
     names = [f"x{i+1}" for i in range(8)]
     text = cr.serialize_system(consistent8, object_names=names)
-    doc = parse_document(text)
-    assert doc.object_names == tuple(names)
+    assert json.loads(text)["object_names"] == names
     assert cr.fingerprint(cr.load_system(text)) == cr.fingerprint(consistent8)
 
 
@@ -73,11 +67,12 @@ def test_load_rejects_empty_coverings():
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0, "x"]]}], "decision": []}', "coverings[0].blocks[0]"),
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [0]}', "decision[0]"),
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0, 1]]}], "decision": [[0], [1]], "object_names": ["a"]}', "object_names"),
+        ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0, 1]]}], "decision": [[0], [1]], "object_names": ["a", 2]}', "object_names: expected"),
     ],
 )
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ParseError) as err:
-        parse_document(text)
+        cr.load_system(text)
     assert fragment in str(err.value)
 
 
@@ -108,7 +103,7 @@ def test_cache_parse_error():
 @pytest.mark.parametrize(
     "read",
     [
-        parse_document,
+        cr.load_system,
         lambda text: parse_covering(text, 3),
         parse_coverization_spec,
         cr.load_cache,
@@ -446,6 +441,15 @@ def test_coverize_missing_decision_column():
         cr.coverize({"a": ["x"]}, cr.CoverizationSpec(decision_column="class"))
 
 
+@pytest.mark.parametrize("column", ["zz", "class"], ids=["not in table", "decision"])
+def test_coverize_rejects_a_rule_for_no_condition_column(column):
+    # A mistyped column name must not leave the column it meant categorical.
+    columns = {"v": ["1", "2", "3"], "class": ["p", "p", "q"]}
+    spec = cr.CoverizationSpec(decision_column="class", rules={column: cr.Tolerance(0.5)})
+    with pytest.raises(cr.ValidationError, match=f"rule for column '{column}'"):
+        cr.coverize(columns, spec)
+
+
 def test_coverize_output_is_valid_system():
     columns = {
         "size": ["1", "2", "2", "9"],
@@ -471,3 +475,5 @@ def test_parse_coverization_spec():
     # A bool is no number: true once passed as epsilon 1.
     with pytest.raises(ParseError, match="rules\\['a'\\]"):
         parse_coverization_spec('{"decision": "class", "rules": {"a": {"tolerance": true}}}')
+    with pytest.raises(ParseError, match="^rules: expected an object$"):
+        parse_coverization_spec('{"decision": "class", "rules": []}')

@@ -159,6 +159,32 @@ def test_fingerprint_ignores_block_and_covering_order():
     assert cr.fingerprint(base) != cr.fingerprint(changed)
 
 
+@pytest.mark.parametrize(
+    "n, stamp",
+    [
+        (1, "c5a2d5251fdc3c76"),
+        (8, "3ee5c9ed3097e44d"),
+        (9, "98dcbfa87d8ba023"),
+        (64, "b2b7a3d55b3f7a8b"),
+        (65, "d06fe5bd13cc0dee"),
+    ],
+)
+def test_fingerprint_golden(n, stamp):
+    # Caches on disk carry these stamps: n sits on either side of the byte
+    # and word widths of the mask encoding.  Windows of three objects, two
+    # apart, cover the universe; the decision groups objects by x mod 3.
+    blocks = [range(i, min(i + 3, n)) for i in range(0, n, 2)]
+    decision = [range(k, n, 3) for k in range(min(n, 3))]
+    assert cr.fingerprint(cr.build_system(n, [("W", blocks)], decision)) == stamp
+
+
+def test_fingerprint_golden_after_updates(consistent8, covering6):
+    # The derived system stamps from the memos its parent hands on.
+    assert cr.fingerprint(consistent8) == "8834efa943c3ac27"
+    derived = consistent8.with_covering(covering6).without_covering("C1")
+    assert cr.fingerprint(derived) == "2a4d145b1ff8d578"
+
+
 def test_with_and_without_covering(consistent8, covering6):
     grown = consistent8.with_covering(covering6)
     assert grown.names()[-1] == "C6"
