@@ -71,9 +71,14 @@ def mask_to_names(names: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple(names[i] for i in bits(mask))
 
 
+def word_count(n_vars: int) -> int:
+    """W, the uint64 words per term over ``n_vars`` variables: at least one."""
+    return max(1, -(-n_vars // 64))
+
+
 def _pack(terms: Iterable[int], n_vars: int) -> np.ndarray:
     """Terms over ``n_vars`` variables as a ``(k, W)`` uint64 word array."""
-    width = max(1, -(-n_vars // 64))
+    width = word_count(n_vars)
     terms = list(terms)
     if width == 1:
         return np.fromiter(terms, dtype=np.uint64, count=len(terms)).reshape(-1, 1)
@@ -81,14 +86,19 @@ def _pack(terms: Iterable[int], n_vars: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
 
 
+def _row_ints(rows: np.ndarray) -> list[int]:
+    """The terms of a word array as ints, in row order."""
+    # One tolist() per word column and one combining pass per extra word:
+    # an int.from_bytes per row costs twice as much at W = 2.
+    words = [rows[:, w].tolist() for w in range(rows.shape[1])]
+    terms = words.pop()
+    for low in reversed(words):
+        terms = [high << 64 | word for high, word in zip(terms, low)]
+    return terms
+
+
 def _unpack(rows: np.ndarray) -> frozenset[int]:
-    if rows.shape[1] == 1:
-        return frozenset(rows[:, 0].tolist())
-    raw = rows.astype("<u8").tobytes()
-    size = 8 * rows.shape[1]
-    return frozenset(
-        int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
-    )
+    return frozenset(_row_ints(rows))
 
 
 def drop_variable(rows: np.ndarray, idx: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .engine import add_covering, batch_reducts, delete_covering, oracle_reducts
 from .errors import EngineError, ValidationError
 from .io import (
     coverize,
+    decode_json,
     load_cache,
     load_system,
     parse_covering,
@@ -74,7 +75,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_update(args) -> int:
-    system = load_system(Path(args.file).read_text())
+    text = Path(args.file).read_text()
+    system = load_system(text)
     cache = load_cache(Path(args.cache).read_text())
     if args.add:
         covering = parse_covering(Path(args.add).read_text(), system.universe_size)
@@ -88,7 +90,10 @@ def _cmd_update(args) -> int:
             updated = system.with_covering(covering)
         else:
             updated = system.without_covering(args.delete)
-        Path(args.out).write_text(serialize_system(updated))
+        # An add or delete moves no object, so the input's names still fit;
+        # load_system has checked them.
+        object_names = decode_json(text).get("object_names")
+        Path(args.out).write_text(serialize_system(updated, object_names))
     return EXIT_OK
 
 

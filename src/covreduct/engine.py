@@ -41,7 +41,6 @@ positive region and contain no superfluous covering.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .boolformula import (
     mask_to_names,
     minimal_dnf,
     filter_non_extensions,
+    word_count,
 )
 from .errors import StaleCache, TooManyCoverings
 from .model import Covering, CoveringDecisionSystem, fingerprint
@@ -126,9 +126,9 @@ def _check_cache(system: CoveringDecisionSystem, cache: ReductionCache) -> None:
             f"cache lists coverings {cache.related.covering_names}, "
             f"the system {system.names()}"
         )
-    if len(cache.related.r) != system.universe_size:
+    if cache.related.universe_size != system.universe_size:
         raise StaleCache(
-            f"cache holds related sets for {len(cache.related.r)} objects, "
+            f"cache holds related sets for {cache.related.universe_size} objects, "
             f"the system has {system.universe_size}"
         )
 
@@ -147,29 +147,16 @@ def batch_reducts(
 def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily:
     """Extend the related sets with a covering whose admissible union is ``union``.
 
-    Only objects inside that union gain it; nothing else changes, and no old
-    block is re-tested.
+    Only objects inside that union gain it, as one flag column ORed into the
+    rows (a word wider when the new covering is the 65th, 129th, ...);
+    nothing else changes, and no old block is re-tested.
     """
-    bit = 1 << len(related.covering_names)
-    inside = flags(union, related.universe_size).tolist()
-    r = tuple(mask | bit if f else mask for mask, f in zip(related.r, inside))
-    return RelatedFamily(related.covering_names + (name,), r)
-
-
-def _drop_index(masks: Iterable[int], idx: int) -> Iterator[int]:
-    """Each mask without bit ``idx``, its higher bits shifted down by one.
-
-    The related sets go through this; the reducts through
-    ``drop_variable``, which is slower on the related sets at two words.
-    """
-    low = (1 << idx) - 1
-    return ((mask & low) | (mask >> (idx + 1) << idx) for mask in masks)
-
-
-def _related_delete(related: RelatedFamily, idx: int) -> RelatedFamily:
-    """Remove covering ``idx`` from every related set (and reindex)."""
-    names = related.covering_names[:idx] + related.covering_names[idx + 1 :]
-    return RelatedFamily(names, tuple(_drop_index(related.r, idx)))
+    n, m = related.universe_size, len(related.covering_names)
+    word, shift = divmod(m, 64)
+    rows = np.zeros((n, word + 1), dtype=np.uint64)
+    rows[:, : related.rows.shape[1]] = related.rows
+    rows[:, word] |= flags(union, n).astype(np.uint64) << np.uint64(shift)
+    return RelatedFamily(related.covering_names + (name,), rows)
 
 
 def add_covering(
@@ -190,12 +177,9 @@ def add_covering(
         # No admissible blocks: related sets and reducts are untouched.
         reducts_plus = cache.reducts.reducts
     else:
-        restricted = flags(cache.positive & ~delta.union, system.universe_size).tolist()
-        clauses = {new_bit}
-        clauses.update(mask for mask, f in zip(cache.related.r, restricted) if f)
-        expansion = minimal_dnf(
-            MonotoneFormula("cnf", frozenset(clauses), names_plus), max_terms
-        )
+        restricted = flags(cache.positive & ~delta.union, system.universe_size).view(bool)
+        clauses = _unpack(cache.related.rows[restricted]) | {new_bit}
+        expansion = minimal_dnf(MonotoneFormula("cnf", clauses, names_plus), max_terms)
         if pos_plus == cache.positive:
             # Only an old reduct equal to a term with the new bit stripped
             # can absorb that term (see the module docstring).
@@ -226,7 +210,9 @@ def delete_covering(
     # Raises LastCovering when it would empty the family.
     system_minus = system.without_covering(name)
     _, pos_minus = positive_region(system_minus)  # no shortcut: recomputed
-    related_minus = _related_delete(cache.related, idx)
+    names_minus = system_minus.names()
+    rows_minus = drop_variable(cache.related.rows, idx)[:, : word_count(len(names_minus))]
+    related_minus = RelatedFamily(names_minus, rows_minus)
     # Both the filter and the continuation trust the related sets, so they
     # must account for exactly the recomputed region.
     if related_minus.nonempty_objects != pos_minus:
@@ -234,24 +220,22 @@ def delete_covering(
             f"cached related sets disagree with the positive region of the "
             f"system without {name!r}; rebuild the cache"
         )
-    names_minus = related_minus.covering_names
-    bit = 1 << idx
-    rows = _pack(cache.reducts.reducts, len(system.coverings))
+    word, shift = divmod(idx, 64)
+    bit = np.uint64(1 << shift)
+    reduct_rows = _pack(cache.reducts.reducts, len(system.coverings))
 
     if pos_minus == cache.positive:
-        word, shift = divmod(idx, 64)
-        kept = rows[rows[:, word] & np.uint64(1 << shift) == 0]
+        kept = reduct_rows[reduct_rows[:, word] & bit == 0]
         reducts_minus = _unpack(drop_variable(kept, idx))
     else:
         # The stripped reducts, the minimal hitting sets of the clauses
         # without d; absorbing them keeps the continuation's start an
         # antichain.
-        reducts_minus = absorb(_unpack(drop_variable(rows, idx)))
-        residual = {
-            r_minus for r, r_minus in zip(cache.related.r, related_minus.r) if r & bit and r_minus
-        }
+        reducts_minus = absorb(_unpack(drop_variable(reduct_rows, idx)))
+        had_d = cache.related.rows[:, word] & bit != 0
+        residual = _unpack(rows_minus[had_d & rows_minus.any(axis=1)])
         if not hits_all(reducts_minus, residual, len(names_minus)):
-            cnf = MonotoneFormula("cnf", frozenset(residual), names_minus)
+            cnf = MonotoneFormula("cnf", residual, names_minus)
             reducts_minus = minimal_dnf(cnf, max_terms, start=reducts_minus).terms
 
     reduct_set = ReductSet(names_minus, reducts_minus)

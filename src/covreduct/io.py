@@ -23,10 +23,13 @@ Cache document layout (JSON, compact, format 5)::
 fixed-width fields of B = max(1, ceil(m / 8)) bytes, m the number of
 covering names, each field a mask in little-endian byte order whose bit i
 is ``covering_names[i]``.  ``related`` holds one field per object in object
-order, ``reducts`` one per reduct in ascending order.  Both are converted
-in bulk (a byte view of uint64 words up to 8 bytes, one join or slice pass
-when wider) and checked by two conditions: the text is exactly the hex of
-the bytes it decodes to, and its length is a multiple of 2B digits.
+order, ``reducts`` one per reduct in ascending order.  A field is the low
+B bytes of the mask's W = max(1, ceil(m / 64)) little-endian uint64 words,
+so each string is a byte view of a ``(k, W)`` word array
+(``RelatedFamily.rows``, the packed reducts), written and read in one pass
+by one path for every width, and checked by two conditions: the text is
+exactly the hex of the bytes it decodes to, and its length is a multiple
+of 2B digits.
 ``fingerprint`` is ``model.fingerprint`` of the system the cache describes,
 a hash built from per-covering digests.  ``digest`` is SHA-256 over the
 fingerprint and names (as JSON) and the two hex strings as written: it
@@ -51,12 +54,12 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Collection, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
 from .bitset import to_indices
-from .boolformula import absorb
+from .boolformula import _minimal_rows, _pack, _unpack, word_count
 from .engine import ReductionCache, ReductSet
 from .errors import ParseError, ValidationError
 from .model import (
@@ -283,22 +286,16 @@ def _field_bytes(n_names: int) -> int:
     return max(1, -(-n_names // 8))
 
 
-def _encode_masks(masks: Collection[int], width: int, ascending: bool = False) -> str:
-    """The masks, in ascending order if asked, as one lowercase hex string
-    of ``width``-byte little-endian fields."""
-    if width <= 8:
-        words = np.fromiter(masks, dtype=np.uint64, count=len(masks))
-        if ascending:
-            words.sort()
-        fields = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
-        return fields.tobytes().hex()
-    if ascending:
-        masks = sorted(masks)
-    return b"".join(mask.to_bytes(width, "little") for mask in masks).hex()
+def _encode_rows(rows: np.ndarray, width: int) -> str:
+    """A ``(k, W)`` word array as one lowercase hex string of ``width``-byte
+    little-endian fields, one per row."""
+    data = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    return data.reshape(len(rows), 8 * rows.shape[1])[:, :width].tobytes().hex()
 
 
-def _decode_masks(raw: Any, width: int, n_names: int, where: str) -> list[int]:
-    """The masks of a hex string written by ``_encode_masks``.
+def _decode_rows(raw: Any, width: int, n_names: int, where: str) -> np.ndarray:
+    """The ``(k, W)`` word array, W words per ``n_names`` bits, of a hex
+    string written by ``_encode_rows``.
 
     ``bytes.fromhex`` also takes upper case and whitespace, so the text must
     equal the hex of what it decoded to.  A mask that sets a bit past the
@@ -325,11 +322,9 @@ def _decode_masks(raw: Any, width: int, n_names: int, where: str) -> list[int]:
         raise ParseError(
             f"{where}[{over[0]}]: mask sets a bit past the {n_names} listed coverings"
         )
-    if width <= 8:
-        words = np.zeros((len(fields), 8), dtype=np.uint8)
-        words[:, :width] = fields
-        return words.view("<u8")[:, 0].tolist()
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    words = np.zeros((len(fields), 8 * word_count(n_names)), dtype=np.uint8)
+    words[:, :width] = fields
+    return words.view("<u8")
 
 
 def _digest(fingerprint: str, names: list[str], related: str, reducts: str) -> str:
@@ -346,8 +341,10 @@ def serialize_cache(cache: ReductionCache) -> str:
     """The compact cache document: related sets and reducts as fixed-width hex."""
     names = list(cache.related.covering_names)
     width = _field_bytes(len(names))
-    related = _encode_masks(cache.related.r, width)
-    reducts = _encode_masks(cache.reducts.reducts, width, ascending=True)
+    related = _encode_rows(cache.related.rows, width)
+    rows = _pack(cache.reducts.reducts, len(names))
+    # Ascending as integers: the most significant word is the primary key.
+    reducts = _encode_rows(rows[np.lexsort(rows.T)], width)
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": cache.fingerprint,
@@ -385,15 +382,12 @@ def load_cache(text: str) -> ReductionCache:
     )
     _expect(len(set(names)) == len(names), "covering_names: names must be distinct")
     width = _field_bytes(len(names))
-    r = _decode_masks(data["related"], width, len(names), "related")
-    masks = _decode_masks(data["reducts"], width, len(names), "reducts")
-    reducts = frozenset(masks)
+    related = _decode_rows(data["related"], width, len(names), "related")
+    rows = _decode_rows(data["reducts"], width, len(names), "reducts")
+    reducts = _unpack(rows)
     _expect(bool(reducts), "reducts: a cache holds at least one reduct")
-    _expect(len(reducts) == len(masks), "reducts: duplicate reduct")
-    _expect(
-        len(absorb(reducts)) == len(reducts),
-        "reducts: one reduct contains another",
-    )
+    _expect(len(reducts) == len(rows), "reducts: duplicate reduct")
+    _expect(len(_minimal_rows(rows)) == len(rows), "reducts: one reduct contains another")
     _expect(
         data["digest"] == _digest(data["fingerprint"], names, data["related"], data["reducts"]),
         "digest: does not match the cache content; "
@@ -402,6 +396,6 @@ def load_cache(text: str) -> ReductionCache:
     names = tuple(names)
     return ReductionCache(
         fingerprint=data["fingerprint"],
-        related=RelatedFamily(names, tuple(r)),
+        related=RelatedFamily(names, related),
         reducts=ReductSet(names, reducts),
     )

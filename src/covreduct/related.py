@@ -13,29 +13,58 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitset import bits
-from .boolformula import MonotoneFormula
+from .boolformula import MonotoneFormula, _pack, _row_ints, _unpack, word_count
 from .model import CoveringDecisionSystem, union_of_coverings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelatedFamily:
-    """Per-object related sets, as bit masks over the covering index space."""
+    """Per-object related sets as a read-only ``(n, W)`` uint64 word array.
+
+    Row x is r(x) in ``boolformula``'s term layout: bit i stands for
+    ``covering_names[i]``, W = max(1, ceil(m / 64)) words, least
+    significant first.
+    """
 
     covering_names: tuple[str, ...]
-    r: tuple[int, ...]
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        width = word_count(len(self.covering_names))
+        if self.rows.ndim != 2 or self.rows.shape[1] != width:
+            raise ValueError(
+                f"related rows of shape {self.rows.shape}, expected (n, {width}) "
+                f"for {len(self.covering_names)} coverings"
+            )
+        rows = self.rows.view()
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RelatedFamily):
+            return NotImplemented
+        return self.covering_names == other.covering_names and np.array_equal(
+            self.rows, other.rows
+        )
+
+    @property
+    def r(self) -> tuple[int, ...]:
+        """The related sets as bit masks over the covering index space, in object order."""
+        return tuple(_row_ints(self.rows))
 
     @property
     def universe_size(self) -> int:
-        return len(self.r)
+        return len(self.rows)
 
     @property
     def nonempty_objects(self) -> int:
         """Mask of the objects whose related set is non-empty."""
-        flags = np.frombuffer(bytes(map(bool, self.r)), np.uint8)
-        return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+        flags = np.packbits(self.rows.any(axis=1), bitorder="little")
+        return int.from_bytes(flags.tobytes(), "little")
 
     def related_names(self, x: int) -> frozenset[str]:
-        return frozenset(self.covering_names[i] for i in bits(self.r[x]))
+        (mask,) = _row_ints(self.rows[x : x + 1])
+        return frozenset(self.covering_names[i] for i in bits(mask))
 
 
 def admissible_blocks(system: CoveringDecisionSystem) -> tuple[tuple[int, tuple[str, ...]], ...]:
@@ -53,10 +82,10 @@ def related_sets(system: CoveringDecisionSystem) -> RelatedFamily:
         bit = 1 << i
         for x in bits(covered):
             r[x] |= bit
-    return RelatedFamily(system.names(), tuple(r))
+    return RelatedFamily(system.names(), _pack(r, len(system.coverings)))
 
 
 def related_function(rf: RelatedFamily) -> MonotoneFormula:
     """The conjunction of the distinct non-empty related sets, as a CNF."""
-    clauses = frozenset(mask for mask in rf.r if mask)
+    clauses = _unpack(rf.rows[rf.rows.any(axis=1)])
     return MonotoneFormula("cnf", clauses, rf.covering_names)

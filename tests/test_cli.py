@@ -6,6 +6,7 @@ import pytest
 import covreduct as cr
 import covreduct.cli as cli
 from covreduct.bench import BenchConfig, _generate
+from covreduct.boolformula import _pack
 
 from conftest import EXTRA_COVERING_6
 
@@ -141,6 +142,27 @@ def test_update_output_reduces_to_the_same_reducts(capsys, tmp_path, consistent8
     assert batch == updated
 
 
+@pytest.mark.parametrize("op", ["add", "del"])
+def test_update_output_keeps_object_names(capsys, tmp_path, consistent8, covering6, op):
+    names = [f"x{i}" for i in range(1, 9)]
+    path = tmp_path / "named.cds.json"
+    path.write_text(cr.serialize_system(consistent8, names))
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", path, "--cache", cache_path)
+    if op == "add":
+        name, blocks = EXTRA_COVERING_6
+        change = tmp_path / "c6.json"
+        change.write_text(json.dumps({"name": name, "blocks": blocks}))
+        expected = consistent8.with_covering(covering6)
+    else:
+        change = "C5"
+        expected = consistent8.without_covering("C5")
+    out_path = tmp_path / "updated.cds.json"
+    code, _, _ = run(capsys, "update", path, f"--{op}", change, "--cache", cache_path, "-o", out_path)
+    assert code == 0
+    assert out_path.read_text() == cr.serialize_system(expected, names)
+
+
 def test_update_without_output_derives_the_system_once(
     capsys, tmp_path, consistent8_file, monkeypatch
 ):
@@ -195,8 +217,8 @@ def _reseal(cache_path, edit):
     """Rewrite a cache file with ``edit`` applied to its related masks and
     the digest recomputed, as a forger would."""
     cache = cr.load_cache(cache_path.read_text())
-    r = edit(list(cache.related.r))
-    related = cr.RelatedFamily(cache.related.covering_names, tuple(r))
+    names = cache.related.covering_names
+    related = cr.RelatedFamily(names, _pack(edit(list(cache.related.r)), len(names)))
     cache_path.write_text(cr.serialize_cache(dataclasses.replace(cache, related=related)))
 
 

@@ -2,13 +2,14 @@ import dataclasses
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
 from covreduct import engine
 from covreduct.bitset import to_indices
-from covreduct.boolformula import filter_non_extensions
+from covreduct.boolformula import _pack, filter_non_extensions
 from covreduct.errors import (
     CoverageGap,
     DuplicateCoveringName,
@@ -274,7 +275,7 @@ def test_short_related_cache_rejected(inconsistent8, covering5):
     _, cache = cr.batch_reducts(inconsistent8)
     related = cache.related
     short = dataclasses.replace(
-        cache, related=cr.RelatedFamily(related.covering_names, related.r[:2])
+        cache, related=cr.RelatedFamily(related.covering_names, related.rows[:2])
     )
     with pytest.raises(StaleCache, match="2 objects"):
         cr.add_covering(inconsistent8, short, covering5)
@@ -301,7 +302,8 @@ def test_delete_rejects_related_sets_that_disagree_with_the_region(
     _, cache = cr.batch_reducts(system)
     r = list(cache.related.r)
     r[x] = tampered
-    related = cr.RelatedFamily(cache.related.covering_names, tuple(r))
+    names = cache.related.covering_names
+    related = cr.RelatedFamily(names, _pack(r, len(names)))
     loaded = cr.load_cache(cr.serialize_cache(dataclasses.replace(cache, related=related)))
     with pytest.raises(StaleCache, match="positive region"):
         cr.delete_covering(system, loaded, "C1")
@@ -427,6 +429,36 @@ def test_update_chain_across_the_word_boundary(expansions):
         batch, _ = cr.batch_reducts(system)
         assert reducts.as_name_sets() == batch.as_name_sets()
     assert shrinking == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_cached_related_rows_follow_the_covering_count_across_64():
+    """64 -> 65 -> 64 coverings, twice: after every update the cached rows
+    have W = ceil(m / 64) words, equal batch's and cannot be written."""
+    rng = random.Random(3)
+    n = 16
+    decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
+    system = cr.build_system(
+        n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(64)], decision
+    )
+    _, cache = cr.batch_reducts(system)
+    live = [c.name for c in system.coverings if len(c.blocks) > 1]
+    steps = [("add", "X0"), ("delete", live[0]), ("add", "X1"), ("delete", "X1")]
+    for op, name in steps:
+        if op == "add":
+            covering = cr.make_covering(name, [list(range(n // 4))] + _sparse_blocks(rng, n), n)
+            _, cache = cr.add_covering(system, cache, covering)
+            system = system.with_covering(covering)
+        else:
+            _, cache = cr.delete_covering(system, cache, name)
+            system = system.without_covering(name)
+        m = len(system.coverings)
+        rows = cache.related.rows
+        assert rows.shape == (n, 1 if m <= 64 else 2)
+        _, batch = cr.batch_reducts(system)
+        assert np.array_equal(rows, batch.related.rows)
+        assert cache == batch
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
 
 
 def test_deletes_match_batch_and_oracle(expansions):

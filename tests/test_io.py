@@ -1,15 +1,19 @@
+import dataclasses
 import hashlib
 import json
 import logging
+import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
+from covreduct.boolformula import _pack
 from covreduct.errors import DecisionNotPartition, ParseError
 from covreduct.io import NonNumericForTolerance, parse_covering, parse_coverization_spec
 from covreduct.synth import random_system
@@ -180,13 +184,59 @@ def test_empty_positive_region_cache_roundtrip():
 def test_cache_fields_are_little_endian_and_fixed_width():
     # Ten coverings: two bytes per mask, low byte first.
     names = [f"C{i}" for i in range(10)]
-    related = cr.RelatedFamily(tuple(names), (0x201, 0x001, 0x300))
+    related = cr.RelatedFamily(tuple(names), _pack((0x201, 0x001, 0x300), 10))
     reducts = cr.ReductSet(tuple(names), frozenset({0x201, 0x100}))
     cache = cr.ReductionCache("f", related, reducts)
     doc = json.loads(cr.serialize_cache(cache))
     assert doc["related"] == "010201000003"
     assert doc["reducts"] == "00010102"
     assert cr.load_cache(cr.serialize_cache(cache)) == cache
+
+
+# SHA-256 of the document ``serialize_cache`` writes for ``_golden_cache(m)``.
+# A changed document needs a new CACHE_FORMAT, not a new digest here.
+GOLDEN_CACHE_SHA256 = {
+    1: "d8cee1349935473d7e0175735055aa26512843995878b1b99ad435398a6026ff",
+    8: "518dc8f6045cbe1536c7062ec687ddaa86c0fdb12ecf2f3a9d7892ea9561df68",
+    9: "c38aaed8b616e762e47bc09cdf356dcec8386d9f8a36f143d8d5732581c30fd4",
+    63: "68f12cd8c1b8cc28f1dc75e7bfb36e3b08e17ea34f585c7011a57b1cb779799b",
+    64: "ac1f3b902efbee76402ec97ebc5c5136d4aa10f6a02d8652e9630e62cad6045f",
+    65: "9a404407e88f985ceedc867a753e7ffc6b09259d592fa3b60b32c90c52be9d3e",
+    72: "704eed0ba669f2ac96500405d330aa8e1f6ef918c5d370066f35ccd6b142f279",
+    130: "572b710f5b5ba58d2b157dfc9f82635cd91165fb80faafee9bdce310ff0911ed",
+}
+
+
+def _golden_cache(m):
+    """Six related sets, one with the top covering, and up to four reducts
+    of min(3, m) coverings each (an antichain), drawn from seed m."""
+    rng = random.Random(m)
+    related = [rng.choice((0, rng.getrandbits(m))) for _ in range(6)]
+    related[0] |= 1 << (m - 1)
+    k = min(3, m)
+    reducts = set()
+    while len(reducts) < min(4, math.comb(m, k)):
+        reducts.add(sum(1 << i for i in rng.sample(range(m), k)))
+    names = tuple(f"C{i}" for i in range(m))
+    return cr.ReductionCache(
+        f"golden-{m}",
+        cr.RelatedFamily(names, _pack(related, m)),
+        cr.ReductSet(names, frozenset(reducts)),
+    )
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_CACHE_SHA256))
+def test_cache_bytes_are_pinned(m):
+    cache = _golden_cache(m)
+    text = cr.serialize_cache(cache)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CACHE_SHA256[m]
+    assert cr.load_cache(text) == cache
+    # Equality reads every bit of the rows, the top word's included.
+    rows = cache.related.rows.copy()
+    rows[0, -1] ^= np.uint64(1 << ((m - 1) % 64))
+    flipped = dataclasses.replace(cache, related=cr.RelatedFamily(cache.related.covering_names, rows))
+    assert flipped.related != cache.related
+    assert flipped != cache
 
 
 def test_format_1_cache_rejected(consistent8):

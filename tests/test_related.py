@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import covreduct as cr
 from covreduct.bitset import mask_of
+from covreduct.boolformula import _pack
 from covreduct.synth import random_system
 
 from conftest import obj
@@ -123,7 +125,7 @@ def test_nonempty_objects_equals_positive_region():
     for n in (1, 7, 8, 9, 64, 65, 2000):
         for _ in range(4):
             r = tuple(rng.choice((0, rng.getrandbits(3))) for _ in range(n))
-            rf = cr.RelatedFamily(("A", "B", "C"), r)
+            rf = cr.RelatedFamily(("A", "B", "C"), _pack(r, 3))
             assert rf.nonempty_objects == sum(1 << x for x, mask in enumerate(r) if mask)
 
 
@@ -145,3 +147,11 @@ def test_adding_coverings_never_shrinks_related_sets():
         after = cr.related_sets(grown)
         for x in range(n):
             assert before.related_names(x) <= after.related_names(x)
+
+
+def test_related_family_rejects_rows_of_another_width():
+    names = tuple(f"C{i}" for i in range(65))
+    with pytest.raises(ValueError, match=r"expected \(n, 2\)"):
+        cr.RelatedFamily(names, np.zeros((3, 1), dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"expected \(n, 1\)"):
+        cr.RelatedFamily(names[:3], np.zeros(3, dtype=np.uint64))
