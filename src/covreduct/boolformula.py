@@ -27,10 +27,11 @@ chunks of the shorter set against the whole of the longer one, each chunk
 sized so that a step touches at most ``CHUNK_CELLS`` words, so temporaries
 stay small whatever the term counts.  At W = 1 a word column is the flat
 uint64 vector of the terms, so one-word formulas run plain vector
-arithmetic.
+arithmetic.  ``minimal_dnf`` returns its implicants in this layout, and the
+engine keeps related sets and reducts in it between calls.
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,11 +48,46 @@ CELLS_PER_TERM = 10_000
 CHUNK_CELLS = 1 << 15
 
 
-@dataclass(frozen=True)
 class MonotoneFormula:
-    mode: str  # "cnf" or "dnf"
-    terms: frozenset[int]
-    names: tuple[str, ...]
+    """A monotone CNF or DNF: ``terms`` over the variables ``names``.
+
+    The terms are int masks (``terms``) or a ``(k, W)`` word array
+    (``rows``, see ``_pack``); a formula built from one computes the other
+    on first use.  ``minimal_dnf`` returns rows, so a caller that keeps
+    them never turns its result into ints.
+    """
+
+    def __init__(self, mode: str, terms: Iterable[int], names: tuple[str, ...]):
+        self.mode = mode  # "cnf" or "dnf"
+        self.terms = frozenset(terms)
+        self.names = names
+
+    @classmethod
+    def from_rows(cls, mode: str, rows: np.ndarray, names: tuple[str, ...]) -> "MonotoneFormula":
+        """The formula whose terms are the distinct rows of a word array."""
+        formula = cls.__new__(cls)
+        formula.mode, formula.names = mode, names
+        formula.rows = _frozen_rows(rows, len(names), "term")
+        return formula
+
+    @cached_property
+    def terms(self) -> frozenset[int]:
+        return _unpack(self.rows)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _frozen_rows(_pack(self.terms, len(self.names)), len(self.names), "term")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonotoneFormula):
+            return NotImplemented
+        return (self.mode, self.names, self.terms) == (other.mode, other.names, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.names, self.terms))
+
+    def __repr__(self) -> str:
+        return f"MonotoneFormula({self.mode!r}, {self.terms!r}, {self.names!r})"
 
     def term_name_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(
@@ -84,6 +120,18 @@ def _pack(terms: Iterable[int], n_vars: int) -> np.ndarray:
         return np.fromiter(terms, dtype=np.uint64, count=len(terms)).reshape(-1, 1)
     raw = b"".join(t.to_bytes(8 * width, "little") for t in terms)
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
+
+
+def _frozen_rows(rows: np.ndarray, n_vars: int, what: str) -> np.ndarray:
+    """A read-only view of ``rows``, checked to be ``(k, W)`` for ``n_vars`` variables."""
+    width = word_count(n_vars)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(
+            f"{what} rows of shape {rows.shape}, expected (n, {width}) for {n_vars} variables"
+        )
+    rows = rows.view()
+    rows.flags.writeable = False
+    return rows
 
 
 def _row_ints(rows: np.ndarray) -> list[int]:
@@ -151,15 +199,42 @@ def _popcounts(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
 
 
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows in ascending order as integers (most significant word first)."""
+    if rows.shape[1] == 1:
+        return np.sort(rows, axis=0)
+    return rows[np.lexsort(rows.T)]
+
+
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     # Sorting beats np.unique, which hashes integer input.
-    if rows.shape[1] == 1:
-        ordered = np.sort(rows, axis=0)
-    else:
-        ordered = rows[np.lexsort(rows.T[::-1])]
+    ordered = _sorted_rows(rows)
     fresh = np.ones(len(ordered), dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return ordered[fresh]
+
+
+def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of ``a``: does it equal a row of ``b``?
+
+    The rows of each array must be distinct.  One word is a sort and a
+    binary search; wider rows sort both arrays together and pair equal
+    neighbours.
+    """
+    if a.shape[1] == 1:
+        keys = np.sort(b[:, 0])
+        at = np.searchsorted(keys, a[:, 0])
+        found = at < len(keys)
+        found[found] = keys[at[found]] == a[found, 0]
+        return found
+    both = np.concatenate((a, b))
+    order = np.lexsort(both.T)
+    ordered = both[order]
+    pairs = (ordered[1:] == ordered[:-1]).all(axis=1)
+    found = np.zeros(len(both), dtype=bool)
+    found[order[1:][pairs]] = True
+    found[order[:-1][pairs]] = True
+    return found[: len(a)]
 
 
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
@@ -207,19 +282,21 @@ def minimal_dnf(
     raises TermBlowup instead of exhausting memory, and so does a product
     whose subset tests (expanded terms times hit terms, summed over the
     steps) pass ``CELLS_PER_TERM * max_terms`` instead of running for hours.
-    The empty CNF yields ``start``.
+    The empty CNF yields ``start``.  The result holds its terms as rows,
+    one per implicant.
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
     clauses = sorted(absorb(cnf.terms), key=lambda c: (c.bit_count(), c))
     if any(c == 0 for c in clauses):
         raise ValueError("monotone CNF must not contain an empty clause")
-    return MonotoneFormula("dnf", _expand(start, clauses, len(cnf.names), max_terms), cnf.names)
+    rows = _expand(start, clauses, len(cnf.names), max_terms)
+    return MonotoneFormula.from_rows("dnf", rows, cnf.names)
 
 
 def _expand(
     start: Iterable[int], clauses: list[int], n_vars: int, max_terms: int
-) -> frozenset[int]:
+) -> np.ndarray:
     """Product-with-absorption over word arrays, from the antichain ``start``."""
     implicants = _pack(start, n_vars)
     cells_left = CELLS_PER_TERM * max_terms
@@ -244,7 +321,7 @@ def _expand(
         # forces v = v' and t = t', see the module docstring), so only a
         # hit term can absorb one.
         implicants = np.concatenate((hit, expanded[~_contains_subset(expanded, hit)]))
-    return _unpack(implicants)
+    return implicants
 
 
 def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) -> frozenset[int]:
@@ -271,11 +348,13 @@ def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) ->
     return _unpack(cand[keep])
 
 
-def hits_all(terms: Iterable[int], clauses: Iterable[int], n_vars: int) -> bool:
-    """Whether every term meets every clause (shares a variable with it)."""
+def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:
+    """Whether every term meets every clause (shares a variable with it).
+
+    Both are word arrays of one width.
+    """
     # A term misses a clause iff the clause sits inside its complement.
-    outside = ~_pack(terms, n_vars)
-    return not _contains_subset(outside, _pack(clauses, n_vars)).any()
+    return not _contains_subset(~terms, clauses).any()
 
 
 def evaluate(formula: MonotoneFormula, true_vars: int) -> bool:

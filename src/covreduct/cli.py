@@ -84,7 +84,7 @@ def _cmd_update(args) -> int:
     else:
         reducts, new_cache = delete_covering(system, cache, args.delete)
     _print_reducts(reducts)
-    Path(args.cache).write_text(serialize_cache(new_cache))
+    cache_text = serialize_cache(new_cache)
     if args.out:
         if args.add:
             updated = system.with_covering(covering)
@@ -93,7 +93,10 @@ def _cmd_update(args) -> int:
         # An add or delete moves no object, so the input's names still fit;
         # load_system has checked them.
         object_names = decode_json(text).get("object_names")
+        # The system goes first: a failed write leaves the old cache, which
+        # still matches the input system, so the command can be re-run.
         Path(args.out).write_text(serialize_system(updated, object_names))
+    Path(args.cache).write_text(cache_text)
     return EXIT_OK
 
 

@@ -36,7 +36,13 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
   already meets every residual clause, the survivors are the answer.
 
 Every returned ReductSet is an antichain of sub-families that preserve the
-positive region and contain no superfluous covering.
+positive region and contain no superfluous covering.  Related sets and
+reducts stay ``(k, W)`` word arrays from call to call: batch keeps the rows
+``minimal_dnf`` returns, a delete selects or strips the cached rows, and an
+add widens them and appends its new terms.  Only the calls that take int
+terms (the clauses of an expansion, the add filter and the absorption of
+a shrinking delete's start) convert, and only what they take.
+``ReductSet.reducts`` materializes the int masks for callers that ask.
 """
 
 from dataclasses import dataclass
@@ -48,7 +54,11 @@ from .bitset import bits, flags, full_mask
 from .boolformula import (
     DEFAULT_TERM_LIMIT,
     MonotoneFormula,
+    _frozen_rows,
     _pack,
+    _row_ints,
+    _rows_in,
+    _sorted_rows,
     _unpack,
     absorb,
     drop_variable,
@@ -64,21 +74,43 @@ from .related import RelatedFamily, related_function, related_sets
 from .approximation import positive_region
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductSet:
-    """An antichain of reducts, each a mask over the covering name tuple."""
+    """An antichain of reducts as a read-only ``(k, W)`` uint64 word array.
+
+    Each row is one reduct in ``boolformula``'s term layout: bit i stands
+    for ``covering_names[i]``, W = max(1, ceil(m / 64)) words, least
+    significant first.  The rows come in no set order (the engine emits
+    them in expansion order, ``load_cache`` ascending) and equality
+    ignores it.
+    """
 
     covering_names: tuple[str, ...]
-    reducts: frozenset[int]
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = _frozen_rows(self.rows, len(self.covering_names), "reduct")
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReductSet):
+            return NotImplemented
+        return self.covering_names == other.covering_names and np.array_equal(
+            _sorted_rows(self.rows), _sorted_rows(other.rows)
+        )
+
+    @cached_property
+    def reducts(self) -> frozenset[int]:
+        """The reducts as bit masks over the covering index space, built on first use."""
+        return _unpack(self.rows)
 
     def as_name_sets(self) -> frozenset[frozenset[str]]:
-        return frozenset(
-            frozenset(self.covering_names[i] for i in bits(r)) for r in self.reducts
-        )
+        names = self.covering_names
+        return frozenset(frozenset(mask_to_names(names, r)) for r in _row_ints(self.rows))
 
     def sorted_name_lists(self) -> list[tuple[str, ...]]:
         """Canonical display order: names by covering index, lines sorted."""
-        return sorted(mask_to_names(self.covering_names, r) for r in self.reducts)
+        return sorted(mask_to_names(self.covering_names, r) for r in _row_ints(self.rows))
 
 
 @dataclass(frozen=True)
@@ -139,9 +171,16 @@ def batch_reducts(
     """Compute all reducts from scratch and a fresh cache for later updates."""
     related = related_sets(system)
     dnf = minimal_dnf(related_function(related), max_terms)
-    reducts = ReductSet(system.names(), dnf.terms)
+    reducts = ReductSet(system.names(), dnf.rows)
     cache = ReductionCache(fingerprint(system), related, reducts)
     return reducts, cache
+
+
+def _widen(rows: np.ndarray, n_vars: int) -> np.ndarray:
+    """A copy of ``rows`` padded with zero words to the width of ``n_vars`` variables."""
+    wide = np.zeros((len(rows), word_count(n_vars)), dtype=np.uint64)
+    wide[:, : rows.shape[1]] = rows
+    return wide
 
 
 def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily:
@@ -153,8 +192,7 @@ def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily
     """
     n, m = related.universe_size, len(related.covering_names)
     word, shift = divmod(m, 64)
-    rows = np.zeros((n, word + 1), dtype=np.uint64)
-    rows[:, : related.rows.shape[1]] = related.rows
+    rows = _widen(related.rows, m + 1)
     rows[:, word] |= flags(union, n).astype(np.uint64) << np.uint64(shift)
     return RelatedFamily(related.covering_names + (name,), rows)
 
@@ -171,29 +209,31 @@ def add_covering(
     related_plus = _related_add(cache.related, new_covering.name, delta.union)
     names_plus = related_plus.covering_names
     pos_plus = cache.positive | delta.union
-    new_bit = 1 << (len(names_plus) - 1)
+    m_plus = len(names_plus)
+    old = _widen(cache.reducts.rows, m_plus)
 
     if delta.union == 0:
         # No admissible blocks: related sets and reducts are untouched.
-        reducts_plus = cache.reducts.reducts
+        reducts_plus = old
     else:
         restricted = flags(cache.positive & ~delta.union, system.universe_size).view(bool)
+        new_bit = 1 << (m_plus - 1)
         clauses = _unpack(cache.related.rows[restricted]) | {new_bit}
         expansion = minimal_dnf(MonotoneFormula("cnf", clauses, names_plus), max_terms)
         if pos_plus == cache.positive:
             # Only an old reduct equal to a term with the new bit stripped
             # can absorb that term (see the module docstring).
-            old = cache.reducts.reducts
-            absorbers = old.intersection([t & ~new_bit for t in expansion.terms])
+            stripped = expansion.rows & ~_pack([new_bit], m_plus)
+            absorbers = _row_ints(stripped[_rows_in(stripped, old)])
             added = filter_non_extensions(expansion.terms, absorbers)
-            reducts_plus = old | added
+            reducts_plus = np.concatenate((old, _pack(added, m_plus)))
         else:
             # The positive region grew, so some object is resolved only by
             # the new covering: every reduct must contain it and the old
             # reducts all lapse.  The expansion alone is the exact answer.
-            reducts_plus = expansion.terms
+            reducts_plus = expansion.rows
 
-    reduct_set = ReductSet(names_plus, frozenset(reducts_plus))
+    reduct_set = ReductSet(names_plus, reducts_plus)
     new_cache = ReductionCache(fingerprint(delta.system), related_plus, reduct_set)
     return reduct_set, new_cache
 
@@ -211,7 +251,8 @@ def delete_covering(
     system_minus = system.without_covering(name)
     _, pos_minus = positive_region(system_minus)  # no shortcut: recomputed
     names_minus = system_minus.names()
-    rows_minus = drop_variable(cache.related.rows, idx)[:, : word_count(len(names_minus))]
+    width = word_count(len(names_minus))
+    rows_minus = drop_variable(cache.related.rows, idx)[:, :width]
     related_minus = RelatedFamily(names_minus, rows_minus)
     # Both the filter and the continuation trust the related sets, so they
     # must account for exactly the recomputed region.
@@ -222,21 +263,21 @@ def delete_covering(
         )
     word, shift = divmod(idx, 64)
     bit = np.uint64(1 << shift)
-    reduct_rows = _pack(cache.reducts.reducts, len(system.coverings))
+    old = cache.reducts.rows
 
     if pos_minus == cache.positive:
-        kept = reduct_rows[reduct_rows[:, word] & bit == 0]
-        reducts_minus = _unpack(drop_variable(kept, idx))
+        reducts_minus = drop_variable(old[old[:, word] & bit == 0], idx)[:, :width]
     else:
         # The stripped reducts, the minimal hitting sets of the clauses
         # without d; absorbing them keeps the continuation's start an
         # antichain.
-        reducts_minus = absorb(_unpack(drop_variable(reduct_rows, idx)))
+        start = absorb(_row_ints(drop_variable(old, idx)[:, :width]))
+        reducts_minus = _pack(start, len(names_minus))
         had_d = cache.related.rows[:, word] & bit != 0
-        residual = _unpack(rows_minus[had_d & rows_minus.any(axis=1)])
-        if not hits_all(reducts_minus, residual, len(names_minus)):
-            cnf = MonotoneFormula("cnf", residual, names_minus)
-            reducts_minus = minimal_dnf(cnf, max_terms, start=reducts_minus).terms
+        residual = rows_minus[had_d & rows_minus.any(axis=1)]
+        if not hits_all(reducts_minus, residual):
+            cnf = MonotoneFormula("cnf", _row_ints(residual), names_minus)
+            reducts_minus = minimal_dnf(cnf, max_terms, start=start).rows
 
     reduct_set = ReductSet(names_minus, reducts_minus)
     new_cache = ReductionCache(fingerprint(system_minus), related_minus, reduct_set)
@@ -271,4 +312,4 @@ def oracle_reducts(system: CoveringDecisionSystem, limit: int = 16) -> ReductSet
         for p in survivors
         if not any(q != p and q & ~p == 0 for q in survivors)
     ]
-    return ReductSet(system.names(), frozenset(minimal))
+    return ReductSet(system.names(), _pack(minimal, m))

@@ -26,7 +26,7 @@ is ``covering_names[i]``.  ``related`` holds one field per object in object
 order, ``reducts`` one per reduct in ascending order.  A field is the low
 B bytes of the mask's W = max(1, ceil(m / 64)) little-endian uint64 words,
 so each string is a byte view of a ``(k, W)`` word array
-(``RelatedFamily.rows``, the packed reducts), written and read in one pass
+(``RelatedFamily.rows``, ``ReductSet.rows``), written and read in one pass
 by one path for every width, and checked by two conditions: the text is
 exactly the hex of the bytes it decodes to, and its length is a multiple
 of 2B digits.
@@ -59,7 +59,7 @@ from typing import Any, Mapping, Sequence, Union
 import numpy as np
 
 from .bitset import to_indices
-from .boolformula import _minimal_rows, _pack, _unpack, word_count
+from .boolformula import _minimal_rows, _sorted_rows, _unique_rows, word_count
 from .engine import ReductionCache, ReductSet
 from .errors import ParseError, ValidationError
 from .model import (
@@ -342,9 +342,7 @@ def serialize_cache(cache: ReductionCache) -> str:
     names = list(cache.related.covering_names)
     width = _field_bytes(len(names))
     related = _encode_rows(cache.related.rows, width)
-    rows = _pack(cache.reducts.reducts, len(names))
-    # Ascending as integers: the most significant word is the primary key.
-    reducts = _encode_rows(rows[np.lexsort(rows.T)], width)
+    reducts = _encode_rows(_sorted_rows(cache.reducts.rows), width)
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": cache.fingerprint,
@@ -383,11 +381,10 @@ def load_cache(text: str) -> ReductionCache:
     _expect(len(set(names)) == len(names), "covering_names: names must be distinct")
     width = _field_bytes(len(names))
     related = _decode_rows(data["related"], width, len(names), "related")
-    rows = _decode_rows(data["reducts"], width, len(names), "reducts")
-    reducts = _unpack(rows)
-    _expect(bool(reducts), "reducts: a cache holds at least one reduct")
-    _expect(len(reducts) == len(rows), "reducts: duplicate reduct")
-    _expect(len(_minimal_rows(rows)) == len(rows), "reducts: one reduct contains another")
+    reducts = _decode_rows(data["reducts"], width, len(names), "reducts")
+    _expect(len(reducts) > 0, "reducts: a cache holds at least one reduct")
+    _expect(len(_unique_rows(reducts)) == len(reducts), "reducts: duplicate reduct")
+    _expect(len(_minimal_rows(reducts)) == len(reducts), "reducts: one reduct contains another")
     _expect(
         data["digest"] == _digest(data["fingerprint"], names, data["related"], data["reducts"]),
         "digest: does not match the cache content; "

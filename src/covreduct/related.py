@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitset import bits
-from .boolformula import MonotoneFormula, _pack, _row_ints, _unpack, word_count
+from .boolformula import MonotoneFormula, _frozen_rows, _pack, _row_ints, _unpack
 from .model import CoveringDecisionSystem, union_of_coverings
 
 
@@ -30,14 +30,7 @@ class RelatedFamily:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        width = word_count(len(self.covering_names))
-        if self.rows.ndim != 2 or self.rows.shape[1] != width:
-            raise ValueError(
-                f"related rows of shape {self.rows.shape}, expected (n, {width}) "
-                f"for {len(self.covering_names)} coverings"
-            )
-        rows = self.rows.view()
-        rows.flags.writeable = False
+        rows = _frozen_rows(self.rows, len(self.covering_names), "related")
         object.__setattr__(self, "rows", rows)
 
     def __eq__(self, other: object) -> bool:

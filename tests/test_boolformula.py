@@ -12,6 +12,8 @@ from covreduct.boolformula import (
     MonotoneFormula,
     _pack,
     _row_ints,
+    _rows_in,
+    _sorted_rows,
     _unpack,
     drop_variable,
     hits_all,
@@ -260,7 +262,20 @@ def test_minimal_dnf_from_start_matches_brute_force(data):
         assert got == minimal_hitting_sets(sets, used)
     # The survivor check of a shrinking delete, against a plain loop.
     candidates = list(start) + data.draw(term_lists(m))
-    assert hits_all(candidates, rest, m) == all(t & c for t in candidates for c in rest)
+    assert hits_all(_pack(candidates, m), _pack(rest, m)) == all(
+        t & c for t in candidates for c in rest
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_matching_and_order_against_ints(data):
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    a = sorted(set(data.draw(term_lists(m))))
+    b = sorted(set(data.draw(term_lists(m))))
+    data.draw(st.randoms()).shuffle(a)
+    assert _rows_in(_pack(a, m), _pack(b, m)).tolist() == [t in b for t in a]
+    assert _row_ints(_sorted_rows(_pack(a, m))) == sorted(a)
 
 
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)

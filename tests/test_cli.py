@@ -84,7 +84,7 @@ def test_reduce_verify_ok(capsys, fixture, request):
 
 
 def test_reduce_verify_mismatch_exit_code(capsys, consistent8_file, monkeypatch):
-    broken = cr.ReductSet(("C1",), frozenset({1}))
+    broken = cr.ReductSet(("C1",), _pack([1], 1))
     monkeypatch.setattr(cli, "oracle_reducts", lambda system: broken)
     code, _, err = run(capsys, "reduce", consistent8_file, "--verify")
     assert code == 3
@@ -120,6 +120,25 @@ def test_update_add_and_delete(capsys, tmp_path, consistent8_file):
     code, out, _ = run(capsys, "update", out_path, "--del", "C6", "--cache", cache_path)
     assert code == 0
     assert len(out.splitlines()) == 6
+
+
+def test_update_keeps_the_cache_when_the_output_fails(capsys, tmp_path, consistent8_file):
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    before = cache_path.read_bytes()
+    cov_path = tmp_path / "c6.json"
+    name, blocks = EXTRA_COVERING_6
+    cov_path.write_text(json.dumps({"name": name, "blocks": blocks}))
+    update = ["update", consistent8_file, "--add", cov_path, "--cache", cache_path, "-o"]
+    code, _, err = run(capsys, *update, tmp_path / "missing" / "out.json")
+    assert code == 1 and "error" in err
+    assert cache_path.read_bytes() == before
+    # The cache still matches the input system, so the command can be re-run.
+    out_path = tmp_path / "out.json"
+    code, _, _ = run(capsys, *update, out_path)
+    assert code == 0
+    code, out, _ = run(capsys, "update", out_path, "--del", "C6", "--cache", cache_path)
+    assert code == 0 and len(out.splitlines()) == 6
 
 
 @pytest.mark.parametrize("op", ["add", "del"])

@@ -176,6 +176,41 @@ def test_add_covering_errors(consistent8, covering6):
         cr.add_covering(consistent8, cache, dupe)
 
 
+def _masks(names, name_sets):
+    return frozenset(cr.names_to_mask(names, r) for r in name_sets)
+
+
+def test_reducts_view_equals_the_golden_masks(consistent8, inconsistent8, covering6):
+    """``ReductSet.reducts`` materializes the masks the rows hold."""
+    batch, cache = cr.batch_reducts(consistent8)
+    names = consistent8.names()
+    assert batch.reducts == _masks(names, CONSISTENT8_REDUCTS)
+    plus, _ = cr.add_covering(consistent8, cache, covering6)
+    assert plus.reducts == _masks(names + ("C6",), CONSISTENT8_PLUS_REDUCTS)
+    minus, _ = cr.delete_covering(consistent8, cache, "C5")
+    assert minus.reducts == _masks(names[:4], CONSISTENT8_MINUS_REDUCTS)
+    loaded = cr.load_cache(cr.serialize_cache(cache)).reducts
+    assert loaded == batch and loaded.reducts == batch.reducts
+    inconsistent, _ = cr.batch_reducts(inconsistent8)
+    assert inconsistent.reducts == _masks(inconsistent8.names(), INCONSISTENT8_REDUCTS)
+
+
+@pytest.mark.parametrize("m", [8, 70])
+def test_reduct_set_rows_are_read_only_and_compare_in_any_order(m):
+    names = tuple(f"C{i}" for i in range(m))
+    masks = [1 | 1 << (m - 1), 1 << 3, 1 << (m - 2) | 1 << 2]
+    reducts = cr.ReductSet(names, _pack(masks, m))
+    assert reducts == cr.ReductSet(names, _pack(masks[::-1], m))
+    assert reducts != cr.ReductSet(names, _pack(masks[:2], m))
+    assert reducts != cr.ReductSet(names[::-1], _pack(masks, m))
+    assert reducts.reducts == frozenset(masks)
+    assert reducts.sorted_name_lists() == sorted(cr.mask_to_names(names, r) for r in masks)
+    with pytest.raises(ValueError):
+        reducts.rows[0, 0] = 0
+    with pytest.raises(ValueError, match=r"expected \(n, 2\)"):
+        cr.ReductSet(tuple(f"C{i}" for i in range(65)), np.zeros((3, 1), dtype=np.uint64))
+
+
 def test_delete_covering_consistent_golden(consistent8):
     _, cache = cr.batch_reducts(consistent8)
     reducts, new_cache = cr.delete_covering(consistent8, cache, "C5")
@@ -432,8 +467,9 @@ def test_update_chain_across_the_word_boundary(expansions):
 
 
 def test_cached_related_rows_follow_the_covering_count_across_64():
-    """64 -> 65 -> 64 coverings, twice: after every update the cached rows
-    have W = ceil(m / 64) words, equal batch's and cannot be written."""
+    """64 -> 65 -> 64 coverings, twice: after every update the cached related
+    and reduct rows have W = ceil(m / 64) words, equal batch's and cannot
+    be written."""
     rng = random.Random(3)
     n = 16
     decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
@@ -456,9 +492,13 @@ def test_cached_related_rows_follow_the_covering_count_across_64():
         assert rows.shape == (n, 1 if m <= 64 else 2)
         _, batch = cr.batch_reducts(system)
         assert np.array_equal(rows, batch.related.rows)
+        assert cache.reducts.rows.shape[1] == rows.shape[1]
+        assert cache.reducts == batch.reducts
         assert cache == batch
         with pytest.raises(ValueError):
             rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            cache.reducts.rows[0, 0] = 1
 
 
 def test_deletes_match_batch_and_oracle(expansions):

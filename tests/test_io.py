@@ -185,7 +185,7 @@ def test_cache_fields_are_little_endian_and_fixed_width():
     # Ten coverings: two bytes per mask, low byte first.
     names = [f"C{i}" for i in range(10)]
     related = cr.RelatedFamily(tuple(names), _pack((0x201, 0x001, 0x300), 10))
-    reducts = cr.ReductSet(tuple(names), frozenset({0x201, 0x100}))
+    reducts = cr.ReductSet(tuple(names), _pack((0x201, 0x100), 10))
     cache = cr.ReductionCache("f", related, reducts)
     doc = json.loads(cr.serialize_cache(cache))
     assert doc["related"] == "010201000003"
@@ -221,7 +221,7 @@ def _golden_cache(m):
     return cr.ReductionCache(
         f"golden-{m}",
         cr.RelatedFamily(names, _pack(related, m)),
-        cr.ReductSet(names, frozenset(reducts)),
+        cr.ReductSet(names, _pack(reducts, m)),
     )
 
 
@@ -359,6 +359,29 @@ def test_corrupted_cache_rejected(consistent8, edit, field):
     cr.load_cache(json.dumps(doc))
     edit(doc)
     with pytest.raises(ParseError, match=re.escape(field)):
+        cr.load_cache(json.dumps(doc))
+
+
+@pytest.mark.parametrize("m", [5, 70])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda fields: fields + fields[:1], "reducts: duplicate reduct"),
+        (lambda fields: [], "reducts: a cache holds at least one reduct"),
+        (lambda fields: fields + ["07" + fields[0][2:]], "reducts: one reduct contains another"),
+    ],
+    ids=["duplicate", "empty", "not an antichain"],
+)
+def test_reduct_checks_name_the_breach(m, edit, message):
+    # Reducts {C0, C1} and {C2}; "07" in the low byte is {C0, C1, C2}.
+    names = tuple(f"C{i}" for i in range(m))
+    related = cr.RelatedFamily(names, _pack((0b11, 0b100), m))
+    cache = cr.ReductionCache("f", related, cr.ReductSet(names, _pack((0b11, 0b100), m)))
+    doc = json.loads(cr.serialize_cache(cache))
+    width = 2 * max(1, -(-m // 8))
+    fields = [doc["reducts"][k : k + width] for k in range(0, len(doc["reducts"]), width)]
+    doc["reducts"] = "".join(edit(fields))
+    with pytest.raises(ParseError, match=re.escape(message)):
         cr.load_cache(json.dumps(doc))
 
 
