@@ -27,8 +27,9 @@ chunks of the shorter set against the whole of the longer one, each chunk
 sized so that a step touches at most ``CHUNK_CELLS`` words, so temporaries
 stay small whatever the term counts.  At W = 1 a word column is the flat
 uint64 vector of the terms, so one-word formulas run plain vector
-arithmetic.  ``minimal_dnf`` returns its implicants in this layout, and the
-engine keeps related sets and reducts in it between calls.
+arithmetic.  A ``MonotoneFormula`` stores its terms in this layout only
+(its int masks are a view built on demand), and the engine keeps related
+sets, clauses and reducts in it between calls.
 """
 
 from functools import cached_property
@@ -49,22 +50,24 @@ CHUNK_CELLS = 1 << 15
 
 
 class MonotoneFormula:
-    """A monotone CNF or DNF: ``terms`` over the variables ``names``.
+    """A monotone CNF or DNF over the variables ``names``, stored as ``rows``.
 
-    The terms are int masks (``terms``) or a ``(k, W)`` word array
-    (``rows``, see ``_pack``); a formula built from one computes the other
-    on first use.  ``minimal_dnf`` returns rows, so a caller that keeps
-    them never turns its result into ints.
+    ``rows`` is a read-only ``(k, W)`` word array (see ``_pack``), one row
+    per term; a CNF's rows may repeat.  ``MonotoneFormula(mode, terms,
+    names)`` packs int masks once, ``from_rows`` takes an array as it is,
+    and ``terms``, the set of int masks, is built on first use.
     """
 
     def __init__(self, mode: str, terms: Iterable[int], names: tuple[str, ...]):
-        self.mode = mode  # "cnf" or "dnf"
-        self.terms = frozenset(terms)
-        self.names = names
+        terms = list(terms)
+        if max(terms, default=0) >> len(names):
+            raise ValueError(f"a term has a bit past its {len(names)} variables")
+        self.mode, self.names = mode, names  # mode: "cnf" or "dnf"
+        self.rows = _frozen_rows(_pack(terms, len(names)), len(names), "term")
 
     @classmethod
     def from_rows(cls, mode: str, rows: np.ndarray, names: tuple[str, ...]) -> "MonotoneFormula":
-        """The formula whose terms are the distinct rows of a word array."""
+        """The formula whose terms are the rows of a word array."""
         formula = cls.__new__(cls)
         formula.mode, formula.names = mode, names
         formula.rows = _frozen_rows(rows, len(names), "term")
@@ -73,10 +76,6 @@ class MonotoneFormula:
     @cached_property
     def terms(self) -> frozenset[int]:
         return _unpack(self.rows)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return _frozen_rows(_pack(self.terms, len(self.names)), len(self.names), "term")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonotoneFormula):
@@ -282,30 +281,31 @@ def minimal_dnf(
     raises TermBlowup instead of exhausting memory, and so does a product
     whose subset tests (expanded terms times hit terms, summed over the
     steps) pass ``CELLS_PER_TERM * max_terms`` instead of running for hours.
-    The empty CNF yields ``start``.  The result holds its terms as rows,
-    one per implicant.
+    The empty CNF yields ``start``.  Clauses are absorbed and multiplied as
+    rows, and the result holds its terms as rows, one per implicant.
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
-    clauses = sorted(absorb(cnf.terms), key=lambda c: (c.bit_count(), c))
-    if any(c == 0 for c in clauses):
+    clauses = _minimal_rows(cnf.rows)
+    if len(clauses) and not clauses[0].any():
         raise ValueError("monotone CNF must not contain an empty clause")
     rows = _expand(start, clauses, len(cnf.names), max_terms)
     return MonotoneFormula.from_rows("dnf", rows, cnf.names)
 
 
 def _expand(
-    start: Iterable[int], clauses: list[int], n_vars: int, max_terms: int
+    start: Iterable[int], clauses: np.ndarray, n_vars: int, max_terms: int
 ) -> np.ndarray:
     """Product-with-absorption over word arrays, from the antichain ``start``."""
     implicants = _pack(start, n_vars)
+    unit = _pack([1 << v for v in range(n_vars)], n_vars)  # row v: variable v alone
     cells_left = CELLS_PER_TERM * max_terms
     for clause in clauses:
-        missing = ~(implicants & _pack([clause], n_vars)).any(axis=1)
+        missing = ~(implicants & clause).any(axis=1)
         missed = implicants[missing]
         if not len(missed):
             continue
-        var_bits = _pack([1 << v for v in bits(clause)], n_vars)
+        var_bits = unit[(unit & clause).any(axis=1)]
         hit = implicants[~missing]
         if len(hit) + len(missed) * len(var_bits) > max_terms:
             raise TermBlowup(f"DNF expansion exceeded {max_terms} intermediate terms")

@@ -36,12 +36,12 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
   already meets every residual clause, the survivors are the answer.
 
 Every returned ReductSet is an antichain of sub-families that preserve the
-positive region and contain no superfluous covering.  Related sets and
-reducts stay ``(k, W)`` word arrays from call to call: batch keeps the rows
-``minimal_dnf`` returns, a delete selects or strips the cached rows, and an
-add widens them and appends its new terms.  Only the calls that take int
-terms (the clauses of an expansion, the add filter and the absorption of
-a shrinking delete's start) convert, and only what they take.
+positive region and contain no superfluous covering.  Related sets, CNF
+clauses and reducts stay ``(k, W)`` word arrays: a CNF selects related rows,
+batch keeps the rows ``minimal_dnf`` returns, a delete selects or strips
+the cached rows, an add widens them and appends its new terms.  Only the
+add filter, the shrinking delete's ``absorb`` and its ``start`` take ints,
+as ``perfbench/spans.py`` wraps those calls and reads their arguments.
 ``ReductSet.reducts`` materializes the int masks for callers that ask.
 """
 
@@ -210,20 +210,21 @@ def add_covering(
     names_plus = related_plus.covering_names
     pos_plus = cache.positive | delta.union
     m_plus = len(names_plus)
-    old = _widen(cache.reducts.rows, m_plus)
 
     if delta.union == 0:
         # No admissible blocks: related sets and reducts are untouched.
-        reducts_plus = old
+        reducts_plus = _widen(cache.reducts.rows, m_plus)
     else:
+        # Outside the new covering's union the grown rows are the old ones.
         restricted = flags(cache.positive & ~delta.union, system.universe_size).view(bool)
-        new_bit = 1 << (m_plus - 1)
-        clauses = _unpack(cache.related.rows[restricted]) | {new_bit}
-        expansion = minimal_dnf(MonotoneFormula("cnf", clauses, names_plus), max_terms)
+        new_bit = _pack([1 << (m_plus - 1)], m_plus)
+        clauses = np.concatenate((related_plus.rows[restricted], new_bit))
+        expansion = minimal_dnf(MonotoneFormula.from_rows("cnf", clauses, names_plus), max_terms)
         if pos_plus == cache.positive:
             # Only an old reduct equal to a term with the new bit stripped
             # can absorb that term (see the module docstring).
-            stripped = expansion.rows & ~_pack([new_bit], m_plus)
+            old = _widen(cache.reducts.rows, m_plus)
+            stripped = expansion.rows & ~new_bit
             absorbers = _row_ints(stripped[_rows_in(stripped, old)])
             added = filter_non_extensions(expansion.terms, absorbers)
             reducts_plus = np.concatenate((old, _pack(added, m_plus)))
@@ -276,7 +277,7 @@ def delete_covering(
         had_d = cache.related.rows[:, word] & bit != 0
         residual = rows_minus[had_d & rows_minus.any(axis=1)]
         if not hits_all(reducts_minus, residual):
-            cnf = MonotoneFormula("cnf", _row_ints(residual), names_minus)
+            cnf = MonotoneFormula.from_rows("cnf", residual, names_minus)
             reducts_minus = minimal_dnf(cnf, max_terms, start=start).rows
 
     reduct_set = ReductSet(names_minus, reducts_minus)

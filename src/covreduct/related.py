@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitset import bits
-from .boolformula import MonotoneFormula, _frozen_rows, _pack, _row_ints, _unpack
+from .boolformula import MonotoneFormula, _frozen_rows, _pack, _row_ints
 from .model import CoveringDecisionSystem, union_of_coverings
 
 
@@ -79,6 +79,5 @@ def related_sets(system: CoveringDecisionSystem) -> RelatedFamily:
 
 
 def related_function(rf: RelatedFamily) -> MonotoneFormula:
-    """The conjunction of the distinct non-empty related sets, as a CNF."""
-    clauses = _unpack(rf.rows[rf.rows.any(axis=1)])
-    return MonotoneFormula("cnf", clauses, rf.covering_names)
+    """The conjunction of the non-empty related sets, as a CNF of ``rf``'s rows (repeats kept)."""
+    return MonotoneFormula.from_rows("cnf", rf.rows[rf.rows.any(axis=1)], rf.covering_names)

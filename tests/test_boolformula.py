@@ -10,6 +10,7 @@ from covreduct import boolformula
 from covreduct.bench import BenchConfig, _generate
 from covreduct.boolformula import (
     MonotoneFormula,
+    _minimal_rows,
     _pack,
     _row_ints,
     _rows_in,
@@ -89,8 +90,26 @@ def test_minimal_dnf_rejects_dnf_input():
 
 
 def test_minimal_dnf_rejects_empty_clause():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty clause"):
         cr.minimal_dnf(MonotoneFormula("cnf", frozenset({0}), NAMES6))
+    # A row selection with a zero row among others, at one and two words.
+    for m in (6, 65):
+        names = tuple(f"V{i}" for i in range(m))
+        rows = _pack([0b11, 0, 1 << (m - 1), 0b11], m)
+        with pytest.raises(ValueError, match="empty clause"):
+            cr.minimal_dnf(MonotoneFormula.from_rows("cnf", rows, names))
+
+
+@pytest.mark.parametrize(
+    "m, term",
+    [(2, 0b100), (64, 1 << 64), (65, 1 << 65), (65, 1 << 128)],
+    ids=["one word, bit past the names", "one word, past the word",
+         "two words, bit past the names", "two words, past the words"],
+)
+def test_formula_rejects_a_term_past_its_names(m, term):
+    names = tuple(f"V{i}" for i in range(m))
+    with pytest.raises(ValueError, match=f"past its {m} variables"):
+        MonotoneFormula("cnf", {0b1, term}, names)
 
 
 def test_filter_non_extensions_drops_strict_supersets():
@@ -213,6 +232,18 @@ def test_absorb_matches_subset_loop(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_clause_rows_absorb_in_size_then_value_order(data):
+    # minimal_dnf multiplies its clauses in this order, so it fixes the
+    # product steps and where TermBlowup and the cell budget stop.
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    terms = data.draw(term_lists(m))
+    assert _row_ints(_minimal_rows(_pack(terms, m))) == sorted(
+        cr.absorb(terms), key=lambda c: (c.bit_count(), c)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_filter_non_extensions_matches_subset_loop(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     candidates = data.draw(term_lists(m))
@@ -231,6 +262,10 @@ def test_minimal_dnf_matches_brute_force_at_every_width(data):
     names = tuple(f"V{i}" for i in range(m))
     clauses = [c for c in data.draw(term_lists(m)) if c]
     dnf = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(clauses), names))
+    # The same CNF as a row selection, its repeated rows kept, expands to
+    # the same rows in the same order.
+    from_rows = cr.minimal_dnf(MonotoneFormula.from_rows("cnf", _pack(clauses, m), names))
+    assert np.array_equal(from_rows.rows, dnf.rows)
     # Minimal hitting sets only use variables that occur in some clause.
     used = sorted({v for c in clauses for v in to_indices(c)})
     clause_sets = [frozenset(to_indices(c)) for c in clauses]
