@@ -122,12 +122,16 @@ def _pack(terms: Iterable[int], n_vars: int) -> np.ndarray:
 
 
 def _frozen_rows(rows: np.ndarray, n_vars: int, what: str) -> np.ndarray:
-    """A read-only view of ``rows``, checked to be ``(k, W)`` for ``n_vars`` variables."""
+    """A read-only view of ``rows``, checked to be ``(k, W)`` for ``n_vars``
+    variables and to set no bit at or past ``n_vars`` in the last word."""
     width = word_count(n_vars)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(
             f"{what} rows of shape {rows.shape}, expected (n, {width}) for {n_vars} variables"
         )
+    used = n_vars - 64 * (width - 1)  # bits of the last word that are variables
+    if used < 64 and int(rows[:, -1].max(initial=0)) >> used:
+        raise ValueError(f"a {what} row has a bit past its {n_vars} variables")
     rows = rows.view()
     rows.flags.writeable = False
     return rows

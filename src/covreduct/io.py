@@ -28,8 +28,15 @@ B bytes of the mask's W = max(1, ceil(m / 64)) little-endian uint64 words,
 so each string is a byte view of a ``(k, W)`` word array
 (``RelatedFamily.rows``, ``ReductSet.rows``), written and read in one pass
 by one path for every width, and checked by two conditions: the text is
-exactly the hex of the bytes it decodes to, and its length is a multiple
-of 2B digits.
+exactly the hex of the bytes it decodes to (two digits per byte, none of
+them upper case, so nothing is encoded again to compare), and its length
+is a multiple of 2B digits.
+``serialize_cache`` writes the compact text itself, field by field in
+``CACHE_FIELDS`` order; only the fingerprint and the names pass through
+``json.dumps``.  The hex strings and the digest hold only ``[0-9a-f]``, so
+they need no escaping, and ``json.dumps`` would scan them one character
+at a time.  The bytes are unchanged: those of
+``json.dumps(doc, separators=(",", ":"))`` and a newline.
 ``fingerprint`` is ``model.fingerprint`` of the system the cache describes,
 a hash built from per-covering digests.  ``digest`` is SHA-256 over the
 fingerprint and names (as JSON) and the two hex strings as written: it
@@ -297,9 +304,11 @@ def _decode_rows(raw: Any, width: int, n_names: int, where: str) -> np.ndarray:
     """The ``(k, W)`` word array, W words per ``n_names`` bits, of a hex
     string written by ``_encode_rows``.
 
-    ``bytes.fromhex`` also takes upper case and whitespace, so the text must
-    equal the hex of what it decoded to.  A mask that sets a bit past the
-    ``n_names`` listed coverings is reported by its index.
+    ``bytes.fromhex`` takes only ASCII hex digits and ASCII whitespace, but
+    upper case among them, so the text must be exactly two digits per byte
+    (no whitespace) and hold no ``A``-``F``: the same test as ``data.hex()
+    == raw`` without encoding the bytes again.  A mask that sets a bit past
+    the ``n_names`` listed coverings is reported by its index.
     """
     _expect(isinstance(raw, str), f"{where}: expected a hex string, got {type(raw).__name__}")
     try:
@@ -307,7 +316,9 @@ def _decode_rows(raw: Any, width: int, n_names: int, where: str) -> np.ndarray:
     except ValueError:
         data = None
     _expect(
-        data is not None and data.hex() == raw,
+        data is not None
+        and len(raw) == 2 * len(data)
+        and not any(upper in raw for upper in "ABCDEF"),
         f"{where}: expected lowercase hex digits only, with no prefix or whitespace",
     )
     _expect(
@@ -338,20 +349,22 @@ def _digest(fingerprint: str, names: list[str], related: str, reducts: str) -> s
 
 
 def serialize_cache(cache: ReductionCache) -> str:
-    """The compact cache document: related sets and reducts as fixed-width hex."""
+    """The compact cache document: related sets and reducts as fixed-width hex.
+
+    Written directly in ``CACHE_FIELDS`` order, the bytes of
+    ``json.dumps(doc, separators=(",", ":"))`` and a newline: the hex
+    strings and the digest hold nothing to escape.
+    """
     names = list(cache.related.covering_names)
     width = _field_bytes(len(names))
     related = _encode_rows(cache.related.rows, width)
     reducts = _encode_rows(_sorted_rows(cache.reducts.rows), width)
-    doc = {
-        "format": CACHE_FORMAT,
-        "fingerprint": cache.fingerprint,
-        "covering_names": names,
-        "related": related,
-        "reducts": reducts,
-        "digest": _digest(cache.fingerprint, names, related, reducts),
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    digest = _digest(cache.fingerprint, names, related, reducts)
+    return (
+        f'{{"format":{CACHE_FORMAT},"fingerprint":{json.dumps(cache.fingerprint)},'
+        f'"covering_names":{json.dumps(names, separators=(",", ":"))},'
+        f'"related":"{related}","reducts":"{reducts}","digest":"{digest}"}}\n'
+    )
 
 
 def load_cache(text: str) -> ReductionCache:

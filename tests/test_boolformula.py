@@ -112,6 +112,39 @@ def test_formula_rejects_a_term_past_its_names(m, term):
         MonotoneFormula("cnf", {0b1, term}, names)
 
 
+def test_minimal_dnf_rejects_rows_past_their_names():
+    # Bit 2 of a two-variable clause: the clause meets no variable.
+    with pytest.raises(ValueError, match="past its 2 variables"):
+        cr.minimal_dnf(MonotoneFormula.from_rows("cnf", _pack([0b100], 2), ("a", "b")))
+
+
+@pytest.mark.parametrize("m", [0, 2, 63, 64, 65, 128, 130])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda names, rows: MonotoneFormula.from_rows("cnf", rows, names),
+        lambda names, rows: cr.RelatedFamily(names, rows),
+        lambda names, rows: cr.ReductSet(names, rows),
+    ],
+    ids=["from_rows", "RelatedFamily", "ReductSet"],
+)
+def test_row_constructors_reject_a_bit_past_the_names(build, m):
+    names = tuple(f"V{i}" for i in range(m))
+    width = boolformula.word_count(m)
+    used = m - 64 * (width - 1)
+    rows = np.zeros((3, width), dtype=np.uint64)
+    if m:
+        rows[1, -1] = np.uint64(1 << (used - 1))  # the last variable: accepted
+    build(names, rows)
+    if used == 64:
+        return  # the last word holds variables only
+    for bit in {used, 63}:
+        past = rows.copy()
+        past[2, -1] = np.uint64(1 << bit)
+        with pytest.raises(ValueError, match=f"past its {m} variables"):
+            build(names, past)
+
+
 def test_filter_non_extensions_drops_strict_supersets():
     candidates = terms(("C1", "C6"), ("C5", "C6"), ("C1", "C2", "C6"))
     existing = terms(("C1", "C2"))

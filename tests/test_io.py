@@ -8,14 +8,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import covreduct as cr
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.boolformula import _pack
 from covreduct.errors import DecisionNotPartition, ParseError
-from covreduct.io import NonNumericForTolerance, parse_covering, parse_coverization_spec
+from covreduct.io import (
+    CACHE_FIELDS,
+    NonNumericForTolerance,
+    _decode_rows,
+    parse_covering,
+    parse_coverization_spec,
+)
 from covreduct.synth import random_system
 
 from conftest import CONSISTENT8_COVERINGS, CONSISTENT8_REDUCTS, DECISION_8, partition_blocks
@@ -126,6 +132,19 @@ def _fields(text: str, width: int) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
+def _assert_compact_json(text: str, cache) -> None:
+    """``text`` is byte for byte what ``json.dumps`` writes for the cache
+    fields in ``CACHE_FIELDS`` order, the fingerprint and names taken from
+    ``cache``."""
+    doc = json.loads(text)
+    assert list(doc) == list(CACHE_FIELDS)
+    values = dict(
+        doc, fingerprint=cache.fingerprint, covering_names=list(cache.related.covering_names)
+    )
+    dumped = {key: values[key] for key in CACHE_FIELDS}
+    assert text == json.dumps(dumped, separators=(",", ":")) + "\n"
+
+
 @st.composite
 def _update_caches(draw):
     """Batch, add and delete caches of a random system.
@@ -159,6 +178,7 @@ def _update_caches(draw):
 def test_cache_roundtrip_property(caches):
     for cache in caches:
         text = cr.serialize_cache(cache)
+        _assert_compact_json(text, cache)
         assert cr.load_cache(text) == cache
         doc = json.loads(text)
         assert doc["format"] == 5
@@ -167,6 +187,53 @@ def test_cache_roundtrip_property(caches):
         assert _fields(doc["reducts"], width) == sorted(cache.reducts.reducts)
         if cache.positive == 0:
             assert doc["reducts"] == "00" * width
+
+
+# Characters JSON must escape, and ones ``json.dumps`` writes as ``\u`` escapes.
+_AWKWARD = '"\\/\n\t\x00\x1f\x7f\u2028\u2029\xe9\u540d\U0001f600 x'
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fingerprint=st.text(alphabet=_AWKWARD),
+    names=st.lists(st.text(alphabet=_AWKWARD), min_size=1, max_size=9, unique=True),
+)
+@example(fingerprint='"\\', names=['C"1', "C\\2", "\u2028", "\x01", "\u540d\u524d"])
+def test_cache_text_escapes_fingerprint_and_names_as_json_does(fingerprint, names):
+    names = tuple(names)
+    m = len(names)
+    related = cr.RelatedFamily(names, _pack((1, 0, 1 << (m - 1)), m))
+    cache = cr.ReductionCache(fingerprint, related, cr.ReductSet(names, _pack((1,), m)))
+    text = cr.serialize_cache(cache)
+    _assert_compact_json(text, cache)
+    assert cr.load_cache(text) == cache
+
+
+# Hex pairs, upper case, ASCII whitespace and non-ASCII decimal digits.
+_HEX_TOKENS = ["0a", "f3", "9", "e", "A0", "cD", "F", "\t", "\n", " ", "\uff11", "\u0663"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_HEX_TOKENS), max_size=8).map("".join),
+        st.text(alphabet="0123456789abcdefABCDEF\t\n \uff11\u0663", max_size=12),
+    )
+)
+def test_hex_check_accepts_exactly_the_reencoded_hex(raw):
+    try:
+        exact = bytes.fromhex(raw).hex() == raw
+    except ValueError:
+        exact = False
+    # One byte per field and eight names: every byte string is whole masks
+    # that fit, so only the hex check can reject.
+    try:
+        _decode_rows(raw, 1, 8, "related")
+    except ParseError as exc:
+        assert not exact
+        assert str(exc).startswith("related: expected lowercase hex digits only")
+    else:
+        assert exact
 
 
 def test_empty_positive_region_cache_roundtrip():
@@ -324,6 +391,8 @@ CORRUPTIONS = [
     ("underscore", lambda d: _field(d, "related", 2, "1_"), "related"),
     ("whitespace", lambda d: _field(d, "related", 3, " 1b"), "related"),
     ("trailing whitespace", lambda d: _set(d, "related", d["related"] + " "), "related"),
+    ("tab inside", lambda d: _field(d, "related", 3, "\t1b"), "related"),
+    ("fullwidth digit", lambda d: _field(d, "reducts", 1, "0\uff16"), "reducts"),
     ("hex prefix", lambda d: _set(d, "reducts", "0x" + d["reducts"]), "reducts"),
     ("upper case", lambda d: _set(d, "reducts", d["reducts"].upper()), "reducts"),
     ("non-hex digit", lambda d: _field(d, "related", 4, "1g"), "related"),
