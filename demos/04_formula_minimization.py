@@ -16,7 +16,7 @@ NAMES = ("C1", "C2", "C3", "C4", "C5")
 
 
 def term(*names):
-    return cr.names_to_mask(NAMES, names)
+    return sum(1 << NAMES.index(name) for name in names)
 
 
 def pretty(formula, joiner):
@@ -60,8 +60,10 @@ names = tuple(f"V{i}" for i in range(n_vars))
 random_clauses = frozenset(rng.randint(1, (1 << n_vars) - 1) for _ in range(6))
 random_cnf = MonotoneFormula("cnf", random_clauses, names)
 random_dnf = cr.minimal_dnf(random_cnf)
+# Under the assignment whose true variables are the mask a, a CNF holds when
+# every clause meets a, a DNF when some term lies inside a.
 agree = all(
-    cr.evaluate(random_cnf, a) == cr.evaluate(random_dnf, a)
+    all(c & a for c in random_cnf.terms) == any(t & ~a == 0 for t in random_dnf.terms)
     for a in range(1 << n_vars)
 )
 print(f"random CNF over {n_vars} vars, {len(random_clauses)} clauses -> "

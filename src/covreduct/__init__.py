@@ -22,11 +22,9 @@ from .approximation import (
 from .boolformula import (
     MonotoneFormula,
     absorb,
-    evaluate,
     filter_non_extensions,
     mask_to_names,
     minimal_dnf,
-    names_to_mask,
 )
 from .engine import (
     ReductSet,
@@ -100,7 +98,6 @@ __all__ = [
     "classify_consistency",
     "coverize",
     "delete_covering",
-    "evaluate",
     "filter_non_extensions",
     "fingerprint",
     "load_cache",
@@ -109,7 +106,6 @@ __all__ = [
     "mask_to_names",
     "minimal_descriptions",
     "minimal_dnf",
-    "names_to_mask",
     "oracle_reducts",
     "positive_region",
     "regions",

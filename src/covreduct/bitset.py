@@ -36,7 +36,9 @@ def flags(mask: int, n: int) -> np.ndarray:
 
 
 def to_indices(mask: int) -> list[int]:
-    return list(bits(mask))
+    """The set bit positions of ``mask`` in ascending order, in one pass
+    over its bytes (``bits`` costs a big-int operation per member)."""
+    return np.flatnonzero(flags(mask, mask.bit_length())).tolist()
 
 
 def full_mask(n: int) -> int:

@@ -62,16 +62,20 @@ class MonotoneFormula:
         terms = list(terms)
         if max(terms, default=0) >> len(names):
             raise ValueError(f"a term has a bit past its {len(names)} variables")
-        self.mode, self.names = mode, names  # mode: "cnf" or "dnf"
-        self.rows = _frozen_rows(_pack(terms, len(names)), len(names), "term")
+        self._set(mode, _pack(terms, len(names)), names)
 
     @classmethod
     def from_rows(cls, mode: str, rows: np.ndarray, names: tuple[str, ...]) -> "MonotoneFormula":
         """The formula whose terms are the rows of a word array."""
         formula = cls.__new__(cls)
-        formula.mode, formula.names = mode, names
-        formula.rows = _frozen_rows(rows, len(names), "term")
+        formula._set(mode, rows, names)
         return formula
+
+    def _set(self, mode: str, rows: np.ndarray, names: tuple[str, ...]) -> None:
+        if mode not in ("cnf", "dnf"):
+            raise ValueError(f"formula mode must be 'cnf' or 'dnf', got {mode!r}")
+        self.mode, self.names = mode, names
+        self.rows = _frozen_rows(rows, len(names), "term")
 
     @cached_property
     def terms(self) -> frozenset[int]:
@@ -89,21 +93,16 @@ class MonotoneFormula:
         return f"MonotoneFormula({self.mode!r}, {self.terms!r}, {self.names!r})"
 
     def term_name_sets(self) -> frozenset[frozenset[str]]:
-        return frozenset(
-            frozenset(self.names[i] for i in bits(t)) for t in self.terms
-        )
-
-
-def names_to_mask(names: Sequence[str], members: Iterable[str]) -> int:
-    index = {n: i for i, n in enumerate(names)}
-    m = 0
-    for name in members:
-        m |= 1 << index[name]
-    return m
+        return _name_sets(self.names, self.rows)
 
 
 def mask_to_names(names: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple(names[i] for i in bits(mask))
+
+
+def _name_sets(names: Sequence[str], rows: np.ndarray) -> frozenset[frozenset[str]]:
+    """The rows of a word array over ``names`` as sets of names."""
+    return frozenset(frozenset(mask_to_names(names, t)) for t in _row_ints(rows))
 
 
 def word_count(n_vars: int) -> int:
@@ -122,8 +121,11 @@ def _pack(terms: Iterable[int], n_vars: int) -> np.ndarray:
 
 
 def _frozen_rows(rows: np.ndarray, n_vars: int, what: str) -> np.ndarray:
-    """A read-only view of ``rows``, checked to be ``(k, W)`` for ``n_vars``
-    variables and to set no bit at or past ``n_vars`` in the last word."""
+    """A read-only view of ``rows``, checked to be ``(k, W)`` uint64 for
+    ``n_vars`` variables and to set no bit at or past ``n_vars`` in the last
+    word."""
+    if rows.dtype != np.uint64:
+        raise ValueError(f"{what} rows of dtype {rows.dtype}, expected uint64")
     width = word_count(n_vars)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(
@@ -272,12 +274,13 @@ def absorb(terms: Iterable[int]) -> frozenset[int]:
 def minimal_dnf(
     cnf: MonotoneFormula,
     max_terms: int = DEFAULT_TERM_LIMIT,
-    start: Iterable[int] = frozenset({0}),
+    start: np.ndarray | None = None,
 ) -> MonotoneFormula:
     """The minimal DNF (all prime implicants) of ``(OR start) AND cnf``.
 
-    ``start`` is the implicant set the product begins from and must be an
-    antichain; the default, the single empty implicant (true), expands the
+    ``start`` is the implicant set the product begins from, a ``(k, W)``
+    uint64 word array over ``cnf.names`` whose rows must be an antichain;
+    the default, None, is the single empty implicant (true) and expands the
     CNF alone.  Clauses are absorbed first and multiplied in ascending size
     order; after each product step the implicant set is absorbed again,
     which keeps the intermediate sets antichains and bounds the blowup on
@@ -290,18 +293,21 @@ def minimal_dnf(
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
+    n_vars = len(cnf.names)
+    if start is None:
+        start = np.zeros((1, word_count(n_vars)), dtype=np.uint64)
+    start = _frozen_rows(start, n_vars, "start")
     clauses = _minimal_rows(cnf.rows)
     if len(clauses) and not clauses[0].any():
         raise ValueError("monotone CNF must not contain an empty clause")
-    rows = _expand(start, clauses, len(cnf.names), max_terms)
+    rows = _expand(start, clauses, n_vars, max_terms)
     return MonotoneFormula.from_rows("dnf", rows, cnf.names)
 
 
 def _expand(
-    start: Iterable[int], clauses: np.ndarray, n_vars: int, max_terms: int
+    implicants: np.ndarray, clauses: np.ndarray, n_vars: int, max_terms: int
 ) -> np.ndarray:
-    """Product-with-absorption over word arrays, from the antichain ``start``."""
-    implicants = _pack(start, n_vars)
+    """Product-with-absorption over word arrays, from the antichain ``implicants``."""
     unit = _pack([1 << v for v in range(n_vars)], n_vars)  # row v: variable v alone
     cells_left = CELLS_PER_TERM * max_terms
     for clause in clauses:
@@ -360,9 +366,3 @@ def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:
     # A term misses a clause iff the clause sits inside its complement.
     return not _contains_subset(~terms, clauses).any()
 
-
-def evaluate(formula: MonotoneFormula, true_vars: int) -> bool:
-    """Evaluate under the assignment whose true variables are ``true_vars``."""
-    if formula.mode == "cnf":
-        return all(clause & true_vars for clause in formula.terms)
-    return any(term & ~true_vars == 0 for term in formula.terms)

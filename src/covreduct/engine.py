@@ -40,8 +40,8 @@ positive region and contain no superfluous covering.  Related sets, CNF
 clauses and reducts stay ``(k, W)`` word arrays: a CNF selects related rows,
 batch keeps the rows ``minimal_dnf`` returns, a delete selects or strips
 the cached rows, an add widens them and appends its new terms.  Only the
-add filter, the shrinking delete's ``absorb`` and its ``start`` take ints,
-as ``perfbench/spans.py`` wraps those calls and reads their arguments.
+add filter and the shrinking delete's ``absorb`` take ints, as
+``perfbench/spans.py`` wraps those calls and reads their arguments.
 ``ReductSet.reducts`` materializes the int masks for callers that ask.
 """
 
@@ -55,6 +55,7 @@ from .boolformula import (
     DEFAULT_TERM_LIMIT,
     MonotoneFormula,
     _frozen_rows,
+    _name_sets,
     _pack,
     _row_ints,
     _rows_in,
@@ -71,7 +72,7 @@ from .boolformula import (
 from .errors import StaleCache, TooManyCoverings
 from .model import Covering, CoveringDecisionSystem, fingerprint
 from .related import RelatedFamily, related_function, related_sets
-from .approximation import positive_region
+from .approximation import positive_region, third_lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +106,7 @@ class ReductSet:
         return _unpack(self.rows)
 
     def as_name_sets(self) -> frozenset[frozenset[str]]:
-        names = self.covering_names
-        return frozenset(frozenset(mask_to_names(names, r)) for r in _row_ints(self.rows))
+        return _name_sets(self.covering_names, self.rows)
 
     def sorted_name_lists(self) -> list[tuple[str, ...]]:
         """Canonical display order: names by covering index, lines sorted."""
@@ -272,13 +272,13 @@ def delete_covering(
         # The stripped reducts, the minimal hitting sets of the clauses
         # without d; absorbing them keeps the continuation's start an
         # antichain.
-        start = absorb(_row_ints(drop_variable(old, idx)[:, :width]))
-        reducts_minus = _pack(start, len(names_minus))
+        stripped = _row_ints(drop_variable(old, idx)[:, :width])
+        reducts_minus = _pack(absorb(stripped), len(names_minus))
         had_d = cache.related.rows[:, word] & bit != 0
         residual = rows_minus[had_d & rows_minus.any(axis=1)]
         if not hits_all(reducts_minus, residual):
             cnf = MonotoneFormula.from_rows("cnf", residual, names_minus)
-            reducts_minus = minimal_dnf(cnf, max_terms, start=start).rows
+            reducts_minus = minimal_dnf(cnf, max_terms, start=reducts_minus).rows
 
     reduct_set = ReductSet(names_minus, reducts_minus)
     new_cache = ReductionCache(fingerprint(system_minus), related_minus, reduct_set)
@@ -290,8 +290,9 @@ def oracle_reducts(system: CoveringDecisionSystem, limit: int = 16) -> ReductSet
 
     Enumerates every sub-family of the coverings (the empty one included:
     when the positive region is empty it is the unique minimal preserving
-    sub-family), recomputes the positive region of each directly from its
-    blocks, and keeps the inclusion-minimal preserving sub-families.
+    sub-family), recomputes the positive region of each from its blocks as
+    the union of the decision classes' third lower approximations, and
+    keeps the inclusion-minimal preserving sub-families.
     """
     m = len(system.coverings)
     if m > limit:
@@ -299,11 +300,10 @@ def oracle_reducts(system: CoveringDecisionSystem, limit: int = 16) -> ReductSet
     classes = system.decision.classes
 
     def pos_of(subset: int) -> int:
+        blocks = [b for i in bits(subset) for b in system.coverings[i].blocks]
         acc = 0
-        for i in bits(subset):
-            for block in system.coverings[i].blocks:
-                if any(block & ~cls == 0 for cls in classes):
-                    acc |= block
+        for cls in classes:
+            acc |= third_lower(blocks, cls)
         return acc
 
     target = pos_of(full_mask(m))

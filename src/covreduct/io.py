@@ -143,10 +143,21 @@ def load_system(text: str) -> CoveringDecisionSystem:
 def serialize_system(
     system: CoveringDecisionSystem, object_names: Sequence[str] | None = None
 ) -> str:
-    """Canonical document for a system (stable bytes for equal systems)."""
+    """Canonical document for a system (stable bytes for equal systems).
+
+    ``object_names``, when given, must be ``universe_size`` strings, as
+    ``load_system`` requires; anything else raises ValidationError.
+    """
     doc: dict[str, Any] = {"universe_size": system.universe_size}
     if object_names is not None:
-        doc["object_names"] = list(object_names)
+        names = list(object_names)
+        if not all(isinstance(s, str) for s in names):
+            raise ValidationError("object_names: expected a list of strings")
+        if len(names) != system.universe_size:
+            raise ValidationError(
+                f"object_names: {len(names)} names for {system.universe_size} objects"
+            )
+        doc["object_names"] = names
     doc["coverings"] = [
         {"name": c.name, "blocks": sorted(to_indices(b) for b in c.blocks)}
         for c in system.coverings

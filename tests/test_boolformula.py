@@ -27,7 +27,7 @@ NAMES6 = ("C1", "C2", "C3", "C4", "C5", "C6")
 
 
 def terms(*groups):
-    return frozenset(cr.names_to_mask(NAMES6, g) for g in groups)
+    return frozenset(sum(1 << NAMES6.index(name) for name in g) for g in groups)
 
 
 def named(formula: MonotoneFormula) -> frozenset[frozenset[str]]:
@@ -145,6 +145,45 @@ def test_row_constructors_reject_a_bit_past_the_names(build, m):
             build(names, past)
 
 
+@pytest.mark.parametrize("rows", [[[1.0]], [[1]], [[-1]]], ids=["float", "int64", "negative"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda names, rows: MonotoneFormula.from_rows("cnf", rows, names),
+        lambda names, rows: cr.RelatedFamily(names, rows),
+        lambda names, rows: cr.ReductSet(names, rows),
+        lambda names, rows: cr.minimal_dnf(MonotoneFormula("cnf", [], names), start=rows),
+    ],
+    ids=["from_rows", "RelatedFamily", "ReductSet", "start"],
+)
+def test_row_constructors_reject_rows_that_are_not_uint64(build, rows):
+    with pytest.raises(ValueError, match="expected uint64"):
+        build(("A", "B"), np.array(rows))
+
+
+@pytest.mark.parametrize(
+    "build, terms",
+    [(MonotoneFormula, [1]), (MonotoneFormula.from_rows, np.ones((1, 1), dtype=np.uint64))],
+    ids=["ints", "from_rows"],
+)
+def test_formula_rejects_an_unknown_mode(build, terms):
+    for mode in ("cnf", "dnf"):
+        assert build(mode, terms, ("A",)).terms == {1}
+    for mode in ("CNF", "dnf ", ""):
+        with pytest.raises(ValueError, match="mode must be 'cnf' or 'dnf'"):
+            build(mode, terms, ("A",))
+
+
+def test_minimal_dnf_start_defaults_to_the_empty_implicant():
+    names = tuple(f"V{i}" for i in range(70))
+    cnf = MonotoneFormula("cnf", [0b11, 1 << 69], names)
+    empty = np.zeros((1, 2), dtype=np.uint64)
+    assert cr.minimal_dnf(cnf) == cr.minimal_dnf(cnf, start=empty)
+    assert cr.minimal_dnf(MonotoneFormula("cnf", [], names)).terms == {0}
+    with pytest.raises(ValueError, match=r"start rows of shape \(1, 1\)"):
+        cr.minimal_dnf(cnf, start=np.zeros((1, 1), dtype=np.uint64))
+
+
 def test_filter_non_extensions_drops_strict_supersets():
     candidates = terms(("C1", "C6"), ("C5", "C6"), ("C1", "C2", "C6"))
     existing = terms(("C1", "C2"))
@@ -161,16 +200,6 @@ def test_filter_non_extensions_keeps_equal_terms():
     candidates = terms(("C1", "C2"))
     existing = terms(("C1", "C2"))
     assert cr.filter_non_extensions(candidates, existing) == candidates
-
-
-def test_evaluate_modes():
-    cnf = MonotoneFormula("cnf", terms(("C1", "C2"), ("C3",)), NAMES6)
-    dnf = MonotoneFormula("dnf", terms(("C1", "C3"), ("C2", "C3")), NAMES6)
-    for assignment in range(1 << 3):
-        a = assignment  # over C1..C3
-        expected = bool(a & 0b011) and bool(a & 0b100)
-        assert cr.evaluate(cnf, a) == expected
-        assert cr.evaluate(dnf, a) == expected
 
 
 def test_term_blowup_guard():
@@ -317,7 +346,8 @@ def test_minimal_dnf_from_start_matches_brute_force(data):
     sets = [frozenset(to_indices(c)) for c in clauses]
     prefix_hitting = {sum(1 << v for v in h) for h in minimal_hitting_sets(sets[:k], used)}
     start = data.draw(st.sampled_from([frozenset({0}), frozenset(prefix_hitting)]))
-    dnf = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(rest), names), start=start)
+    cnf = MonotoneFormula("cnf", frozenset(rest), names)
+    dnf = cr.minimal_dnf(cnf, start=_pack(start, m))
 
     def holds(true_vars):
         mask = sum(1 << v for v in true_vars)
@@ -416,6 +446,6 @@ def test_drop_variable_matches_drop_index(data):
 
 
 def test_names_mask_roundtrip():
-    mask = cr.names_to_mask(NAMES6, ["C2", "C5"])
+    (mask,) = terms(("C5", "C2"))
     assert mask == 0b10010
     assert cr.mask_to_names(NAMES6, mask) == ("C2", "C5")

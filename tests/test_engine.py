@@ -177,7 +177,7 @@ def test_add_covering_errors(consistent8, covering6):
 
 
 def _masks(names, name_sets):
-    return frozenset(cr.names_to_mask(names, r) for r in name_sets)
+    return frozenset(sum(1 << names.index(name) for name in r) for r in name_sets)
 
 
 def test_reducts_view_equals_the_golden_masks(consistent8, inconsistent8, covering6):

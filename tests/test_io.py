@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import covreduct as cr
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.boolformula import _pack
-from covreduct.errors import DecisionNotPartition, ParseError
+from covreduct.errors import CoverageGap, DecisionNotPartition, ParseError
 from covreduct.io import (
     CACHE_FIELDS,
     NonNumericForTolerance,
@@ -52,6 +53,29 @@ def test_object_names_roundtrip(consistent8):
     text = cr.serialize_system(consistent8, object_names=names)
     assert json.loads(text)["object_names"] == names
     assert cr.fingerprint(cr.load_system(text)) == cr.fingerprint(consistent8)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(["a"], "1 names for 8 objects"), ([f"x{i}" for i in range(7)] + [8], "list of strings")],
+    ids=["short", "non-string"],
+)
+def test_serialize_rejects_object_names_load_would_reject(consistent8, names, message):
+    with pytest.raises(cr.ValidationError, match=message):
+        cr.serialize_system(consistent8, object_names=names)
+    doc = json.loads(cr.serialize_system(consistent8))
+    doc["object_names"] = names
+    with pytest.raises(ParseError, match="object_names"):
+        cr.load_system(json.dumps(doc))
+
+
+def test_gap_in_a_million_object_covering_is_reported_quickly():
+    # The message lists every uncovered object; listing them is one pass.
+    doc = {"universe_size": 10**6, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [[0]]}
+    start = time.perf_counter()
+    with pytest.raises(CoverageGap, match=r"covering 'C' does not cover objects \[1, 2, "):
+        cr.load_system(json.dumps(doc))
+    assert time.perf_counter() - start < 20
 
 
 def test_load_rejects_decision_overlap():

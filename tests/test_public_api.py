@@ -30,7 +30,6 @@ PUBLIC = [
     "classify_consistency",
     "coverize",
     "delete_covering",
-    "evaluate",
     "filter_non_extensions",
     "fingerprint",
     "load_cache",
@@ -39,7 +38,6 @@ PUBLIC = [
     "mask_to_names",
     "minimal_descriptions",
     "minimal_dnf",
-    "names_to_mask",
     "oracle_reducts",
     "positive_region",
     "regions",
