@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .bitset import bits, full_mask
 from .errors import UncoveredObject
-from .model import CoveringDecisionSystem, union_of_coverings
+from .model import CoveringDecisionSystem
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def positive_region(system: CoveringDecisionSystem) -> tuple[tuple[int, ...], in
 def regions(system: CoveringDecisionSystem) -> RegionReport:
     """Full region report; consistency holds iff positive == universe."""
     lower, pos = positive_region(system)
-    blocks = [b for b, _ in union_of_coverings(system)]
+    blocks = [b for cov in system.coverings for b in cov.blocks]
     md = minimal_descriptions(blocks, system.universe_size)
     upper = tuple(third_upper(md, cls) for cls in system.decision.classes)
     upper_union = 0

@@ -56,6 +56,11 @@ class BenchConfig:
         bad = [u for u in cfg.updates if u not in ("add", "delete")]
         if bad:
             raise ValidationError(f"unknown update kinds: {bad}")
+        if "delete" in cfg.updates and any(m < 2 for m in cfg.covering_counts):
+            raise ValidationError(
+                "covering_counts: a delete update needs at least 2 coverings, "
+                f"got {list(cfg.covering_counts)}"
+            )
         return cfg
 
 

@@ -39,8 +39,6 @@ EXIT_INVALID = 1
 EXIT_ENGINE = 2
 EXIT_MISMATCH = 3
 
-log = logging.getLogger(__name__)
-
 
 def _print_reducts(reduct_set) -> None:
     for names in reduct_set.sorted_name_lists():

@@ -93,11 +93,22 @@ def _index_list(raw: Any, where: str) -> tuple[int, ...]:
 
 
 def decode_json(text: str) -> Any:
-    """``json.loads``, raising a syntax error as ParseError with its line and column."""
+    """``json.loads``, raising a syntax error as ParseError with its line and
+    column, and nesting too deep for the decoder as ParseError too."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
+
+
+def _object_names(names: Any, size: int) -> list[str]:
+    """``names`` if it is a list of ``size`` strings, else ParseError."""
+    strings = isinstance(names, list) and all(isinstance(s, str) for s in names)
+    _expect(strings, "object_names: expected a list of strings")
+    _expect(len(names) == size, f"object_names: {len(names)} names for {size} objects")
+    return names
 
 
 def _named_blocks(entry: dict, where: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
@@ -130,13 +141,8 @@ def load_system(text: str) -> CoveringDecisionSystem:
     raw_decision = data.get("decision")
     _expect(isinstance(raw_decision, list), "decision: expected a list")
     decision = [_index_list(c, f"decision[{j}]") for j, c in enumerate(raw_decision)]
-    names = data.get("object_names")
-    if names is not None:
-        _expect(
-            isinstance(names, list) and all(isinstance(s, str) for s in names),
-            "object_names: expected a list of strings",
-        )
-        _expect(len(names) == size, "object_names: length must equal universe_size")
+    if data.get("object_names") is not None:
+        _object_names(data["object_names"], size)
     return build_system(size, coverings, decision)
 
 
@@ -150,14 +156,7 @@ def serialize_system(
     """
     doc: dict[str, Any] = {"universe_size": system.universe_size}
     if object_names is not None:
-        names = list(object_names)
-        if not all(isinstance(s, str) for s in names):
-            raise ValidationError("object_names: expected a list of strings")
-        if len(names) != system.universe_size:
-            raise ValidationError(
-                f"object_names: {len(names)} names for {system.universe_size} objects"
-            )
-        doc["object_names"] = names
+        doc["object_names"] = _object_names(list(object_names), system.universe_size)
     doc["coverings"] = [
         {"name": c.name, "blocks": sorted(to_indices(b) for b in c.blocks)}
         for c in system.coverings

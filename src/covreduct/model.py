@@ -8,6 +8,10 @@ the way in, so downstream code can assume the structural invariants:
 * each covering's blocks are pairwise distinct and union to the universe
 * decision classes are non-empty, pairwise disjoint, and union to the universe
 * covering names are unique and there is at least one covering
+
+A covering or decision that misses objects names the first ten and counts
+the rest, as in ``does not cover objects [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+and 999989 more``; the report builds no universe-sized int or list.
 """
 
 import functools
@@ -18,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitset import flags, full_mask, to_indices
+from .bitset import flags, full_mask
 from .errors import (
     CoverageGap,
     DecisionNotPartition,
@@ -200,10 +204,19 @@ def _check_covering(name: str, blocks: Sequence[int], n: int) -> None:
     ordered = sorted(blocks)
     if ordered[0] <= 0 or ordered[-1] >> n or any(map(operator.eq, ordered, ordered[1:])):
         _name_block_fault(name, blocks, n)
-    union = functools.reduce(operator.or_, blocks)
-    if union != full_mask(n):
-        missing = to_indices(full_mask(n) & ~union)
-        raise CoverageGap(f"covering {name!r} does not cover objects {missing}")
+    if gap := _uncovered(functools.reduce(operator.or_, blocks), n):
+        raise CoverageGap(f"covering {name!r} does not cover {gap}")
+
+
+def _uncovered(union: int, n: int) -> str:
+    """The objects of [0, n) missing from ``union``, a mask below 2**n: the
+    first ten, peeled off ``~union``, and how many more; "" if none."""
+    count, shown, gaps = n - union.bit_count(), [], ~union
+    while len(shown) < min(count, 10):
+        shown.append((gaps & -gaps).bit_length() - 1)
+        gaps &= gaps - 1
+    more = f" and {count - 10} more" if count > 10 else ""
+    return f"objects {shown}{more}" if count else ""
 
 
 def _name_block_fault(name: str, blocks: Sequence[int], n: int) -> None:
@@ -242,9 +255,8 @@ def make_decision(classes: Iterable[BlockInput], universe_size: int) -> Decision
         if cls & union:
             raise DecisionNotPartition(f"decision class {j} overlaps an earlier class")
         union |= cls
-    if union != full_mask(universe_size):
-        missing = to_indices(full_mask(universe_size) & ~union)
-        raise DecisionNotPartition(f"decision classes do not cover objects {missing}")
+    if gap := _uncovered(union, universe_size):
+        raise DecisionNotPartition(f"decision classes do not cover {gap}")
     return DecisionPartition(masks)
 
 
@@ -279,16 +291,11 @@ def union_of_coverings(system: CoveringDecisionSystem) -> list[tuple[int, tuple[
     blocks in covering order); equal blocks from several coverings are merged
     into one entry whose contributor tuple follows declaration order.
     """
-    order: list[int] = []
     contributors: dict[int, list[str]] = {}
     for cov in system.coverings:
         for b in cov.blocks:
-            if b not in contributors:
-                contributors[b] = []
-                order.append(b)
-            if cov.name not in contributors[b]:
-                contributors[b].append(cov.name)
-    return [(b, tuple(contributors[b])) for b in order]
+            contributors.setdefault(b, []).append(cov.name)
+    return [(b, tuple(names)) for b, names in contributors.items()]
 
 
 def _encode_name(name: str) -> bytes:

@@ -402,8 +402,9 @@ def test_bench_writes_csv_to_out(capsys, tmp_path):
 
 
 # Each config and the field its error line must name.  Zero sizes once
-# crashed in randrange, a string grid in int arithmetic, and zero decision
-# classes silently ran with one class.
+# crashed in randrange, a string grid in int arithmetic, zero decision
+# classes silently ran with one class, and one covering (with the default
+# delete update) failed only after the CSV header was written.
 BAD_BENCH_CONFIGS = [
     ('{"trials": 0}', "trials"),
     ('{"universe_sizes": [0]}', "universe_sizes"),
@@ -415,6 +416,7 @@ BAD_BENCH_CONFIGS = [
     ('{"blocks_per_covering": -1}', "blocks_per_covering"),
     ('{"updates": "add"}', "updates"),
     ('{"updates": [["add"]]}', "update"),
+    ('{"covering_counts": [1]}', "covering_counts"),
 ]
 
 
@@ -426,3 +428,8 @@ def test_bench_bad_config(capsys, tmp_path):
         assert (code, out) == (1, ""), text
         assert err.startswith("error: ") and field in err.splitlines()[0], (text, err)
         assert "Traceback" not in err
+
+
+def test_bench_config_allows_one_covering_without_delete():
+    config = BenchConfig.from_json('{"covering_counts": [1], "updates": ["add"]}')
+    assert config.covering_counts == (1,)

@@ -70,12 +70,22 @@ def test_serialize_rejects_object_names_load_would_reject(consistent8, names, me
 
 
 def test_gap_in_a_million_object_covering_is_reported_quickly():
-    # The message lists every uncovered object; listing them is one pass.
+    # The message names the first ten uncovered objects and counts the rest,
+    # so its length does not grow with the universe.
     doc = {"universe_size": 10**6, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [[0]]}
     start = time.perf_counter()
-    with pytest.raises(CoverageGap, match=r"covering 'C' does not cover objects \[1, 2, "):
+    with pytest.raises(CoverageGap, match=r"covering 'C' does not cover objects \[1, 2, ") as err:
         cr.load_system(json.dumps(doc))
     assert time.perf_counter() - start < 20
+    assert len(str(err.value)) < 200
+
+
+def test_gap_in_a_huge_universe_is_rejected_without_building_it():
+    doc = {"universe_size": 10**18, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [[0]]}
+    start = time.perf_counter()
+    with pytest.raises(CoverageGap, match=r"and 999999999999999989 more$"):
+        cr.load_system(json.dumps(doc))
+    assert time.perf_counter() - start < 1
 
 
 def test_load_rejects_decision_overlap():
@@ -134,6 +144,14 @@ def test_cache_parse_error():
         cr.load_cache('{"fingerprint": "x"}')
 
 
+# Each invalid text and the message every reader must raise for it.  The
+# deep one once escaped as a bare RecursionError from the decoder.
+INVALID_JSON = [
+    ('{\n  "name": }', "invalid JSON at line 2, column 11"),
+    ("[" * 200000, "invalid JSON: arrays and objects nest too deeply"),
+]
+
+
 @pytest.mark.parametrize(
     "read",
     [
@@ -146,8 +164,9 @@ def test_cache_parse_error():
     ids=["document", "covering", "spec", "cache", "bench-config"],
 )
 def test_every_reader_locates_invalid_json(read):
-    with pytest.raises(ParseError, match="invalid JSON at line 2, column 11"):
-        read('{\n  "name": }')
+    for text, message in INVALID_JSON:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read(text)
 
 
 def _fields(text: str, width: int) -> list[int]:

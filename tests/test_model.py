@@ -1,6 +1,7 @@
 import functools
 import operator
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -272,7 +273,8 @@ def _reference_check_covering(name, blocks, n):
         union |= b
     if union != (1 << n) - 1:
         missing = to_indices((1 << n) - 1 & ~union)
-        raise CoverageGap(f"covering {name!r} does not cover objects {missing}")
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise CoverageGap(f"covering {name!r} does not cover objects {missing[:10]}{more}")
 
 
 def _outcome(check, blocks, n):
@@ -361,3 +363,11 @@ def test_check_covering_accepts_two_thousand_singletons():
     random.Random(5).shuffle(blocks)
     model._check_covering("KEY", tuple(blocks), n)
     assert cr.make_covering("KEY", [[x] for x in range(n)], n).blocks == tuple(1 << x for x in range(n))
+
+
+def test_decision_gap_in_a_huge_universe_is_rejected_without_building_it():
+    start = time.perf_counter()
+    with pytest.raises(DecisionNotPartition, match=r"do not cover objects \[1, 2, ") as err:
+        model.make_decision([[0]], 10**18)
+    assert time.perf_counter() - start < 1
+    assert len(str(err.value)) < 200
