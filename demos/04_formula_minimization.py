@@ -33,11 +33,13 @@ clauses = [
     term("C1", "C2", "C4", "C5"),
     term("C2", "C4"),
 ]
+cnf = MonotoneFormula("cnf", frozenset(clauses), NAMES)
+# absorb works on the formula's word rows, one row per term.
+absorbed = MonotoneFormula.from_rows("cnf", cr.absorb(cnf.rows), NAMES)
 print("clauses:         ", [sorted(cr.mask_to_names(NAMES, c)) for c in clauses])
-print("after absorption:", [sorted(cr.mask_to_names(NAMES, c)) for c in sorted(cr.absorb(clauses))])
+print("after absorption:", [sorted(cr.mask_to_names(NAMES, c)) for c in sorted(absorbed.terms)])
 print()
 
-cnf = MonotoneFormula("cnf", frozenset(clauses), NAMES)
 dnf = cr.minimal_dnf(cnf)
 print("CNF:", pretty(cnf, " or "))
 print("DNF:", pretty(dnf, " and "))

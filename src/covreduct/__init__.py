@@ -22,7 +22,6 @@ from .approximation import (
 from .boolformula import (
     MonotoneFormula,
     absorb,
-    filter_non_extensions,
     mask_to_names,
     minimal_dnf,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "classify_consistency",
     "coverize",
     "delete_covering",
-    "filter_non_extensions",
     "fingerprint",
     "load_cache",
     "load_system",

@@ -28,8 +28,8 @@ sized so that a step touches at most ``CHUNK_CELLS`` words, so temporaries
 stay small whatever the term counts.  At W = 1 a word column is the flat
 uint64 vector of the terms, so one-word formulas run plain vector
 arithmetic.  A ``MonotoneFormula`` stores its terms in this layout only
-(its int masks are a view built on demand), and the engine keeps related
-sets, clauses and reducts in it between calls.
+(its int masks are a view built on demand), every operator here takes and
+returns it, and the engine keeps related sets, clauses and reducts in it.
 """
 
 from functools import cached_property
@@ -139,6 +139,15 @@ def _frozen_rows(rows: np.ndarray, n_vars: int, what: str) -> np.ndarray:
     return rows
 
 
+def _word_rows(rows: np.ndarray, width: int | None = None) -> np.ndarray:
+    """``rows``, or a sequence of 1-D rows, as a 2-D uint64 array ``width`` words wide."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    rows = rows.reshape(0, width) if width and not rows.size else rows
+    if rows.ndim != 2 or width not in (None, rows.shape[1]):
+        raise ValueError(f"expected (k, {width or 'W'}) word rows, got shape {rows.shape}")
+    return rows
+
+
 def _row_ints(rows: np.ndarray) -> list[int]:
     """The terms of a word array as ints, in row order."""
     # One tolist() per word column and one combining pass per extra word:
@@ -242,14 +251,15 @@ def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return found[: len(a)]
 
 
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct ``rows`` that contain no other row.
+def absorb(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a ``(k, W)`` word array that contain no other row
+    (absorption to an antichain), in ascending popcount, then value, order.
 
     The rows of the lowest popcount left contain no other row left, so they
     are kept and every row containing one of them is dropped, one level at
     a time.
     """
-    rows = _unique_rows(rows)
+    rows = _unique_rows(_word_rows(rows))
     counts = _popcounts(rows)
     order = np.argsort(counts, kind="stable")
     rows, counts = rows[order], counts[order]
@@ -261,14 +271,6 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
         left = ~_contains_subset(rows, level)
         rows, counts = rows[left], counts[left]
     return kept
-
-
-def absorb(terms: Iterable[int]) -> frozenset[int]:
-    """Reduce a term collection to an antichain by dropping every strict
-    superset of another term (absorption of CNF clauses and DNF implicants).
-    """
-    terms = list(terms)
-    return _unpack(_minimal_rows(_pack(terms, max(terms, default=0).bit_length())))
 
 
 def minimal_dnf(
@@ -297,7 +299,7 @@ def minimal_dnf(
     if start is None:
         start = np.zeros((1, word_count(n_vars)), dtype=np.uint64)
     start = _frozen_rows(start, n_vars, "start")
-    clauses = _minimal_rows(cnf.rows)
+    clauses = absorb(cnf.rows)
     if len(clauses) and not clauses[0].any():
         raise ValueError("monotone CNF must not contain an empty clause")
     rows = _expand(start, clauses, n_vars, max_terms)
@@ -334,16 +336,15 @@ def _expand(
     return implicants
 
 
-def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) -> frozenset[int]:
-    """Drop candidates that strictly contain an existing term.
+def filter_non_extensions(candidates: np.ndarray, existing: np.ndarray) -> np.ndarray:
+    """The distinct candidate rows that strictly contain no existing row, ascending.
 
-    Candidates equal to an existing term survive: only strict inclusion of
-    an existing term disqualifies an extension.
+    Both are word arrays of one width.  Candidates equal to an existing row
+    survive: only strict inclusion of an existing term disqualifies an
+    extension.
     """
-    candidates, existing = list(candidates), list(existing)
-    n_vars = max(max(candidates, default=0), max(existing, default=0)).bit_length()
-    cand = _unique_rows(_pack(candidates, n_vars))
-    exist = _pack(existing, n_vars)
+    cand = _unique_rows(_word_rows(candidates))
+    exist = _word_rows(existing, cand.shape[1])
     # A term sits strictly inside a candidate iff it sits inside it and has
     # a lower popcount, so each candidate level meets only the lower terms.
     counts = _popcounts(exist)
@@ -355,7 +356,7 @@ def filter_non_extensions(candidates: Iterable[int], existing: Iterable[int]) ->
         at_level = cand_counts == level
         lower = exist[: np.searchsorted(exist_counts, level)]
         keep[at_level] = ~_contains_subset(cand[at_level], lower)
-    return _unpack(cand[keep])
+    return cand[keep]
 
 
 def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:

@@ -9,7 +9,8 @@ Commands::
     covreduct coverize <csv> --spec <spec> -o <out>
 
 Exit codes: 0 success, 1 validation/parse error, 2 engine error,
-3 verification mismatch.  Set COVREDUCT_LOG_LEVEL to adjust verbosity.
+3 verification mismatch.  Set COVREDUCT_LOG_LEVEL (a logging level name, in
+any case) to adjust verbosity.
 """
 
 import argparse
@@ -172,7 +173,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("COVREDUCT_LOG_LEVEL", "WARNING"))
+    level = os.environ.get("COVREDUCT_LOG_LEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: COVREDUCT_LOG_LEVEL={level!r} is not a logging level", file=sys.stderr)
+        return EXIT_INVALID
+    logging.basicConfig(level=level.upper())
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)

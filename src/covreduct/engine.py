@@ -39,9 +39,8 @@ Every returned ReductSet is an antichain of sub-families that preserve the
 positive region and contain no superfluous covering.  Related sets, CNF
 clauses and reducts stay ``(k, W)`` word arrays: a CNF selects related rows,
 batch keeps the rows ``minimal_dnf`` returns, a delete selects or strips
-the cached rows, an add widens them and appends its new terms.  Only the
-add filter and the shrinking delete's ``absorb`` take ints, as
-``perfbench/spans.py`` wraps those calls and reads their arguments.
+the cached rows, an add widens them and appends its new terms, and the add
+filter and the shrinking delete's ``absorb`` take and return rows too.
 ``ReductSet.reducts`` materializes the int masks for callers that ask.
 """
 
@@ -120,6 +119,14 @@ class ReductionCache:
     fingerprint: str
     related: RelatedFamily
     reducts: ReductSet
+
+    def __post_init__(self) -> None:
+        # Both index coverings by position, so they must list the same ones.
+        if self.related.covering_names != self.reducts.covering_names:
+            raise ValueError(
+                f"cache related sets list coverings {self.related.covering_names}, "
+                f"its reducts {self.reducts.covering_names}"
+            )
 
     @cached_property
     def positive(self) -> int:
@@ -225,9 +232,8 @@ def add_covering(
             # can absorb that term (see the module docstring).
             old = _widen(cache.reducts.rows, m_plus)
             stripped = expansion.rows & ~new_bit
-            absorbers = _row_ints(stripped[_rows_in(stripped, old)])
-            added = filter_non_extensions(expansion.terms, absorbers)
-            reducts_plus = np.concatenate((old, _pack(added, m_plus)))
+            added = filter_non_extensions(expansion.rows, stripped[_rows_in(stripped, old)])
+            reducts_plus = np.concatenate((old, added))
         else:
             # The positive region grew, so some object is resolved only by
             # the new covering: every reduct must contain it and the old
@@ -272,8 +278,7 @@ def delete_covering(
         # The stripped reducts, the minimal hitting sets of the clauses
         # without d; absorbing them keeps the continuation's start an
         # antichain.
-        stripped = _row_ints(drop_variable(old, idx)[:, :width])
-        reducts_minus = _pack(absorb(stripped), len(names_minus))
+        reducts_minus = absorb(drop_variable(old, idx)[:, :width])
         had_d = cache.related.rows[:, word] & bit != 0
         residual = rows_minus[had_d & rows_minus.any(axis=1)]
         if not hits_all(reducts_minus, residual):

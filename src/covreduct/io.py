@@ -66,7 +66,7 @@ from typing import Any, Mapping, Sequence, Union
 import numpy as np
 
 from .bitset import to_indices
-from .boolformula import _minimal_rows, _sorted_rows, _unique_rows, word_count
+from .boolformula import _sorted_rows, _unique_rows, absorb, word_count
 from .engine import ReductionCache, ReductSet
 from .errors import ParseError, ValidationError
 from .model import (
@@ -88,7 +88,8 @@ def _expect(cond: bool, msg: str) -> None:
 def _index_list(raw: Any, where: str) -> tuple[int, ...]:
     _expect(isinstance(raw, list), f"{where}: expected a list of indices")
     for v in raw:
-        _expect(isinstance(v, int) and not isinstance(v, bool), f"{where}: bad index {v!r}")
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"{where}: bad index {v!r}")
     return tuple(raw)
 
 
@@ -407,7 +408,7 @@ def load_cache(text: str) -> ReductionCache:
     reducts = _decode_rows(data["reducts"], width, len(names), "reducts")
     _expect(len(reducts) > 0, "reducts: a cache holds at least one reduct")
     _expect(len(_unique_rows(reducts)) == len(reducts), "reducts: duplicate reduct")
-    _expect(len(_minimal_rows(reducts)) == len(reducts), "reducts: one reduct contains another")
+    _expect(len(absorb(reducts)) == len(reducts), "reducts: one reduct contains another")
     _expect(
         data["digest"] == _digest(data["fingerprint"], names, data["related"], data["reducts"]),
         "digest: does not match the cache content; "

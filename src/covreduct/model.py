@@ -17,6 +17,7 @@ and 999989 more``; the report builds no universe-sized int or list.
 import functools
 import hashlib
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -180,12 +181,16 @@ class CoveringDecisionSystem:
 
 
 def _block_mask(block: BlockInput, n: int, where: str) -> int:
-    m = 0
-    for i in block:
+    indices = list(block)
+    for i in indices:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
             raise IndexOutOfRange(f"{where}: object index {i!r} outside [0, {n})")
-        m |= 1 << i
-    return m
+    # A byte buffer as long as the largest index needs: an int grown by |=
+    # would be copied once per index.
+    buf = bytearray(max(indices, default=-1) // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _check_covering(name: str, blocks: Sequence[int], n: int) -> None:
@@ -276,8 +281,7 @@ def build_system(
     covs = tuple(make_covering(name, blocks, universe_size) for name, blocks in coverings)
     if not covs:
         raise ValidationError("a system needs at least one covering")
-    names = [c.name for c in covs]
-    dupes = {n for n in names if names.count(n) > 1}
+    dupes = {n for n, k in Counter(c.name for c in covs).items() if k > 1}
     if dupes:
         raise DuplicateCoveringName(f"duplicate covering names: {sorted(dupes)}")
     part = make_decision(decision, universe_size)

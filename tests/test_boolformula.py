@@ -10,13 +10,13 @@ from covreduct import boolformula
 from covreduct.bench import BenchConfig, _generate
 from covreduct.boolformula import (
     MonotoneFormula,
-    _minimal_rows,
     _pack,
     _row_ints,
     _rows_in,
     _sorted_rows,
     _unpack,
     drop_variable,
+    filter_non_extensions,
     hits_all,
 )
 from covreduct.errors import TermBlowup
@@ -34,8 +34,18 @@ def named(formula: MonotoneFormula) -> frozenset[frozenset[str]]:
     return formula.term_name_sets()
 
 
+def absorbed(masks, m=len(NAMES6)):
+    """``absorb`` of int masks over m variables, read back as int masks."""
+    return _unpack(cr.absorb(_pack(masks, m)))
+
+
+def kept(candidates, existing, m=len(NAMES6)):
+    """``filter_non_extensions`` of int masks over m variables, read back as int masks."""
+    return _unpack(filter_non_extensions(_pack(candidates, m), _pack(existing, m)))
+
+
 def test_absorb_keeps_minimal_clauses():
-    got = cr.absorb(
+    got = absorbed(
         terms(
             ("C1", "C3", "C5"),
             ("C1", "C2", "C3", "C4", "C5"),
@@ -47,11 +57,11 @@ def test_absorb_keeps_minimal_clauses():
 
 
 def test_absorb_singleton_fixed_point():
-    assert cr.absorb(terms(("C1",))) == terms(("C1",))
+    assert absorbed(terms(("C1",))) == terms(("C1",))
 
 
 def test_absorb_drops_supersets():
-    got = cr.absorb(terms(("C1", "C2"), ("C1",), ("C2",)))
+    got = absorbed(terms(("C1", "C2"), ("C1",), ("C2",)))
     assert got == terms(("C1",), ("C2",))
 
 
@@ -187,19 +197,19 @@ def test_minimal_dnf_start_defaults_to_the_empty_implicant():
 def test_filter_non_extensions_drops_strict_supersets():
     candidates = terms(("C1", "C6"), ("C5", "C6"), ("C1", "C2", "C6"))
     existing = terms(("C1", "C2"))
-    got = cr.filter_non_extensions(candidates, existing)
+    got = kept(candidates, existing)
     assert got == terms(("C1", "C6"), ("C5", "C6"))
 
 
 def test_filter_non_extensions_empty_existing():
     candidates = terms(("C1",), ("C2", "C3"))
-    assert cr.filter_non_extensions(candidates, frozenset()) == candidates
+    assert kept(candidates, frozenset()) == candidates
 
 
 def test_filter_non_extensions_keeps_equal_terms():
     candidates = terms(("C1", "C2"))
     existing = terms(("C1", "C2"))
-    assert cr.filter_non_extensions(candidates, existing) == candidates
+    assert kept(candidates, existing) == candidates
 
 
 def test_term_blowup_guard():
@@ -250,7 +260,7 @@ def test_minimal_dnf_invariant_under_presentation():
             cr.minimal_dnf(MonotoneFormula("cnf", frozenset(duplicated), names)).terms
             == base.terms
         )
-        pre_absorbed = cr.absorb(clause_list)
+        pre_absorbed = absorbed(clause_list, len(names))
         assert (
             cr.minimal_dnf(MonotoneFormula("cnf", pre_absorbed, names)).terms
             == base.terms
@@ -287,7 +297,7 @@ def test_absorb_matches_subset_loop(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     terms = data.draw(term_lists(m))
     distinct = set(terms)
-    assert cr.absorb(terms) == {
+    assert absorbed(terms, m) == {
         t for t in distinct if not any(s != t and _inside(s, t) for s in distinct)
     }
 
@@ -299,8 +309,10 @@ def test_clause_rows_absorb_in_size_then_value_order(data):
     # product steps and where TermBlowup and the cell budget stop.
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     terms = data.draw(term_lists(m))
-    assert _row_ints(_minimal_rows(_pack(terms, m))) == sorted(
-        cr.absorb(terms), key=lambda c: (c.bit_count(), c)
+    distinct = set(terms)
+    minimal = {t for t in distinct if not any(s != t and _inside(s, t) for s in distinct)}
+    assert _row_ints(cr.absorb(_pack(terms, m))) == sorted(
+        minimal, key=lambda c: (c.bit_count(), c)
     )
 
 
@@ -312,7 +324,7 @@ def test_filter_non_extensions_matches_subset_loop(data):
     # Some existing terms equal candidates, which must survive.
     existing = data.draw(term_lists(m))
     existing += data.draw(st.lists(st.sampled_from(candidates or [0]), max_size=2))
-    assert cr.filter_non_extensions(candidates, existing) == {
+    assert kept(candidates, existing, m) == {
         c for c in candidates if not any(e != c and _inside(e, c) for e in existing)
     }
 
@@ -379,11 +391,33 @@ def test_row_matching_and_order_against_ints(data):
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)
 def test_kernel_users_on_empty_inputs(m):
     some = frozenset({1 << (m - 1), 0b11})
-    assert cr.absorb([]) == frozenset()
-    assert cr.filter_non_extensions([], some) == frozenset()
-    assert cr.filter_non_extensions(some, []) == some
+    width = boolformula.word_count(m)
+    assert cr.absorb(_pack([], m)).shape == (0, width)
+    assert kept([], some, m) == frozenset()
+    assert kept(some, [], m) == some
     names = tuple(f"V{i}" for i in range(m))
     assert cr.minimal_dnf(MonotoneFormula("cnf", frozenset(), names)).terms == frozenset({0})
+
+
+@pytest.mark.parametrize("m", KERNEL_WIDTHS)
+def test_row_operators_take_sequences_of_rows(m):
+    # A caller may hand the rows on one at a time, as a tuple of 1-D rows;
+    # an empty existing tuple then has no width of its own.
+    rows = _pack([1 << (m - 1), 0b11, 0b111], m)
+    assert np.array_equal(cr.absorb(tuple(rows)), cr.absorb(rows))
+    assert np.array_equal(filter_non_extensions(tuple(rows), ()), _sorted_rows(rows))
+    assert np.array_equal(
+        filter_non_extensions(tuple(rows), tuple(rows[1:2])),
+        filter_non_extensions(rows, rows[1:2]),
+    )
+    # Int masks are not rows.
+    with pytest.raises(ValueError, match="word rows"):
+        cr.absorb([0b11, 0b111])
+    with pytest.raises(ValueError, match="word rows"):
+        filter_non_extensions(rows, [0b11])
+    wider = np.zeros((1, rows.shape[1] + 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="word rows"):
+        filter_non_extensions(rows, wider)
 
 
 def test_term_blowup_guard_on_multiword_terms():

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,31 @@ def test_validate_ok(capsys, consistent8_file):
     code, out, _ = run(capsys, "validate", consistent8_file)
     assert code == 0
     assert "8 objects" in out and "consistent" in out
+
+
+def _cli_process(log_level, *argv):
+    """The CLI in a fresh interpreter, so that ``logging`` is not yet configured."""
+    src = str(Path(cr.__file__).parents[1])
+    env = dict(os.environ, COVREDUCT_LOG_LEVEL=log_level)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "covreduct.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_log_level_is_read_in_any_case(consistent8_file):
+    done = _cli_process("debug", "validate", consistent8_file)
+    assert done.returncode == 0, done.stderr
+    assert "8 objects" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_unknown_log_level_is_one_error_line(consistent8_file):
+    done = _cli_process("loud", "validate", consistent8_file)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["error: COVREDUCT_LOG_LEVEL='loud' is not a logging level"]
 
 
 def test_validate_bad_document(capsys, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import covreduct as cr
 from covreduct import engine
 from covreduct.bitset import to_indices
-from covreduct.boolformula import _pack, filter_non_extensions
+from covreduct.boolformula import _pack, _unpack, filter_non_extensions
 from covreduct.errors import (
     CoverageGap,
     DuplicateCoveringName,
@@ -302,6 +302,22 @@ def test_reordered_cache_rejected(consistent8, covering6):
         cr.delete_covering(reordered, cache, "C5")
     with pytest.raises(StaleCache):
         cr.add_covering(reordered, cache, covering6)
+
+
+def test_cache_whose_reducts_name_other_coverings_is_rejected():
+    # The fingerprint and related sets fit the system, but the reducts index
+    # three other coverings: updates from such a cache answer wrongly.
+    system = cr.build_system(
+        4,
+        [("C1", [[0, 1], [2], [3], [2, 3]]), ("C2", [[0], [1, 2], [3], [0, 3]])],
+        [[0, 1], [2, 3]],
+    )
+    _, cache = cr.batch_reducts(system)
+    other = cr.ReductSet(("X", "Y", "Z"), np.zeros((1, 1), dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"coverings \('C1', 'C2'\), its reducts \('X', 'Y', 'Z'\)"):
+        cr.ReductionCache(cache.fingerprint, cache.related, other)
+    with pytest.raises(ValueError, match="its reducts"):
+        dataclasses.replace(cache, reducts=other)
 
 
 def test_short_related_cache_rejected(inconsistent8, covering5):
@@ -749,13 +765,13 @@ def test_reducts_do_not_depend_on_covering_order(case):
 @pytest.fixture
 def filters(monkeypatch):
     """The candidates, the existing terms and the result of every
-    ``engine.filter_non_extensions`` call, as they happen."""
+    ``engine.filter_non_extensions`` call, as they happen, read from the
+    rows as sets of int masks."""
     calls = []
 
     def recording(candidates, existing):
-        candidates, existing = frozenset(candidates), frozenset(existing)
         kept = filter_non_extensions(candidates, existing)
-        calls.append((candidates, existing, kept))
+        calls.append((_unpack(candidates), _unpack(existing), _unpack(kept)))
         return kept
 
     monkeypatch.setattr(engine, "filter_non_extensions", recording)
@@ -795,7 +811,8 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters):
             stripped = {t & ~new_bit for t in candidates}
             inside = {p for p in old if any(p != t and p & ~t == 0 for t in candidates)}
             assert inside == old & stripped == narrowed
-            assert filter_non_extensions(candidates, old) == kept
+            m = len(grown.coverings)
+            assert _unpack(filter_non_extensions(_pack(candidates, m), _pack(old, m))) == kept
             if candidates == {new_bit}:
                 kind = "expansion is c"
             elif stripped == old:

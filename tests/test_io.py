@@ -80,6 +80,17 @@ def test_gap_in_a_million_object_covering_is_reported_quickly():
     assert len(str(err.value)) < 200
 
 
+def test_a_million_object_block_loads_in_linear_time():
+    n = 10**6
+    everything = list(range(n))
+    doc = {"universe_size": n, "coverings": [{"name": "C", "blocks": [everything]}], "decision": [everything]}
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    system = cr.load_system(text)
+    assert time.perf_counter() - start < 10
+    assert system.coverings[0].blocks == system.decision.classes == ((1 << n) - 1,)
+
+
 def test_gap_in_a_huge_universe_is_rejected_without_building_it():
     doc = {"universe_size": 10**18, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [[0]]}
     start = time.perf_counter()

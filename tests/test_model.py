@@ -365,6 +365,15 @@ def test_check_covering_accepts_two_thousand_singletons():
     assert cr.make_covering("KEY", [[x] for x in range(n)], n).blocks == tuple(1 << x for x in range(n))
 
 
+def test_a_repeated_name_among_twenty_thousand_coverings_is_found_quickly():
+    n = 4
+    coverings = [(f"C{j}", [range(n)]) for j in range(20_000)]
+    start = time.perf_counter()
+    with pytest.raises(DuplicateCoveringName, match=r"\['C7'\]$"):
+        cr.build_system(n, coverings + [("C7", [range(n)])], [range(n)])
+    assert time.perf_counter() - start < 3
+
+
 def test_decision_gap_in_a_huge_universe_is_rejected_without_building_it():
     start = time.perf_counter()
     with pytest.raises(DecisionNotPartition, match=r"do not cover objects \[1, 2, ") as err:

@@ -30,7 +30,6 @@ PUBLIC = [
     "classify_consistency",
     "coverize",
     "delete_covering",
-    "filter_non_extensions",
     "fingerprint",
     "load_cache",
     "load_system",
