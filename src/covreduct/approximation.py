@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .bitset import bits, full_mask
+from .bitset import full_mask, to_indices
 from .errors import UncoveredObject
 from .model import CoveringDecisionSystem
 
@@ -87,7 +87,7 @@ def third_lower(blocks: Sequence[int], target: int) -> int:
 def third_upper(md: MinimalDescriptionMap, target: int) -> int:
     """Union of the minimal-description blocks of the members of ``target``."""
     acc = 0
-    for x in bits(target):
+    for x in to_indices(target):
         for b in md.md[x]:
             acc |= b
     return acc

@@ -11,9 +11,10 @@ the way in, so downstream code can assume the structural invariants:
 
 A covering or decision that misses objects names the first ten and counts
 the rest, as in ``does not cover objects [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-and 999989 more``; the report builds no universe-sized int or list.
+and 999989 more``, read from the union's lowest popcount + 10 bits.
 """
 
+import bisect
 import functools
 import hashlib
 import operator
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitset import flags, full_mask
+from .bitset import flags, full_mask, mask_of, to_indices
 from .errors import (
     CoverageGap,
     DecisionNotPartition,
@@ -180,22 +181,37 @@ class CoveringDecisionSystem:
         return child
 
 
-def _block_mask(block: BlockInput, n: int, where: str) -> int:
+def _checked_indices(block: BlockInput, n: int, where: str) -> list[int]:
     indices = list(block)
     for i in indices:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
             raise IndexOutOfRange(f"{where}: object index {i!r} outside [0, {n})")
-    # A byte buffer as long as the largest index needs: an int grown by |=
-    # would be copied once per index.
-    buf = bytearray(max(indices, default=-1) // 8 + 1)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+    return indices
 
 
-def _check_covering(name: str, blocks: Sequence[int], n: int) -> None:
+def _masks(
+    inputs: Iterable[BlockInput], n: int, where: str
+) -> tuple[tuple[int, ...], list[int] | None]:
+    """The masks of the index lists ``inputs`` (list k named ``{where} k``);
+    or, when they hold fewer than ``n`` entries and so cannot cover [0, n),
+    their masks over the ranks of their distinct entries, and those entries
+    ascending.  Ranks keep empty, equal and overlapping lists so, and no
+    mask is wider than the entry count; the caller's coverage check then
+    always fails, so rank masks never reach a system."""
+    lists = [_checked_indices(xs, n, f"{where} {k}") for k, xs in enumerate(inputs)]
+    if sum(map(len, lists)) >= n:
+        return tuple(map(mask_of, lists)), None
+    objects = sorted(set().union(*lists))
+    rank = {x: r for r, x in enumerate(objects)}
+    return tuple(mask_of([rank[x] for x in xs]) for xs in lists), objects
+
+
+def _check_covering(
+    name: str, blocks: Sequence[int], n: int, objects: list[int] | None = None
+) -> None:
     """Reject a covering with an empty, out-of-range or repeated block, or
-    one whose blocks miss an object.
+    one whose blocks miss an object; blocks over the ranks of ``objects``
+    (see ``_masks``) miss every object of [0, n) outside it.
 
     The blocks are sorted once as ints, so an empty or negative block comes
     first, the widest block last and equal blocks side by side: the first
@@ -209,19 +225,24 @@ def _check_covering(name: str, blocks: Sequence[int], n: int) -> None:
     ordered = sorted(blocks)
     if ordered[0] <= 0 or ordered[-1] >> n or any(map(operator.eq, ordered, ordered[1:])):
         _name_block_fault(name, blocks, n)
-    if gap := _uncovered(functools.reduce(operator.or_, blocks), n):
+    if gap := _uncovered(functools.reduce(operator.or_, blocks), n, objects):
         raise CoverageGap(f"covering {name!r} does not cover {gap}")
 
 
-def _uncovered(union: int, n: int) -> str:
-    """The objects of [0, n) missing from ``union``, a mask below 2**n: the
-    first ten, peeled off ``~union``, and how many more; "" if none."""
-    count, shown, gaps = n - union.bit_count(), [], ~union
-    while len(shown) < min(count, 10):
-        shown.append((gaps & -gaps).bit_length() - 1)
-        gaps &= gaps - 1
+def _uncovered(union: int, n: int, objects: list[int] | None = None) -> str:
+    """The objects of [0, n) missing from ``union``, a mask below 2**n or,
+    given ``objects``, over their ranks: the first ten, read below
+    popcount(union) + 10 (the j-th lies below popcount(union) + j), and how
+    many more; "" if none."""
+    count = n - union.bit_count()
+    if not count:
+        return ""
+    width = min(n, n - count + 10)
+    if objects is not None:
+        union = mask_of(objects[: bisect.bisect_left(objects, width)])
+    window = full_mask(width)
     more = f" and {count - 10} more" if count > 10 else ""
-    return f"objects {shown}{more}" if count else ""
+    return f"objects {to_indices(union & window ^ window)[:10]}{more}"
 
 
 def _name_block_fault(name: str, blocks: Sequence[int], n: int) -> None:
@@ -240,19 +261,14 @@ def _name_block_fault(name: str, blocks: Sequence[int], n: int) -> None:
 
 def make_covering(name: str, blocks: Iterable[BlockInput], universe_size: int) -> Covering:
     """Build and validate a single covering from index lists."""
-    masks = tuple(
-        _block_mask(b, universe_size, f"covering {name!r}, block {k}")
-        for k, b in enumerate(blocks)
-    )
-    _check_covering(name, masks, universe_size)
+    masks, objects = _masks(blocks, universe_size, f"covering {name!r}, block")
+    _check_covering(name, masks, universe_size, objects)
     return Covering(name, masks)
 
 
 def make_decision(classes: Iterable[BlockInput], universe_size: int) -> DecisionPartition:
     """Build and validate a decision partition from index lists."""
-    masks = tuple(
-        _block_mask(c, universe_size, f"decision class {j}") for j, c in enumerate(classes)
-    )
+    masks, objects = _masks(classes, universe_size, "decision class")
     union = 0
     for j, cls in enumerate(masks):
         if cls == 0:
@@ -260,7 +276,7 @@ def make_decision(classes: Iterable[BlockInput], universe_size: int) -> Decision
         if cls & union:
             raise DecisionNotPartition(f"decision class {j} overlaps an earlier class")
         union |= cls
-    if gap := _uncovered(union, universe_size):
+    if gap := _uncovered(union, universe_size, objects):
         raise DecisionNotPartition(f"decision classes do not cover {gap}")
     return DecisionPartition(masks)
 

@@ -65,10 +65,10 @@ def random_decision(
     # Pin one object per class so no class comes out empty.
     for cls, x in enumerate(rng.sample(range(n), k)):
         color[x] = cls
-    masks = [0] * k
+    members: list[list[int]] = [[] for _ in range(k)]
     for x, cls in enumerate(color):
-        masks[cls] |= 1 << x
-    return DecisionPartition(tuple(masks))
+        members[cls].append(x)
+    return DecisionPartition(tuple(map(mask_of, members)))
 
 
 def random_system(

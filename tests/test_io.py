@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ def test_gap_in_a_huge_universe_is_rejected_without_building_it():
     with pytest.raises(CoverageGap, match=r"and 999999999999999989 more$"):
         cr.load_system(json.dumps(doc))
     assert time.perf_counter() - start < 1
+
+
+def test_one_high_index_is_rejected_without_building_its_mask():
+    # The covering's lists hold one entry, too few to cover 10**9 + 1
+    # objects, so no mask as wide as object 10**9 is built.
+    doc = {"universe_size": 10**9 + 1, "coverings": [{"name": "C", "blocks": [[10**9]]}], "decision": [[10**9]]}
+    message = r"^covering 'C' does not cover objects \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\] and 999999990 more$"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CoverageGap, match=message):
+            cr.load_system(json.dumps(doc))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 8 * 2**20
 
 
 def test_load_rejects_decision_overlap():

@@ -380,3 +380,84 @@ def test_decision_gap_in_a_huge_universe_is_rejected_without_building_it():
         model.make_decision([[0]], 10**18)
     assert time.perf_counter() - start < 1
     assert len(str(err.value)) < 200
+
+
+def test_decision_naming_one_high_object_is_rejected_without_building_its_mask():
+    start = time.perf_counter()
+    with pytest.raises(DecisionNotPartition, match=r"\[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\] and 999999999990 more$"):
+        model.make_decision([[10**12]], 10**12 + 1)
+    assert time.perf_counter() - start < 1
+
+
+def _reference_gap(union, n):
+    missing = to_indices((1 << n) - 1 & ~union)
+    more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+    return f"objects {missing[:10]}{more}" if missing else ""
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 10**6])
+def test_gap_report_matches_the_full_complement(n):
+    rng = random.Random(f"gap:{n}")
+    full = (1 << n) - 1
+    unions = [0, full, full >> 1, full ^ 1, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
+    for _ in range(20):
+        # Sparse unions high in the universe leave every low object missing.
+        high = [rng.randrange(max(0, n - 64), n) for _ in range(rng.randint(1, 5))]
+        unions.append(mask_of(high))
+        unions.append(full & ~mask_of(rng.sample(range(n), min(n, rng.randint(1, 15)))))
+    for union in unions:
+        assert model._uncovered(union, n) == _reference_gap(union, n)
+
+
+def _reference_make_covering(name, lists, n):
+    """Index checks, then the full-width masks through the per-block loop."""
+    for k, xs in enumerate(lists):
+        for i in xs:
+            if not 0 <= i < n:
+                raise IndexOutOfRange(f"covering {name!r}, block {k}: object index {i!r} outside [0, {n})")
+    _reference_check_covering(name, tuple(mask_of(xs) for xs in lists), n)
+
+
+def _reference_make_decision(lists, n):
+    for j, xs in enumerate(lists):
+        for i in xs:
+            if not 0 <= i < n:
+                raise IndexOutOfRange(f"decision class {j}: object index {i!r} outside [0, {n})")
+    union = 0
+    for j, cls in enumerate(mask_of(xs) for xs in lists):
+        if cls == 0:
+            raise DecisionNotPartition(f"decision class {j} is empty")
+        if cls & union:
+            raise DecisionNotPartition(f"decision class {j} overlaps an earlier class")
+        union |= cls
+    if gap := _reference_gap(union, n):
+        raise DecisionNotPartition(f"decision classes do not cover {gap}")
+
+
+def _random_lists(rng, n):
+    """Index lists with as many entries as objects or fewer, and at random an
+    empty list, a repeated list or an index past the universe."""
+    lists = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.3:
+        lists.append(sorted(set(range(n)) - {x for xs in lists for x in xs}))
+    for fault, add in (("empty", []), ("repeat", None), ("range", [n + rng.randrange(3)])):
+        if rng.random() < 0.2 and (add is not None or lists):
+            lists.insert(rng.randint(0, len(lists)), add if add is not None else list(rng.choice(lists)))
+    return lists
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 40, 65])
+def test_short_index_lists_fail_as_full_width_masks_would(n):
+    """Lists with fewer entries than objects are checked over the ranks of
+    their entries; the exception and message are those of full-width masks."""
+    rng = random.Random(f"short:{n}")
+    seen = Counter()
+    for _ in range(300):
+        lists = _random_lists(rng, n)
+        expected = _outcome(_reference_make_covering, lists, n)
+        assert _outcome(cr.make_covering, lists, n) == expected
+        seen[sum(map(len, lists)) < n, expected and expected[0]] += 1
+        expected = _outcome(lambda _, ls, size: _reference_make_decision(ls, size), lists, n)
+        assert _outcome(lambda _, ls, size: model.make_decision(ls, size), lists, n) == expected
+    faults = {EmptyBlock, IndexOutOfRange, DuplicateBlock, CoverageGap}
+    assert n == 1 or {fault for short, fault in seen if short} == faults

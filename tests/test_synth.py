@@ -72,3 +72,23 @@ def test_random_decision_classes_nonempty():
 def test_unknown_block_style_rejected():
     with pytest.raises(ValueError):
         random_covering(random.Random(0), 5, "C", 3, style="hexagonal")
+
+
+# Fingerprints of subset-style systems as drawn before block and class
+# masks were packed by ``bitset.mask_of``: the same rng calls must keep
+# drawing the same systems.
+SUBSET_FINGERPRINTS = [
+    "8fd8f0cbdf300cb4",
+    "9c5791ed5eb18895",
+    "6d8f3daefd2b6caa",
+    "6892929ccb37ac98",
+    "c877edc46182c650",
+]
+
+
+def test_subset_systems_are_pinned_by_seed():
+    drawn = [
+        cr.fingerprint(random_system(random.Random(s), 60, 5, 8, 4, block_style="subset"))
+        for s in range(5)
+    ]
+    assert drawn == SUBSET_FINGERPRINTS
