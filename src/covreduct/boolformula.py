@@ -16,20 +16,21 @@ prefix (Berge), so an expansion can also continue from a known antichain:
 the minimal hitting sets of clauses already multiplied in, times the
 clauses that remain.
 
-Absorption, the product step, the filter of incremental adds and the
-survivor check of shrinking deletes are all quadratic in the term
-count (sets in the thousands are routine for dense systems), so they run on
-numpy, for any number of variables: a set of k terms over m variables is a
-``(k, W)`` uint64 array with W = ceil(m / 64) words per term, least
-significant word first.  One kernel, ``_contains_subset``, answers every
-"does some term of B sit inside this term of A" question.  It broadcasts
-chunks of the shorter set against the whole of the longer one, each chunk
-sized so that a step touches at most ``CHUNK_CELLS`` words, so temporaries
-stay small whatever the term counts.  At W = 1 a word column is the flat
-uint64 vector of the terms, so one-word formulas run plain vector
-arithmetic.  A ``MonotoneFormula`` stores its terms in this layout only
-(its int masks are a view built on demand), every operator here takes and
-returns it, and the engine keeps related sets, clauses and reducts in it.
+Absorption, the product step and the survivor check of shrinking deletes
+are all quadratic in the term count (sets in the thousands are routine
+for dense systems); the filter of incremental adds is an equality test.
+They run on numpy, for any number of variables: a set of k terms over m
+variables is a ``(k, W)`` uint64 array with W = ceil(m / 64) words per
+term, least significant word first.  One kernel, ``_contains_subset``,
+answers every "does some term of B sit inside this term of A" question.
+It broadcasts chunks of the shorter set against the whole of the longer
+one, each chunk sized so that a step touches at most ``CHUNK_CELLS``
+words, so temporaries stay small whatever the term counts.  At W = 1 a
+word column is the flat uint64 vector of the terms, so one-word formulas
+run plain vector arithmetic.  A ``MonotoneFormula`` stores its terms in
+this layout only (its int masks are a view built on demand), every
+operator here takes and returns it, and the engine keeps related sets,
+clauses and reducts in it.
 """
 
 from functools import cached_property
@@ -209,10 +210,6 @@ def _contains_subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return found
 
 
-def _popcounts(rows: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
-
-
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     """The rows in ascending order as integers (most significant word first)."""
     if rows.shape[1] == 1:
@@ -231,9 +228,9 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """For each row of ``a``: does it equal a row of ``b``?
 
-    The rows of each array must be distinct.  One word is a sort and a
-    binary search; wider rows sort both arrays together and pair equal
-    neighbours.
+    Rows may repeat in either array.  One word is a sort of ``b`` and a
+    binary search; wider rows sort both arrays together into runs of equal
+    rows, and a row of ``a`` is found when its run holds a row of ``b``.
     """
     if a.shape[1] == 1:
         keys = np.sort(b[:, 0])
@@ -241,14 +238,15 @@ def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         found = at < len(keys)
         found[found] = keys[at[found]] == a[found, 0]
         return found
-    both = np.concatenate((a, b))
+    both = np.concatenate((b, a))
     order = np.lexsort(both.T)
     ordered = both[order]
-    pairs = (ordered[1:] == ordered[:-1]).all(axis=1)
-    found = np.zeros(len(both), dtype=bool)
-    found[order[1:][pairs]] = True
-    found[order[:-1][pairs]] = True
-    return found[: len(a)]
+    fresh = np.ones(len(both), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    has_b = np.logical_or.reduceat(order < len(b), np.flatnonzero(fresh))  # per run
+    found = np.empty(len(both), dtype=bool)
+    found[order] = has_b[np.cumsum(fresh) - 1]
+    return found[len(b) :]
 
 
 def absorb(rows: np.ndarray) -> np.ndarray:
@@ -260,7 +258,7 @@ def absorb(rows: np.ndarray) -> np.ndarray:
     a time.
     """
     rows = _unique_rows(_word_rows(rows))
-    counts = _popcounts(rows)
+    counts = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
     order = np.argsort(counts, kind="stable")
     rows, counts = rows[order], counts[order]
     kept = rows[:0]
@@ -336,27 +334,25 @@ def _expand(
     return implicants
 
 
-def filter_non_extensions(candidates: np.ndarray, existing: np.ndarray) -> np.ndarray:
-    """The distinct candidate rows that strictly contain no existing row, ascending.
+def filter_non_extensions(
+    candidates: np.ndarray, existing: np.ndarray, bit: np.ndarray
+) -> np.ndarray:
+    """The candidate rows, in their order, that are not an existing row plus ``bit``.
 
-    Both are word arrays of one width.  Candidates equal to an existing row
-    survive: only strict inclusion of an existing term disqualifies an
-    extension.
+    ``bit`` is a one-row word array; the candidates and the existing rows
+    are word arrays of its width.  A candidate is dropped only when it holds
+    ``bit`` and, with ``bit`` cleared, equals an existing row.  Repeated
+    candidates and candidates without ``bit`` are kept as they come.  In an
+    add that keeps the positive region, with ``bit`` the new covering, the
+    dropped candidates are exactly the expansion terms that strictly
+    contain an old reduct (see the ``engine`` module docstring).
     """
-    cand = _unique_rows(_word_rows(candidates))
-    exist = _word_rows(existing, cand.shape[1])
-    # A term sits strictly inside a candidate iff it sits inside it and has
-    # a lower popcount, so each candidate level meets only the lower terms.
-    counts = _popcounts(exist)
-    order = np.argsort(counts)
-    exist, exist_counts = exist[order], counts[order]
-    cand_counts = _popcounts(cand)
-    keep = np.ones(len(cand), dtype=bool)
-    for level in np.unique(cand_counts):
-        at_level = cand_counts == level
-        lower = exist[: np.searchsorted(exist_counts, level)]
-        keep[at_level] = ~_contains_subset(cand[at_level], lower)
-    return cand[keep]
+    bit = _word_rows(bit)
+    cand = _word_rows(candidates, bit.shape[1])
+    exist = _word_rows(existing, bit.shape[1])
+    extends = (cand & bit == bit).all(axis=1)
+    extends[extends] = _rows_in(cand[extends] & ~bit, exist)
+    return cand[~extends]
 
 
 def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:

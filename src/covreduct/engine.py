@@ -10,14 +10,14 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 * add, positive region unchanged (always the case on a consistent base):
   expand  new AND (AND over x in POS outside the new covering's admissible
   union of OR r(x)),  then keep the expansion terms no existing reduct is a
-  strict subset of, and union them with the old reducts.  Only the old
-  reducts among the stripped terms can absorb: with c the new covering and
-  R those restricted related sets, the expansion is
-  {c + q : q a minimal hitting set of R}.  An old reduct p lacks c, so p
-  strictly inside c + q puts p inside q; p meets every clause of R (R is a
-  subset of the old clauses) and q is a minimal hitting set of R, so
-  p = q.  The filter therefore meets only the old reducts that equal some
-  term with c removed.
+  strict subset of, and union them with the old reducts.  That filter is
+  one equality test: with c the new covering and R those restricted
+  related sets, the expansion is {c + q : q a minimal hitting set of R}.
+  An old reduct p lacks c, so p strictly inside c + q puts p inside q; p
+  meets every clause of R (R is a subset of the old clauses) and q is a
+  minimal hitting set of R, so p = q.  Conversely an old reduct q sits
+  strictly inside c + q.  So a term c + q is dropped exactly when q is an
+  old reduct.
 * add, positive region grew: the same expansion IS the new reduct set (the
   handful of objects only the new covering resolves force it into every
   reduct, so no old reduct survives and no filtering applies).
@@ -57,7 +57,6 @@ from .boolformula import (
     _name_sets,
     _pack,
     _row_ints,
-    _rows_in,
     _sorted_rows,
     _unpack,
     absorb,
@@ -228,11 +227,10 @@ def add_covering(
         clauses = np.concatenate((related_plus.rows[restricted], new_bit))
         expansion = minimal_dnf(MonotoneFormula.from_rows("cnf", clauses, names_plus), max_terms)
         if pos_plus == cache.positive:
-            # Only an old reduct equal to a term with the new bit stripped
-            # can absorb that term (see the module docstring).
+            # An old reduct absorbs a term only when it is that term with
+            # the new bit cleared (see the module docstring).
             old = _widen(cache.reducts.rows, m_plus)
-            stripped = expansion.rows & ~new_bit
-            added = filter_non_extensions(expansion.rows, stripped[_rows_in(stripped, old)])
+            added = filter_non_extensions(expansion.rows, old, new_bit)
             reducts_plus = np.concatenate((old, added))
         else:
             # The positive region grew, so some object is resolved only by

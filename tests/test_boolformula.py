@@ -39,9 +39,17 @@ def absorbed(masks, m=len(NAMES6)):
     return _unpack(cr.absorb(_pack(masks, m)))
 
 
-def kept(candidates, existing, m=len(NAMES6)):
-    """``filter_non_extensions`` of int masks over m variables, read back as int masks."""
-    return _unpack(filter_non_extensions(_pack(candidates, m), _pack(existing, m)))
+def kept(candidates, existing, bit, m=len(NAMES6)):
+    """``filter_non_extensions`` of int masks over m variables, ``bit`` one
+    of them, read back as int masks in row order."""
+    rows = filter_non_extensions(_pack(candidates, m), _pack(existing, m), _pack([bit], m))
+    return _row_ints(rows)
+
+
+def not_extensions(candidates, existing, bit):
+    """Reference: the candidates, in order, that are not an existing term plus ``bit``."""
+    existing = set(existing)
+    return [t for t in candidates if not (t & bit and t & ~bit in existing)]
 
 
 def test_absorb_keeps_minimal_clauses():
@@ -194,22 +202,27 @@ def test_minimal_dnf_start_defaults_to_the_empty_implicant():
         cr.minimal_dnf(cnf, start=np.zeros((1, 1), dtype=np.uint64))
 
 
+(C6,) = terms(("C6",))
+
+
 def test_filter_non_extensions_drops_strict_supersets():
-    candidates = terms(("C1", "C6"), ("C5", "C6"), ("C1", "C2", "C6"))
+    candidates = sorted(terms(("C1", "C6"), ("C5", "C6"), ("C1", "C2", "C6")))
     existing = terms(("C1", "C2"))
-    got = kept(candidates, existing)
-    assert got == terms(("C1", "C6"), ("C5", "C6"))
+    got = kept(candidates, existing, C6)
+    assert got == sorted(terms(("C1", "C6"), ("C5", "C6")))
 
 
 def test_filter_non_extensions_empty_existing():
-    candidates = terms(("C1",), ("C2", "C3"))
-    assert kept(candidates, frozenset()) == candidates
+    candidates = sorted(terms(("C1",), ("C2", "C3"), ("C2", "C6")))
+    assert kept(candidates, frozenset(), C6) == candidates
 
 
 def test_filter_non_extensions_keeps_equal_terms():
-    candidates = terms(("C1", "C2"))
-    existing = terms(("C1", "C2"))
-    assert kept(candidates, existing) == candidates
+    # An existing term equal to a candidate lies inside it but not strictly,
+    # with the bit or without it.
+    candidates = sorted(terms(("C1", "C2"), ("C3", "C6")))
+    existing = terms(("C1", "C2"), ("C3", "C6"))
+    assert kept(candidates, existing, C6) == candidates
 
 
 def test_term_blowup_guard():
@@ -318,15 +331,20 @@ def test_clause_rows_absorb_in_size_then_value_order(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_filter_non_extensions_matches_subset_loop(data):
+def test_filter_non_extensions_matches_its_definition(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    bit = 1 << data.draw(st.sampled_from(_positions(m)))
+    # Candidates repeat, and some lack the bit.
     candidates = data.draw(term_lists(m))
-    # Some existing terms equal candidates, which must survive.
+    candidates += [t | bit for t in data.draw(term_lists(m))]
+    data.draw(st.randoms()).shuffle(candidates)
+    # Existing terms repeat, some equal candidates with the bit cleared
+    # (those candidates go) and some hold the bit (they remove nothing).
     existing = data.draw(term_lists(m))
-    existing += data.draw(st.lists(st.sampled_from(candidates or [0]), max_size=2))
-    assert kept(candidates, existing, m) == {
-        c for c in candidates if not any(e != c and _inside(e, c) for e in existing)
-    }
+    existing += data.draw(st.lists(st.sampled_from(candidates or [0]), max_size=4).map(
+        lambda ts: [t & ~bit for t in ts[::2]] + ts[1::2]
+    ))
+    assert kept(candidates, existing, bit, m) == not_extensions(candidates, existing, bit)
 
 
 @settings(max_examples=150, deadline=None)
@@ -377,15 +395,19 @@ def test_minimal_dnf_from_start_matches_brute_force(data):
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_row_matching_and_order_against_ints(data):
-    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
-    a = sorted(set(data.draw(term_lists(m))))
-    b = sorted(set(data.draw(term_lists(m))))
-    data.draw(st.randoms()).shuffle(a)
-    assert _rows_in(_pack(a, m), _pack(b, m)).tolist() == [t in b for t in a]
-    assert _row_ints(_sorted_rows(_pack(a, m))) == sorted(a)
+    for m in KERNEL_WIDTHS:
+        # Rows repeat in both arrays, and some rows of a are rows of b.
+        a = data.draw(term_lists(m))
+        b = data.draw(term_lists(m)) + data.draw(st.lists(st.sampled_from(a or [0]), max_size=3))
+        data.draw(st.randoms()).shuffle(a)
+        assert _rows_in(_pack(a, m), _pack(b, m)).tolist() == [t in b for t in a]
+        assert _row_ints(_sorted_rows(_pack(a, m))) == sorted(a)
+        # A repeated row of a that no row of b equals.
+        top = 1 << (m - 1)
+        assert _rows_in(_pack([top, top, 3], m), _pack([5], m)).tolist() == [False] * 3
 
 
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)
@@ -393,8 +415,10 @@ def test_kernel_users_on_empty_inputs(m):
     some = frozenset({1 << (m - 1), 0b11})
     width = boolformula.word_count(m)
     assert cr.absorb(_pack([], m)).shape == (0, width)
-    assert kept([], some, m) == frozenset()
-    assert kept(some, [], m) == some
+    bit = 1 << (m - 1)
+    assert kept([], some, bit, m) == []
+    assert kept(sorted(some), [], bit, m) == sorted(some)
+    assert kept(sorted(some), [0], bit, m) == [0b11]  # the bit alone is the empty term plus it
     names = tuple(f"V{i}" for i in range(m))
     assert cr.minimal_dnf(MonotoneFormula("cnf", frozenset(), names)).terms == frozenset({0})
 
@@ -404,20 +428,27 @@ def test_row_operators_take_sequences_of_rows(m):
     # A caller may hand the rows on one at a time, as a tuple of 1-D rows;
     # an empty existing tuple then has no width of its own.
     rows = _pack([1 << (m - 1), 0b11, 0b111], m)
+    bit = _pack([0b100], m)
     assert np.array_equal(cr.absorb(tuple(rows)), cr.absorb(rows))
-    assert np.array_equal(filter_non_extensions(tuple(rows), ()), _sorted_rows(rows))
+    assert np.array_equal(filter_non_extensions(tuple(rows), (), bit), rows)
+    assert np.array_equal(filter_non_extensions((), tuple(rows), bit), rows[:0])
     assert np.array_equal(
-        filter_non_extensions(tuple(rows), tuple(rows[1:2])),
-        filter_non_extensions(rows, rows[1:2]),
+        filter_non_extensions(tuple(rows), tuple(rows[1:2]), bit),
+        filter_non_extensions(rows, rows[1:2], bit),
     )
+    assert _row_ints(filter_non_extensions(rows, rows[1:2], bit)) == [1 << (m - 1), 0b11]
     # Int masks are not rows.
     with pytest.raises(ValueError, match="word rows"):
         cr.absorb([0b11, 0b111])
     with pytest.raises(ValueError, match="word rows"):
-        filter_non_extensions(rows, [0b11])
-    wider = np.zeros((1, rows.shape[1] + 1), dtype=np.uint64)
+        filter_non_extensions(rows, [0b11], bit)
     with pytest.raises(ValueError, match="word rows"):
-        filter_non_extensions(rows, wider)
+        filter_non_extensions(rows, rows, [0b100])
+    # Every operand has the bit's width.
+    wider = np.zeros((1, rows.shape[1] + 1), dtype=np.uint64)
+    for operands in ((rows, wider, bit), (wider, rows, bit), (rows, rows, wider)):
+        with pytest.raises(ValueError, match="word rows"):
+            filter_non_extensions(*operands)
 
 
 def test_term_blowup_guard_on_multiword_terms():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import covreduct as cr
 from covreduct import engine
 from covreduct.bitset import to_indices
-from covreduct.boolformula import _pack, _unpack, filter_non_extensions
+from covreduct.boolformula import _pack, _row_ints, _unpack, filter_non_extensions
 from covreduct.errors import (
     CoverageGap,
     DuplicateCoveringName,
@@ -764,14 +764,15 @@ def test_reducts_do_not_depend_on_covering_order(case):
 
 @pytest.fixture
 def filters(monkeypatch):
-    """The candidates, the existing terms and the result of every
+    """The candidates, the existing terms, the bit and the result of every
     ``engine.filter_non_extensions`` call, as they happen, read from the
-    rows as sets of int masks."""
+    rows as int masks: row lists, and the bit as one mask."""
     calls = []
 
-    def recording(candidates, existing):
-        kept = filter_non_extensions(candidates, existing)
-        calls.append((_unpack(candidates), _unpack(existing), _unpack(kept)))
+    def recording(candidates, existing, bit):
+        kept = filter_non_extensions(candidates, existing, bit)
+        (mask,) = _row_ints(bit)
+        calls.append((_row_ints(candidates), _unpack(existing), mask, _row_ints(kept)))
         return kept
 
     monkeypatch.setattr(engine, "filter_non_extensions", recording)
@@ -783,16 +784,19 @@ def _key_covering(name, n):
 
 
 def test_add_filter_meets_only_the_stripped_old_reducts(filters):
-    """Seeded adds that keep the positive region, at one and two words.
+    """Seeded adds, most of them keeping the positive region, at one and
+    two words.
 
-    Each add's filter must get exactly the old reducts that sit strictly
-    inside some expansion term, and those must be the old reducts among
-    the terms with the new covering's bit removed; filtering against every
-    old reduct must keep the same terms; and the add must equal batch, and
-    the oracle up to twelve coverings.  Adds whose stripped terms are the
-    old reducts (nothing new), adds whose expansion is the new covering
-    alone (a key covering on a consistent system) and ordinary adds all
-    occur at both widths.
+    The filter must run on exactly the adds that keep the positive region
+    and expand (the new covering has admissible blocks).  It must get every
+    old reduct and the new covering's bit, and the terms it keeps must be
+    exactly those that strictly contain no old reduct: the equality test
+    stands in for the subset test of the module docstring's lemma, checked
+    here as an equivalence.  The add must equal batch, and the oracle up to
+    twelve coverings.  Adds whose stripped terms are the old reducts
+    (nothing new), adds whose expansion is the new covering alone (a key
+    covering on a consistent system) and ordinary adds all occur at both
+    widths.
     """
     kinds = Counter()
 
@@ -804,16 +808,16 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters):
         assert reducts.as_name_sets() == batch.as_name_sets()
         if len(grown.coverings) <= 12:
             assert reducts.as_name_sets() == cr.oracle_reducts(grown).as_name_sets()
+        union = grown.admissible_union(covering.name)
+        assert bool(filters) == (union != 0 and cache.positive | union == cache.positive)
         if filters:
-            (candidates, narrowed, kept), = filters
+            (candidates, existing, bit, kept), = filters
             old = cache.reducts.reducts
-            new_bit = 1 << len(system.coverings)
-            stripped = {t & ~new_bit for t in candidates}
-            inside = {p for p in old if any(p != t and p & ~t == 0 for t in candidates)}
-            assert inside == old & stripped == narrowed
-            m = len(grown.coverings)
-            assert _unpack(filter_non_extensions(_pack(candidates, m), _pack(old, m))) == kept
-            if candidates == {new_bit}:
+            assert bit == 1 << len(system.coverings)
+            assert existing == old
+            assert kept == [t for t in candidates if not any(p != t and p & ~t == 0 for p in old)]
+            stripped = {t & ~bit for t in candidates}
+            if candidates == [bit]:
                 kind = "expansion is c"
             elif stripped == old:
                 kind = "nothing new"
