@@ -18,7 +18,10 @@ clauses that remain.
 
 Absorption, the product step and the survivor check of shrinking deletes
 are all quadratic in the term count (sets in the thousands are routine
-for dense systems); the filter of incremental adds is an equality test.
+for dense systems); the filter of incremental adds is an equality test,
+and ``minimal_hitting``, which certifies a large loaded reduct set as an
+antichain, is linear in the term count: it tests the terms against the
+clauses, not against each other.
 They run on numpy, for any number of variables: a set of k terms over m
 variables is a ``(k, W)`` uint64 array with W = ceil(m / 64) words per
 term, least significant word first.  One kernel, ``_contains_subset``,
@@ -363,3 +366,34 @@ def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:
     # A term misses a clause iff the clause sits inside its complement.
     return not _contains_subset(~terms, clauses).any()
 
+
+def minimal_hitting(rows: np.ndarray, clauses: np.ndarray) -> bool:
+    """Whether every row is a minimal hitting set of the clauses.
+
+    Both are word arrays of one width.  A row is one when it meets every
+    clause and each of its bits is, on its own, the whole meet of the row
+    with some clause (that clause is private to the bit).  With no clauses
+    only the empty row qualifies.  Distinct minimal hitting sets never nest
+    (a bit of the larger one outside the smaller has a private clause that
+    the smaller misses), so a true answer on distinct rows proves them an
+    antichain in time linear in the row count.  Rows are taken in chunks
+    sized so that a step covers at most CHUNK_CELLS words.
+    """
+    if not len(clauses):
+        return not rows.any()
+    if not hits_all(rows, clauses):
+        return False
+    width = rows.shape[1]
+    step = max(1, CHUNK_CELLS // (len(clauses) * width))
+    for lo in range(0, len(rows), step):
+        part = rows[lo : lo + step]
+        # One (clauses x rows) array per word, so the OR over the clauses
+        # runs along the first axis, the fast one for a numpy reduction.
+        meets = [clauses[:, w, None] & part[None, :, w] for w in range(width)]
+        # Bits in each meet, summed as intp: a uint8 sum wraps past 255.
+        not_private = sum((np.bitwise_count(m) for m in meets), start=np.intp(0)) != 1
+        for w in range(width):
+            meets[w][not_private] = 0
+            if not np.array_equal(np.bitwise_or.reduce(meets[w], axis=0), part[:, w]):
+                return False
+    return True

@@ -42,10 +42,18 @@ a hash built from per-covering digests.  ``digest`` is SHA-256 over the
 fingerprint and names (as JSON) and the two hex strings as written: it
 catches corruption and hand edits, not a forger who recomputes it.
 ``load_cache`` accepts only format 5 and checks the invariants the engine
-relies on and the digest before it returns.  Format 4 caches list one hex
-string per mask, format 3 ones carry a ``positive`` field and no digest,
-format 2 ones a fingerprint computed another way, and older ones another
-layout; they must be rebuilt with ``covreduct reduce --cache``.
+relies on and the digest before it returns.  Its antichain check on the k
+reducts of n objects has two ways to pass.  The reducts the engine writes
+are the minimal hitting sets of the non-empty related sets, and distinct
+minimal hitting sets never nest, so ``boolformula.minimal_hitting`` against
+the c absorbed related sets proves an antichain in O((n + k) * c) steps,
+the absorption included.  It is tried when k > n, where it beats the
+O(k^2) ``absorb`` of the reducts; otherwise, or when it fails, that
+``absorb`` decides, so the rule for accepting a cache is the antichain
+rule either way.  Format 4 caches list one hex string per mask, format 3
+ones carry a ``positive`` field and no digest, format 2 ones a fingerprint
+computed another way, and older ones another layout; they must be rebuilt
+with ``covreduct reduce --cache``.
 
 Every JSON reader, the bench config's included, decodes through
 ``decode_json``, so a syntax error raises ParseError naming its line and
@@ -66,7 +74,7 @@ from typing import Any, Mapping, Sequence, Union
 import numpy as np
 
 from .bitset import to_indices
-from .boolformula import _sorted_rows, _unique_rows, absorb, word_count
+from .boolformula import _sorted_rows, _unique_rows, absorb, minimal_hitting, word_count
 from .engine import ReductionCache, ReductSet
 from .errors import ParseError, ValidationError
 from .model import (
@@ -383,7 +391,13 @@ def load_cache(text: str) -> ReductionCache:
 
     The document must hold exactly the format's fields, the masks must fit
     the covering list, the reducts must be a non-empty antichain and the
-    digest must match the content; any breach raises ParseError.
+    digest must match the content; any breach raises ParseError.  With more
+    reducts than objects, reducts that are minimal hitting sets of the
+    absorbed non-empty related sets are an antichain without the quadratic
+    ``absorb(reducts)``: absorbed sets suffice, since a set private to a bit
+    of a reduct contains an absorbed set, which is then private to it too.
+    Reducts that are not such sets still load when ``absorb`` finds them an
+    antichain.
     """
     data = decode_json(text)
     _expect(isinstance(data, dict), "cache root must be an object")
@@ -408,7 +422,13 @@ def load_cache(text: str) -> ReductionCache:
     reducts = _decode_rows(data["reducts"], width, len(names), "reducts")
     _expect(len(reducts) > 0, "reducts: a cache holds at least one reduct")
     _expect(len(_unique_rows(reducts)) == len(reducts), "reducts: duplicate reduct")
-    _expect(len(absorb(reducts)) == len(reducts), "reducts: one reduct contains another")
+    certified = len(reducts) > len(related) and minimal_hitting(
+        reducts, absorb(related[related.any(axis=1)])
+    )
+    _expect(
+        certified or len(absorb(reducts)) == len(reducts),
+        "reducts: one reduct contains another",
+    )
     _expect(
         data["digest"] == _digest(data["fingerprint"], names, data["related"], data["reducts"]),
         "digest: does not match the cache content; "

@@ -1,11 +1,12 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
-from covreduct.bitset import to_indices
+from covreduct.bitset import bits, to_indices
 from covreduct import boolformula
 from covreduct.bench import BenchConfig, _generate
 from covreduct.boolformula import (
@@ -18,6 +19,7 @@ from covreduct.boolformula import (
     drop_variable,
     filter_non_extensions,
     hits_all,
+    minimal_hitting,
 )
 from covreduct.errors import TermBlowup
 
@@ -395,6 +397,42 @@ def test_minimal_dnf_from_start_matches_brute_force(data):
     )
 
 
+def _is_minimal_hitting(row: int, clauses: list[int]) -> bool:
+    """Reference: the row meets every clause, and dropping any one of its
+    bits leaves a set that misses some clause."""
+
+    def hits(t):
+        return all(t & c for c in clauses)
+
+    return hits(row) and not any(hits(row & ~(1 << v)) for v in bits(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_hitting_matches_its_definition(data):
+    m = data.draw(st.sampled_from(KERNEL_WIDTHS))
+    clauses = [c for c in data.draw(term_lists(m)) if c]  # may be none, or repeat
+    used = sorted({v for c in clauses for v in to_indices(c)})
+    sets = [frozenset(to_indices(c)) for c in clauses]
+    hitting = sorted(sum(1 << v for v in h) for h in minimal_hitting_sets(sets, used))
+    rows = data.draw(st.lists(st.sampled_from(hitting), min_size=1, max_size=6)) if hitting else []
+    if data.draw(st.booleans()):
+        rows += data.draw(term_lists(m))
+    data.draw(st.randoms()).shuffle(rows)
+    # Steps of one row up to all of them, so chunk edges fall between rows.
+    cells = data.draw(st.sampled_from((1, 7, boolformula.CHUNK_CELLS)))
+    with mock.patch.object(boolformula, "CHUNK_CELLS", cells):
+        got = minimal_hitting(_pack(rows, m), _pack(clauses, m))
+    assert got == all(_is_minimal_hitting(r, clauses) for r in rows)
+
+
+def test_minimal_hitting_counts_a_meet_past_255_bits():
+    # A 257-bit meet is no single bit, though 257 wraps to 1 in a uint8.
+    row = _pack([(1 << 257) - 1], 300)
+    assert not minimal_hitting(row, row)
+    assert minimal_hitting(_pack([1 << 299], 300), row | _pack([1 << 299], 300))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_row_matching_and_order_against_ints(data):
@@ -421,6 +459,11 @@ def test_kernel_users_on_empty_inputs(m):
     assert kept(sorted(some), [0], bit, m) == [0b11]  # the bit alone is the empty term plus it
     names = tuple(f"V{i}" for i in range(m))
     assert cr.minimal_dnf(MonotoneFormula("cnf", frozenset(), names)).terms == frozenset({0})
+    # With no clauses only the empty row is a minimal hitting set.
+    none = _pack([], m)
+    assert minimal_hitting(_pack([0], m), none) and minimal_hitting(none, none)
+    assert not minimal_hitting(_pack([0, 1 << (m - 1)], m), none)
+    assert minimal_hitting(none, _pack(sorted(some), m))
 
 
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)

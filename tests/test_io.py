@@ -10,9 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import covreduct as cr
+from covreduct import io
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.boolformula import _pack
@@ -26,6 +27,7 @@ from covreduct.io import (
 )
 from covreduct.synth import random_system
 
+from bruteforce import minimal_hitting_sets
 from conftest import CONSISTENT8_COVERINGS, CONSISTENT8_REDUCTS, DECISION_8, partition_blocks
 
 
@@ -525,6 +527,114 @@ def test_reduct_checks_name_the_breach(m, edit, message):
     doc["reducts"] = "".join(edit(fields))
     with pytest.raises(ParseError, match=re.escape(message)):
         cr.load_cache(json.dumps(doc))
+
+
+def _antichain_rule(m: int, related: list[int], reducts: list[int]) -> None:
+    """``load_cache`` accepts distinct ``reducts`` exactly when ``absorb``
+    keeps every one of them, and otherwise gives the antichain message."""
+    names = tuple(f"C{i}" for i in range(m))
+    rows = _pack(reducts, m)
+    cache = cr.ReductionCache(
+        "f", cr.RelatedFamily(names, _pack(related, m)), cr.ReductSet(names, rows)
+    )
+    text = cr.serialize_cache(cache)
+    if len(cr.absorb(rows)) == len(rows):
+        assert cr.load_cache(text) == cache
+    else:
+        with pytest.raises(ParseError) as caught:
+            cr.load_cache(text)
+        assert str(caught.value) == "reducts: one reduct contains another"
+
+
+@pytest.mark.parametrize("m", [5, 70])
+@pytest.mark.parametrize(
+    "related,reducts",
+    [
+        (["abc"], ["a", "b", "c"]),
+        (["ab"], ["ab", "c"]),
+        (["abc"], ["a", "b", "c", "ab"]),
+        (["a", "b"], ["ab", "a", "c"]),
+        (["", ""], ["a", "b", "c"]),
+        (["", ""], ["", "a", "b"]),
+    ],
+    ids=[
+        "minimal hitting sets",
+        "antichain of other sets",
+        "minimal hitting sets and a superset",
+        "nested",
+        "no clauses, antichain",
+        "no clauses, nested",
+    ],
+)
+def test_more_reducts_than_objects_follow_the_antichain_rule(m, related, reducts):
+    # a, b and c are coverings 0, 1 and m - 1, so at m = 70 c is in word two.
+    bit = {"a": 1, "b": 2, "c": 1 << (m - 1)}
+    masks = [[sum(bit[v] for v in s) for s in sets] for sets in (related, reducts)]
+    _antichain_rule(m, *masks)
+
+
+@st.composite
+def _reduct_families(draw):
+    """Related sets of n objects and more than n distinct reducts: their
+    minimal hitting sets, other sets, or both, at one word and at two.
+    Other sets of one size are an antichain."""
+    m = draw(st.sampled_from((5, 12, 66, 70)))
+    pool = sorted({0, 1, 2, min(63, m - 3), min(64, m - 2), m - 1})
+
+    def masks(low, high):
+        sets = st.sets(st.sampled_from(pool), min_size=low, max_size=high)
+        return sets.map(lambda ps: sum(1 << p for p in ps))
+
+    n = draw(st.integers(1, 3))
+    related = draw(st.lists(masks(0, 3), min_size=n, max_size=n))
+    clauses = [frozenset(to_indices(r)) for r in related if r]
+    hitting = {sum(1 << v for v in h) for h in minimal_hitting_sets(clauses, pool)}
+    size = draw(st.integers(1, 3))
+    other = draw(st.sets(draw(st.sampled_from([masks(size, size), masks(0, 3)])), max_size=6))
+    reducts = draw(st.sampled_from([hitting, hitting | other, other]))
+    assume(len(reducts) > n)
+    return m, related, draw(st.permutations(sorted(reducts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduct_families())
+def test_more_reducts_than_objects_follow_the_antichain_rule_property(family):
+    _antichain_rule(*family)
+
+
+@pytest.fixture
+def absorbed_counts(monkeypatch):
+    """The row count of every ``absorb`` call ``io`` makes."""
+    counts = []
+
+    def recording(rows):
+        counts.append(len(rows))
+        return cr.absorb(rows)
+
+    monkeypatch.setattr(io, "absorb", recording)
+    return counts
+
+
+@pytest.mark.parametrize("padding", [0, 56])
+def test_more_reducts_than_objects_skip_the_quadratic_check(absorbed_counts, padding):
+    # 16 reducts on 10 objects.  One-block coverings over the universe are
+    # never admissible: 56 of them make the rows two words wide and change
+    # nothing else.
+    system = random_system(random.Random(0), 10, 14, 4, 3, block_style="subset")
+    for i in range(padding):
+        system = system.with_covering(cr.make_covering(f"P{i}", [list(range(10))], 10))
+    _, cache = cr.batch_reducts(system)
+    assert len(cache.reducts.rows) == 16 and cache.reducts.rows.shape[1] == 1 + (padding > 0)
+    assert cr.load_cache(cr.serialize_cache(cache)) == cache
+    # The one absorb is of the non-empty related sets, never of the reducts.
+    assert absorbed_counts == [np.count_nonzero(cache.related.rows.any(axis=1))]
+
+
+def test_few_reducts_take_the_quadratic_check(absorbed_counts, consistent8):
+    _, cache = cr.batch_reducts(consistent8)
+    assert len(cache.reducts.rows) == 6 <= consistent8.universe_size
+    assert cr.load_cache(cr.serialize_cache(cache)) == cache
+    assert absorbed_counts == [6]
 
 
 # With four more coverings, none admissible, the consistent8 masks take two
