@@ -21,7 +21,8 @@ are all quadratic in the term count (sets in the thousands are routine
 for dense systems); the filter of incremental adds is an equality test,
 and ``minimal_hitting``, which certifies a large loaded reduct set as an
 antichain, is linear in the term count: it tests the terms against the
-clauses, not against each other.
+clauses, not against each other, in one pass that counts the bits of
+each term-clause meet once for both of its tests.
 They run on numpy, for any number of variables: a set of k terms over m
 variables is a ``(k, W)`` uint64 array with W = ceil(m / 64) words per
 term, least significant word first.  One kernel, ``_contains_subset``,
@@ -377,12 +378,13 @@ def minimal_hitting(rows: np.ndarray, clauses: np.ndarray) -> bool:
     (a bit of the larger one outside the smaller has a private clause that
     the smaller misses), so a true answer on distinct rows proves them an
     antichain in time linear in the row count.  Rows are taken in chunks
-    sized so that a step covers at most CHUNK_CELLS words.
+    sized so that a step covers at most CHUNK_CELLS words, and each chunk
+    takes one pass: every clause-row meet is computed and its bits counted
+    once, and the counts serve both tests (a count of 0 is a missed clause,
+    a count of 1 a private one).
     """
     if not len(clauses):
         return not rows.any()
-    if not hits_all(rows, clauses):
-        return False
     width = rows.shape[1]
     step = max(1, CHUNK_CELLS // (len(clauses) * width))
     for lo in range(0, len(rows), step):
@@ -390,10 +392,18 @@ def minimal_hitting(rows: np.ndarray, clauses: np.ndarray) -> bool:
         # One (clauses x rows) array per word, so the OR over the clauses
         # runs along the first axis, the fast one for a numpy reduction.
         meets = [clauses[:, w, None] & part[None, :, w] for w in range(width)]
-        # Bits in each meet, summed as intp: a uint8 sum wraps past 255.
-        not_private = sum((np.bitwise_count(m) for m in meets), start=np.intp(0)) != 1
+        # Bits in each meet as uint8: only 0, 1 and more matter, so the
+        # running count is capped at 2 before each word's (at most 64) is
+        # added, and never wraps (a plain uint8 sum wraps past 255).
+        counts = np.bitwise_count(meets[0])
+        for meet in meets[1:]:
+            np.minimum(counts, 2, out=counts)
+            counts += np.bitwise_count(meet)
+        if not counts.all():
+            return False
+        private = counts == 1
         for w in range(width):
-            meets[w][not_private] = 0
+            meets[w] *= private
             if not np.array_equal(np.bitwise_or.reduce(meets[w], axis=0), part[:, w]):
                 return False
     return True

@@ -50,7 +50,10 @@ the c absorbed related sets proves an antichain in O((n + k) * c) steps,
 the absorption included.  It is tried when k > n, where it beats the
 O(k^2) ``absorb`` of the reducts; otherwise, or when it fails, that
 ``absorb`` decides, so the rule for accepting a cache is the antichain
-rule either way.  Format 4 caches list one hex string per mask, format 3
+rule either way.  Loading proves that the reducts are an antichain, never
+that none is missing: checking that they are all the minimal hitting sets
+is hypergraph dualization (Fredman & Khachiyan 1996), which no load
+attempts.  Format 4 caches list one hex string per mask, format 3
 ones carry a ``positive`` field and no digest, format 2 ones a fingerprint
 computed another way, and older ones another layout; they must be rebuilt
 with ``covreduct reduce --cache``.
@@ -397,7 +400,9 @@ def load_cache(text: str) -> ReductionCache:
     ``absorb(reducts)``: absorbed sets suffice, since a set private to a bit
     of a reduct contains an absorbed set, which is then private to it too.
     Reducts that are not such sets still load when ``absorb`` finds them an
-    antichain.
+    antichain.  Neither way proves that no reduct is missing: that is
+    hypergraph dualization (Fredman & Khachiyan 1996), and it is not
+    checked.
     """
     data = decode_json(text)
     _expect(isinstance(data, dict), "cache root must be an object")

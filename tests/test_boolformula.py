@@ -433,6 +433,20 @@ def test_minimal_hitting_counts_a_meet_past_255_bits():
     assert minimal_hitting(_pack([1 << 299], 300), row | _pack([1 << 299], 300))
 
 
+def test_minimal_hitting_counts_a_meet_across_both_words():
+    # One bit of the meet in each word is two bits, not one per word.
+    both = 1 | 1 << 64
+    assert not minimal_hitting(_pack([both], 70), _pack([both], 70))
+    assert minimal_hitting(_pack([both], 70), _pack([both, 1, 1 << 64], 70))
+
+
+def test_minimal_hitting_sees_a_hit_in_the_second_word_alone():
+    # The row meets the second clause only at bit 64, in word two.
+    clauses = _pack([1, 2 | 1 << 64], 70)
+    assert minimal_hitting(_pack([1 | 1 << 64], 70), clauses)
+    assert not minimal_hitting(_pack([1], 70), clauses)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_row_matching_and_order_against_ints(data):

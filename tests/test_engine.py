@@ -733,9 +733,38 @@ def test_update_chain_fuzz_across_the_word_boundary(monkeypatch):
 
     _run_chain(rng, system, _sparse_blocks, 18, pick_op)
     assert min(counts) <= 64 < max(counts)
-    # Some reloaded caches hold more reducts than objects and load through
-    # the minimal-hitting-set certificate.
-    assert any(certified)
+    # Some reloaded caches hold more reducts than objects, and each of them
+    # loads through the minimal-hitting-set certificate, not the fallback.
+    assert certified and all(certified)
+
+
+@pytest.mark.parametrize("padding", [0, 56])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_written_caches_with_more_reducts_than_objects_pass_the_certificate(seed, padding):
+    """Batch, add and delete write minimal hitting sets of the non-empty
+    related sets, so ``load_cache`` never needs its ``absorb`` fallback on
+    the caches they write with more reducts than objects."""
+    # 16 reducts on 10 objects; never-admissible one-block coverings make
+    # the rows two words wide and change nothing else.
+    system = random_system(random.Random(seed), 10, 14, 4, 3, block_style="subset")
+    own = system.coverings
+    for i in range(padding):
+        system = system.with_covering(cr.make_covering(f"P{i}", [list(range(10))], 10))
+    written = Counter()
+
+    def check(op, cache):
+        if len(cache.reducts.rows) > system.universe_size:
+            related = cache.related.rows
+            assert minimal_hitting(cache.reducts.rows, cr.absorb(related[related.any(axis=1)]))
+            written[op] += 1
+
+    _, cache = cr.batch_reducts(system)
+    check("batch", cache)
+    for covering in own:
+        _, smaller = cr.delete_covering(system, cache, covering.name)
+        check("delete", smaller)
+        check("add", cr.add_covering(system.without_covering(covering.name), smaller, covering)[1])
+    assert written["batch"] == 1 and written["delete"] and written["add"]
 
 
 @st.composite
