@@ -7,6 +7,12 @@ prebuilt cache.  One warmup pass is discarded and the median of the timed
 trials is reported.  Every row carries a result-equality flag; a mismatch
 aborts the run with the offending system serialized, so an emitted table
 never contains an unequal row.
+
+Every trial of a grid point reuses the same system objects, so once the
+untimed first calls have filled the memos on them, the timed add or
+delete skips the base system's fingerprint and the timed batch skips the
+admissible unions and the fingerprint of the updated system.  The times
+are those of warm systems; perfbench times fresh ones.
 """
 
 import random

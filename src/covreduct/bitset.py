@@ -7,7 +7,8 @@ word-parallel union/intersection/subset tests with no fixed width.
 The one codec for object masks, each helper one pass over bytes: ``mask_of``
 packs index lists, ``to_indices`` and ``flags`` unpack.  ``bits``, a big-int
 operation per member, walks covering-index masks and ``related_sets``,
-whose faster form would break criterion 8's 2x gate (ROADMAP item 6).
+whose faster form would break criterion 8's 2x gate and perfbench's
+``incremental_speedup`` bound.
 """
 
 from typing import Collection, Iterator

@@ -222,6 +222,8 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    if len(rows) < 2:
+        return rows
     # Sorting beats np.unique, which hashes integer input.
     ordered = _sorted_rows(rows)
     fresh = np.ones(len(ordered), dtype=bool)
@@ -259,9 +261,11 @@ def absorb(rows: np.ndarray) -> np.ndarray:
 
     The rows of the lowest popcount left contain no other row left, so they
     are kept and every row containing one of them is dropped, one level at
-    a time.
+    a time.  Fewer than two distinct rows are returned as they are.
     """
     rows = _unique_rows(_word_rows(rows))
+    if len(rows) < 2:
+        return rows
     counts = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
     order = np.argsort(counts, kind="stable")
     rows, counts = rows[order], counts[order]

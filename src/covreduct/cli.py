@@ -25,6 +25,7 @@ from .bench import BenchConfig, BenchMismatch, run_bench
 from .engine import add_covering, batch_reducts, delete_covering, oracle_reducts
 from .errors import EngineError, ValidationError
 from .io import (
+    _system_from_doc,
     coverize,
     decode_json,
     load_cache,
@@ -74,8 +75,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_update(args) -> int:
-    text = Path(args.file).read_text()
-    system = load_system(text)
+    doc = decode_json(Path(args.file).read_text())
+    system = _system_from_doc(doc)
     cache = load_cache(Path(args.cache).read_text())
     if args.add:
         covering = parse_covering(Path(args.add).read_text(), system.universe_size)
@@ -90,8 +91,8 @@ def _cmd_update(args) -> int:
         else:
             updated = system.without_covering(args.delete)
         # An add or delete moves no object, so the input's names still fit;
-        # load_system has checked them.
-        object_names = decode_json(text).get("object_names")
+        # _system_from_doc has checked them.
+        object_names = doc.get("object_names")
         # The system goes first: a failed write leaves the old cache, which
         # still matches the input system, so the command can be re-run.
         Path(args.out).write_text(serialize_system(updated, object_names))

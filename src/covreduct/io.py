@@ -138,7 +138,11 @@ def load_system(text: str) -> CoveringDecisionSystem:
     ``object_names``, when present, must be a list of ``universe_size``
     strings; the system does not keep it.
     """
-    data = decode_json(text)
+    return _system_from_doc(decode_json(text))
+
+
+def _system_from_doc(data: Any) -> CoveringDecisionSystem:
+    """The system of a decoded system document; see ``load_system``."""
     _expect(isinstance(data, dict), "document root must be an object")
     size = data.get("universe_size")
     _expect(

@@ -467,6 +467,11 @@ def test_kernel_users_on_empty_inputs(m):
     some = frozenset({1 << (m - 1), 0b11})
     width = boolformula.word_count(m)
     assert cr.absorb(_pack([], m)).shape == (0, width)
+    # One row, alone or repeated, comes back as that one row.
+    for rows in (_pack([0b11], m), _pack([0b11, 0b11, 0b11], m), tuple(_pack([0b11], m))):
+        for got in (cr.absorb(rows), boolformula._unique_rows(np.asarray(rows))):
+            assert got.dtype == np.uint64 and got.shape == (1, width)
+            assert _row_ints(got) == [0b11]
     bit = 1 << (m - 1)
     assert kept([], some, bit, m) == []
     assert kept(sorted(some), [], bit, m) == sorted(some)

@@ -232,6 +232,30 @@ def test_update_without_output_derives_the_system_once(
     assert derived == ["C6"]
 
 
+def test_update_output_decodes_the_system_once(capsys, tmp_path, consistent8, monkeypatch):
+    path = tmp_path / "named.cds.json"
+    text = cr.serialize_system(consistent8, [f"x{i}" for i in range(1, 9)])
+    path.write_text(text)
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", path, "--cache", cache_path)
+    name, blocks = EXTRA_COVERING_6
+    cov_path = tmp_path / "c6.json"
+    cov_path.write_text(json.dumps({"name": name, "blocks": blocks}))
+    decoded = []
+    loads = json.loads
+
+    def counting(s, *args, **kwargs):
+        decoded.append(s == text)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    code, _, _ = run(
+        capsys, "update", path, "--add", cov_path, "--cache", cache_path, "-o", tmp_path / "out.json"
+    )
+    assert code == 0
+    assert decoded.count(True) == 1
+
+
 def test_update_delete_golden(capsys, tmp_path, inconsistent8_file):
     cache_path = tmp_path / "cache.json"
     run(capsys, "reduce", inconsistent8_file, "--cache", cache_path)
