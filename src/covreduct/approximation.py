@@ -23,12 +23,8 @@ from .model import CoveringDecisionSystem
 class MinimalDescriptionMap:
     """Per-object inclusion-minimal blocks, over a fixed block collection."""
 
-    universe_size: int
     blocks: tuple[int, ...]
     md: tuple[tuple[int, ...], ...]
-
-    def of(self, x: int) -> tuple[int, ...]:
-        return self.md[x]
 
 
 @dataclass(frozen=True)
@@ -38,6 +34,11 @@ class RegionReport:
     ``positive`` is the union of per-class lowers, ``boundary`` the part of
     the pooled uppers outside it, ``negative`` everything no class's upper
     reaches.  The three are pairwise disjoint and union to the universe.
+
+    ``negative`` is always empty: every object lies in its own minimal
+    blocks, so the upper of its decision class holds it and the pooled
+    uppers cover the universe.  ``boundary`` is therefore the complement
+    of ``positive``.
     """
 
     positive: int
@@ -72,7 +73,7 @@ def minimal_descriptions(blocks: Sequence[int], n: int) -> MinimalDescriptionMap
             if not any(s != b and s & ~b == 0 for s in containing)
         ]
         per_object.append(tuple(minimal))
-    return MinimalDescriptionMap(n, distinct, tuple(per_object))
+    return MinimalDescriptionMap(distinct, tuple(per_object))
 
 
 def third_lower(blocks: Sequence[int], target: int) -> int:
@@ -123,14 +124,10 @@ def regions(system: CoveringDecisionSystem) -> RegionReport:
     blocks = [b for cov in system.coverings for b in cov.blocks]
     md = minimal_descriptions(blocks, system.universe_size)
     upper = tuple(third_upper(md, cls) for cls in system.decision.classes)
-    upper_union = 0
-    for m in upper:
-        upper_union |= m
-    full = full_mask(system.universe_size)
     return RegionReport(
         positive=pos,
-        boundary=upper_union & ~pos,
-        negative=full & ~upper_union,
+        boundary=full_mask(system.universe_size) & ~pos,
+        negative=0,
         lower=lower,
         upper=upper,
     )

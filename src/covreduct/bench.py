@@ -23,7 +23,7 @@ from typing import Callable, TextIO
 
 from .engine import add_covering, batch_reducts, delete_covering
 from .errors import EngineError, ParseError, ValidationError
-from .io import decode_json, serialize_system
+from .io import _only_fields, decode_json, serialize_system
 from .model import CoveringDecisionSystem
 from .synth import random_covering, random_system
 
@@ -47,16 +47,17 @@ class BenchConfig:
         data = decode_json(text)
         if not isinstance(data, dict):
             raise ParseError("bench config root must be an object")
+        _only_fields(data, cls.__dataclass_fields__, "a bench config")
         kwargs = {}
         for key, value in data.items():
-            if key not in cls.__dataclass_fields__:
-                raise ParseError(f"unknown bench config field {key!r}")
             values = value if key in _LISTS else [value]
-            if not isinstance(values, list):
-                raise ParseError(f"{key}: expected a list, got {value!r}")
-            # type(), not isinstance(): a bool is no count.
+            if not isinstance(values, list) or not values:
+                raise ParseError(f"{key}: expected a non-empty list, got {value!r}")
+            # type(), not isinstance(): a bool is no integer.
             if key in _COUNTS and any(type(v) is not int or v < 1 for v in values):
                 raise ValidationError(f"{key}: expected positive integers, got {value!r}")
+            if key == "seed" and type(value) is not int:
+                raise ValidationError(f"seed: expected an integer, got {value!r}")
             kwargs[key] = tuple(value) if key in _LISTS else value
         cfg = cls(**kwargs)
         bad = [u for u in cfg.updates if u not in ("add", "delete")]

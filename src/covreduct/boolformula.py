@@ -84,7 +84,7 @@ class MonotoneFormula:
 
     @cached_property
     def terms(self) -> frozenset[int]:
-        return _unpack(self.rows)
+        return frozenset(_row_ints(self.rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonotoneFormula):
@@ -164,10 +164,6 @@ def _row_ints(rows: np.ndarray) -> list[int]:
     return terms
 
 
-def _unpack(rows: np.ndarray) -> frozenset[int]:
-    return frozenset(_row_ints(rows))
-
-
 def drop_variable(rows: np.ndarray, idx: int) -> np.ndarray:
     """The ``(k, W)`` word array ``rows`` with variable ``idx`` removed.
 
@@ -221,14 +217,19 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T)]
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """For each row of a sorted word array: does it differ from the row before?"""
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return fresh
+
+
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     if len(rows) < 2:
         return rows
     # Sorting beats np.unique, which hashes integer input.
     ordered = _sorted_rows(rows)
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[fresh]
+    return ordered[_run_starts(ordered)]
 
 
 def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,9 +247,7 @@ def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return found
     both = np.concatenate((b, a))
     order = np.lexsort(both.T)
-    ordered = both[order]
-    fresh = np.ones(len(both), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    fresh = _run_starts(both[order])
     has_b = np.logical_or.reduceat(order < len(b), np.flatnonzero(fresh))  # per run
     found = np.empty(len(both), dtype=bool)
     found[order] = has_b[np.cumsum(fresh) - 1]

@@ -58,7 +58,6 @@ from .boolformula import (
     _pack,
     _row_ints,
     _sorted_rows,
-    _unpack,
     absorb,
     drop_variable,
     hits_all,
@@ -101,7 +100,7 @@ class ReductSet:
     @cached_property
     def reducts(self) -> frozenset[int]:
         """The reducts as bit masks over the covering index space, built on first use."""
-        return _unpack(self.rows)
+        return frozenset(_row_ints(self.rows))
 
     def as_name_sets(self) -> frozenset[frozenset[str]]:
         return _name_sets(self.covering_names, self.rows)
@@ -274,8 +273,9 @@ def delete_covering(
         reducts_minus = drop_variable(old[old[:, word] & bit == 0], idx)[:, :width]
     else:
         # The stripped reducts, the minimal hitting sets of the clauses
-        # without d; absorbing them keeps the continuation's start an
-        # antichain.
+        # without d, are already an antichain (see the module docstring).
+        # ``absorb`` changes nothing here; it stays because perfbench's
+        # spans.py tells delete-verified from delete-fallback by this call.
         reducts_minus = absorb(drop_variable(old, idx)[:, :width])
         had_d = cache.related.rows[:, word] & bit != 0
         residual = rows_minus[had_d & rows_minus.any(axis=1)]

@@ -42,21 +42,22 @@ a hash built from per-covering digests.  ``digest`` is SHA-256 over the
 fingerprint and names (as JSON) and the two hex strings as written: it
 catches corruption and hand edits, not a forger who recomputes it.
 ``load_cache`` accepts only format 5 and checks the invariants the engine
-relies on and the digest before it returns.  Its antichain check on the k
-reducts of n objects has two ways to pass.  The reducts the engine writes
-are the minimal hitting sets of the non-empty related sets, and distinct
-minimal hitting sets never nest, so ``boolformula.minimal_hitting`` against
-the c absorbed related sets proves an antichain in O((n + k) * c) steps,
-the absorption included.  It is tried when k > n, where it beats the
-O(k^2) ``absorb`` of the reducts; otherwise, or when it fails, that
-``absorb`` decides, so the rule for accepting a cache is the antichain
-rule either way.  Loading proves that the reducts are an antichain, never
-that none is missing: checking that they are all the minimal hitting sets
-is hypergraph dualization (Fredman & Khachiyan 1996), which no load
-attempts.  Format 4 caches list one hex string per mask, format 3
-ones carry a ``positive`` field and no digest, format 2 ones a fingerprint
-computed another way, and older ones another layout; they must be rebuilt
-with ``covreduct reduce --cache``.
+relies on and the digest before it returns.  Caches written before format
+5 are rejected; rebuild them with ``covreduct reduce --cache``.
+
+The ``k > n`` certificate: the antichain check on the k reducts of n
+objects has two ways to pass.  The reducts the engine writes are the
+minimal hitting sets of the non-empty related sets, and distinct minimal
+hitting sets never nest, so ``boolformula.minimal_hitting`` against the c
+absorbed related sets proves an antichain in O((n + k) * c) steps, the
+absorption included.  Absorbed sets suffice: a set private to a bit of a
+reduct contains an absorbed set, which is then private to that bit too.
+The certificate is tried when k > n, where it beats the O(k^2) ``absorb``
+of the reducts; otherwise, or when it fails, that ``absorb`` decides, so
+the rule for accepting a cache is the antichain rule either way.  Loading
+proves that the reducts are an antichain, never that none is missing:
+checking that they are all the minimal hitting sets is hypergraph
+dualization (Fredman & Khachiyan 1996), which no load attempts.
 
 Every JSON reader, the bench config's included, decodes through
 ``decode_json``, so a syntax error raises ParseError naming its line and
@@ -72,7 +73,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Collection, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -94,6 +95,13 @@ log = logging.getLogger(__name__)
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ParseError(msg)
+
+
+def _only_fields(doc: dict, fields: Collection[str], what: str, where: str = "") -> None:
+    """ParseError, ``{where}{key}: not a field of {what}``, for the first key
+    of ``doc`` outside ``fields``."""
+    for key in doc:
+        _expect(key in fields, f"{where}{key}: not a field of {what}")
 
 
 def _index_list(raw: Any, where: str) -> tuple[int, ...]:
@@ -286,9 +294,14 @@ def coverize(
 
 
 def parse_coverization_spec(text: str) -> CoverizationSpec:
-    """Parse a spec document: {"decision": "col", "rules": {"col": "categorical" | {"tolerance": 0.5}}}."""
+    """Parse a spec document: {"decision": "col", "rules": {"col": "categorical" | {"tolerance": 0.5}}}.
+
+    A field the layout does not name, at the top or inside a tolerance
+    rule, is rejected rather than ignored.
+    """
     data = decode_json(text)
     _expect(isinstance(data, dict), "spec root must be an object")
+    _only_fields(data, ("decision", "rules"), "a coverization spec")
     _expect(isinstance(data.get("decision"), str), "decision: expected a column name")
     raw_rules = data.get("rules", {})
     _expect(isinstance(raw_rules, dict), "rules: expected an object")
@@ -296,14 +309,13 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
     for col, raw in raw_rules.items():
         if raw == "categorical":
             rules[col] = Categorical()
-        elif (
-            isinstance(raw, dict)
-            and isinstance(raw.get("tolerance"), (int, float))
-            and not isinstance(raw["tolerance"], bool)
-        ):
-            rules[col] = Tolerance(float(raw["tolerance"]))
-        else:
-            raise ParseError(f"rules[{col!r}]: expected 'categorical' or {{'tolerance': eps}}")
+            continue
+        bad = f"rules[{col!r}]: expected 'categorical' or {{'tolerance': eps}}"
+        _expect(isinstance(raw, dict), bad)
+        _only_fields(raw, ("tolerance",), "a tolerance rule", f"rules[{col!r}].")
+        eps = raw.get("tolerance")
+        _expect(isinstance(eps, (int, float)) and not isinstance(eps, bool), bad)
+        rules[col] = Tolerance(float(eps))
     return CoverizationSpec(decision_column=data["decision"], rules=rules)
 
 
@@ -398,27 +410,22 @@ def load_cache(text: str) -> ReductionCache:
 
     The document must hold exactly the format's fields, the masks must fit
     the covering list, the reducts must be a non-empty antichain and the
-    digest must match the content; any breach raises ParseError.  With more
-    reducts than objects, reducts that are minimal hitting sets of the
-    absorbed non-empty related sets are an antichain without the quadratic
-    ``absorb(reducts)``: absorbed sets suffice, since a set private to a bit
-    of a reduct contains an absorbed set, which is then private to it too.
-    Reducts that are not such sets still load when ``absorb`` finds them an
-    antichain.  Neither way proves that no reduct is missing: that is
-    hypergraph dualization (Fredman & Khachiyan 1996), and it is not
-    checked.
+    digest must match the content; any breach raises ParseError.  The
+    module docstring's ``k > n`` certificate says how the antichain test
+    passes, and what it does not prove.
     """
     data = decode_json(text)
     _expect(isinstance(data, dict), "cache root must be an object")
+    fmt = data.get("format")
+    # 5.0 == 5, but only the JSON integer 5 names the format.
     _expect(
-        data.get("format") == CACHE_FORMAT,
-        f"cache format {data.get('format')!r} is not {CACHE_FORMAT}; "
+        type(fmt) is int and fmt == CACHE_FORMAT,
+        f"cache format {fmt!r} is not {CACHE_FORMAT}; "
         "rebuild the cache with `covreduct reduce --cache`",
     )
     for key in CACHE_FIELDS:
         _expect(key in data, f"cache is missing field {key!r}")
-    for key in data:
-        _expect(key in CACHE_FIELDS, f"{key}: not a field of a format {CACHE_FORMAT} cache")
+    _only_fields(data, CACHE_FIELDS, f"a format {CACHE_FORMAT} cache")
     _expect(isinstance(data["fingerprint"], str), "fingerprint: expected a string")
     names = data["covering_names"]
     _expect(

@@ -70,10 +70,6 @@ class CoveringDecisionSystem:
     coverings: tuple[Covering, ...]
     decision: DecisionPartition
 
-    @property
-    def full(self) -> int:
-        return full_mask(self.universe_size)
-
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coverings)
 
@@ -144,7 +140,7 @@ class CoveringDecisionSystem:
         owner = np.empty(n, dtype=np.intp)
         for j, cls in enumerate(self.decision.classes):
             owner[flags(cls, n).view(bool)] = j
-        complements = [self.full ^ cls for cls in self.decision.classes]
+        complements = [full_mask(n) ^ cls for cls in self.decision.classes]
         return [complements[j] for j in owner.tolist()]
 
     @functools.cached_property

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitset import bits
-from .boolformula import MonotoneFormula, _frozen_rows, _pack, _row_ints
+from .boolformula import MonotoneFormula, _frozen_rows, _pack, _row_ints, mask_to_names
 from .model import CoveringDecisionSystem, union_of_coverings
 
 
@@ -57,7 +57,7 @@ class RelatedFamily:
 
     def related_names(self, x: int) -> frozenset[str]:
         (mask,) = _row_ints(self.rows[x : x + 1])
-        return frozenset(self.covering_names[i] for i in bits(mask))
+        return frozenset(mask_to_names(self.covering_names, mask))
 
 
 def admissible_blocks(system: CoveringDecisionSystem) -> tuple[tuple[int, tuple[str, ...]], ...]:

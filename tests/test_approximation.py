@@ -20,18 +20,18 @@ def pooled_blocks(system):
 
 def test_minimal_description_unique_singleton():
     md = cr.minimal_descriptions(C1_BLOCKS, 8)
-    assert set(md.of(obj(3)[0])) == {mask_of(obj(3))}
+    assert set(md.md[obj(3)[0]]) == {mask_of(obj(3))}
 
 
 def test_minimal_description_two_incomparable():
     md = cr.minimal_descriptions(C1_BLOCKS, 8)
-    assert set(md.of(obj(2)[0])) == {mask_of(obj(1, 2)), mask_of(obj(2, 3, 4))}
+    assert set(md.md[obj(2)[0]]) == {mask_of(obj(1, 2)), mask_of(obj(2, 3, 4))}
 
 
 def test_minimal_description_single_block_collection():
     md = cr.minimal_descriptions([0b111], 3)
     for x in range(3):
-        assert md.of(x) == (0b111,)
+        assert md.md[x] == (0b111,)
 
 
 def test_minimal_description_uncovered_object():
@@ -49,7 +49,7 @@ def test_third_lower_decision_class(consistent8):
 
 
 def test_third_lower_full_universe(consistent8):
-    assert cr.third_lower(pooled_blocks(consistent8), consistent8.full) == consistent8.full
+    assert cr.third_lower(pooled_blocks(consistent8), full_mask(8)) == full_mask(8)
 
 
 def test_third_upper_empty_and_full():
@@ -65,7 +65,7 @@ def test_third_upper_singleton():
 
 def test_regions_consistent_system(consistent8):
     report = cr.regions(consistent8)
-    assert report.positive == consistent8.full
+    assert report.positive == full_mask(8)
     assert report.boundary == 0
     assert report.negative == 0
 
@@ -74,12 +74,12 @@ def test_regions_inconsistent_system(inconsistent8):
     report = cr.regions(inconsistent8)
     assert to_indices(report.positive) == obj(1, 4, 5, 6, 7, 8)
     assert report.positive & report.boundary == 0
-    assert report.positive | report.boundary | report.negative == inconsistent8.full
+    assert report.positive | report.boundary | report.negative == full_mask(8)
 
 
 def test_regions_single_decision_class():
     system = cr.build_system(3, [("C1", [[0, 1], [2]])], [[0, 1, 2]])
-    assert cr.regions(system).positive == system.full
+    assert cr.regions(system).positive == full_mask(3)
 
 
 def test_classify_consistency(consistent8, inconsistent8):
@@ -112,7 +112,7 @@ def test_removing_reducible_blocks_keeps_descriptions(consistent8):
     before = cr.minimal_descriptions(blocks, 8)
     after = cr.minimal_descriptions(kept, 8)
     for x in range(8):
-        assert set(before.of(x)) == set(after.of(x))
+        assert set(before.md[x]) == set(after.md[x])
 
 
 def test_positive_region_matches_admissible_union(consistent8, inconsistent8):
@@ -156,6 +156,31 @@ def test_lower_and_upper_monotone():
         assert cr.third_upper(md, small) & ~cr.third_upper(md, big) == 0
 
 
+def _boundary_negative_by_upper_fold(system):
+    """Reference: boundary and negative region read off the union of the
+    decision classes' third uppers, as ``regions`` computed them before it
+    took the boundary as the complement of the positive region."""
+    md = cr.minimal_descriptions(pooled_blocks(system), system.universe_size)
+    upper_union = 0
+    for cls in system.decision.classes:
+        upper_union |= cr.third_upper(md, cls)
+    pos = cr.positive_region(system)[1]
+    return upper_union & ~pos, full_mask(system.universe_size) & ~upper_union
+
+
+def test_regions_match_the_upper_union_fold():
+    rng = random.Random(24)
+    verdicts = set()
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        style = rng.choice(["interval", "subset"])
+        system = random_system(rng, n, rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4), style)
+        report = cr.regions(system)
+        assert (report.boundary, report.negative) == _boundary_negative_by_upper_fold(system)
+        verdicts.add(cr.classify_consistency(system))
+    assert verdicts == set(cr.Consistency)
+
+
 def test_regions_partition_properties_random():
     rng = random.Random(9)
     for _ in range(30):
@@ -165,6 +190,6 @@ def test_regions_partition_properties_random():
         assert report.positive & report.boundary == 0
         assert report.positive & report.negative == 0
         assert report.boundary & report.negative == 0
-        assert report.positive | report.boundary | report.negative == system.full
+        assert report.positive | report.boundary | report.negative == full_mask(n)
         consistent = cr.classify_consistency(system) is cr.Consistency.CONSISTENT
-        assert consistent == (report.positive == system.full)
+        assert consistent == (report.positive == full_mask(n))

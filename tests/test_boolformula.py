@@ -15,7 +15,6 @@ from covreduct.boolformula import (
     _row_ints,
     _rows_in,
     _sorted_rows,
-    _unpack,
     drop_variable,
     filter_non_extensions,
     hits_all,
@@ -38,7 +37,7 @@ def named(formula: MonotoneFormula) -> frozenset[frozenset[str]]:
 
 def absorbed(masks, m=len(NAMES6)):
     """``absorb`` of int masks over m variables, read back as int masks."""
-    return _unpack(cr.absorb(_pack(masks, m)))
+    return frozenset(_row_ints(cr.absorb(_pack(masks, m))))
 
 
 def kept(candidates, existing, bit, m=len(NAMES6)):
@@ -569,7 +568,7 @@ def test_drop_variable_matches_drop_index(data):
     word, bit = divmod(idx, 64)
     kept = rows[rows[:, word] & np.uint64(1 << bit) == 0]
     without = [t for t in masks if not t >> idx & 1]
-    assert _unpack(drop_variable(kept, idx)) == frozenset(_drop_index(without, idx))
+    assert frozenset(_row_ints(drop_variable(kept, idx))) == frozenset(_drop_index(without, idx))
 
 
 def test_names_mask_roundtrip():

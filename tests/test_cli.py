@@ -9,6 +9,7 @@ import pytest
 
 import covreduct as cr
 import covreduct.cli as cli
+from covreduct import bench
 from covreduct.bench import BenchConfig, _generate
 from covreduct.boolformula import _pack
 
@@ -64,6 +65,15 @@ def test_unknown_log_level_is_one_error_line(consistent8_file):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.splitlines() == ["error: COVREDUCT_LOG_LEVEL='loud' is not a logging level"]
+
+
+def test_unknown_log_level_in_process(capsys, monkeypatch, consistent8_file):
+    # The same check as above through cli.main, so that it runs in the
+    # test process: the level is checked before logging is configured.
+    monkeypatch.setenv("COVREDUCT_LOG_LEVEL", "loud")
+    code, out, err = run(capsys, "validate", consistent8_file)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: COVREDUCT_LOG_LEVEL='loud' is not a logging level"]
 
 
 def test_validate_bad_document(capsys, tmp_path):
@@ -470,6 +480,18 @@ BAD_BENCH_CONFIGS = [
     ('{"updates": "add"}', "updates"),
     ('{"updates": [["add"]]}', "update"),
     ('{"covering_counts": [1]}', "covering_counts"),
+    # A seed that is no integer once ran, and an empty list wrote only
+    # the CSV header and exited 0.
+    ('{"seed": NaN}', "seed"),
+    ('{"seed": [1]}', "seed"),
+    ('{"seed": "1"}', "seed"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"seed": true}', "seed"),
+    ('{"universe_sizes": []}', "universe_sizes"),
+    ('{"covering_counts": []}', "covering_counts"),
+    ('{"updates": []}', "updates"),
+    ('{"seeds": 1}', "seeds"),
+    ('[1000]', "root"),
 ]
 
 
@@ -481,6 +503,27 @@ def test_bench_bad_config(capsys, tmp_path):
         assert (code, out) == (1, ""), text
         assert err.startswith("error: ") and field in err.splitlines()[0], (text, err)
         assert "Traceback" not in err
+
+
+def test_bench_mismatch_exits_3_with_the_system(capsys, tmp_path, monkeypatch):
+    config = tmp_path / "bench.json"
+    config.write_text(
+        '{"universe_sizes": [20], "covering_counts": [3], "blocks_per_covering": 4,'
+        ' "decision_classes": 2, "trials": 1, "updates": ["add"]}'
+    )
+
+    def no_reducts(system, cache, covering):
+        names = system.names() + (covering.name,)
+        return cr.ReductSet(names, _pack([], len(names))), cache
+
+    monkeypatch.setattr(bench, "add_covering", no_reducts)
+    code, out, err = run(capsys, "bench", config)
+    assert (code, out) == (3, bench.CSV_HEADER + "\n")
+    first, rest = err.split("\n", 1)
+    assert first == "error: incremental and batch reducts differ for the system below (update=add):"
+    # The rest of the message is the offending system, as a document.
+    generated = _generate(BenchConfig.from_json(config.read_text()), 20, 3)
+    assert rest == cr.serialize_system(generated) + "\n"
 
 
 def test_bench_config_allows_one_covering_without_delete():

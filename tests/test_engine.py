@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
 from covreduct import engine, io
-from covreduct.bitset import to_indices
+from covreduct.bitset import full_mask, to_indices
 from covreduct.boolformula import (
     _pack,
     _row_ints,
-    _unpack,
     filter_non_extensions,
     minimal_hitting,
 )
@@ -42,7 +41,7 @@ def test_batch_consistent_golden(consistent8):
     reducts, cache = cr.batch_reducts(consistent8)
     assert reducts.as_name_sets() == CONSISTENT8_REDUCTS
     assert cache.consistent
-    assert cache.positive == consistent8.full
+    assert cache.positive == full_mask(8)
     assert cache.fingerprint == cr.fingerprint(consistent8)
 
 
@@ -817,7 +816,7 @@ def filters(monkeypatch):
     def recording(candidates, existing, bit):
         kept = filter_non_extensions(candidates, existing, bit)
         (mask,) = _row_ints(bit)
-        calls.append((_row_ints(candidates), _unpack(existing), mask, _row_ints(kept)))
+        calls.append((_row_ints(candidates), frozenset(_row_ints(existing)), mask, _row_ints(kept)))
         return kept
 
     monkeypatch.setattr(engine, "filter_non_extensions", recording)

@@ -494,6 +494,8 @@ CORRUPTIONS = [
     ("missing field", lambda d: d.pop("reducts"), "reducts"),
     ("fingerprint not a string", lambda d: _set(d, "fingerprint", 5), "fingerprint"),
     ("wrong format", lambda d: _set(d, "format", 1), "format"),
+    # 5.0 == 5 in Python, but the format is the JSON integer 5.
+    ("float format", lambda d: _set(d, "format", 5.0), "format"),
 ]
 
 
@@ -802,3 +804,14 @@ def test_parse_coverization_spec():
         parse_coverization_spec('{"decision": "class", "rules": {"a": {"tolerance": true}}}')
     with pytest.raises(ParseError, match="^rules: expected an object$"):
         parse_coverization_spec('{"decision": "class", "rules": []}')
+
+
+def test_coverization_spec_rejects_unknown_fields():
+    # Both typos were once ignored: the first turned every tolerance
+    # column categorical, the second dropped the extra field silently.
+    with pytest.raises(ParseError, match="^rulez: not a field of a coverization spec$"):
+        parse_coverization_spec('{"decision": "y", "rulez": {"a": {"tolerance": 0.5}}}')
+    with pytest.raises(
+        ParseError, match=re.escape("rules['a'].extra: not a field of a tolerance rule")
+    ):
+        parse_coverization_spec('{"decision": "y", "rules": {"a": {"tolerance": 0.5, "extra": 1}}}')

@@ -27,7 +27,6 @@ from conftest import obj
 def test_build_valid_system(consistent8):
     assert consistent8.universe_size == 8
     assert consistent8.names() == ("C1", "C2", "C3", "C4", "C5")
-    assert consistent8.full == 0xFF
     assert len(consistent8.decision.classes) == 3
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import covreduct as cr
-from covreduct.bitset import mask_of
+from covreduct.bitset import full_mask, mask_of
 from covreduct.boolformula import _pack
 from covreduct.synth import random_system
 
@@ -49,7 +49,7 @@ def test_single_class_makes_every_block_admissible():
     system = cr.build_system(3, [("C1", [[0, 1], [2], [0, 1, 2]])], [[0, 1, 2]])
     adm = cr.admissible_blocks(system)
     assert len(adm) == 3
-    assert cr.positive_region(system)[1] == system.full
+    assert cr.positive_region(system)[1] == full_mask(3)
 
 
 def test_straddling_covering_contributes_nothing():
@@ -131,7 +131,7 @@ def test_nonempty_objects_equals_positive_region():
 
 def test_consistent_system_has_no_empty_related_set(consistent8):
     rf = cr.related_sets(consistent8)
-    assert rf.nonempty_objects == consistent8.full
+    assert rf.nonempty_objects == full_mask(8)
 
 
 def test_adding_coverings_never_shrinks_related_sets():
