@@ -63,6 +63,16 @@ class BenchConfig:
         bad = [u for u in cfg.updates if u not in ("add", "delete")]
         if bad:
             raise ValidationError(f"unknown update kinds: {bad}")
+        for key in _LISTS:
+            # A repeated value would measure its grid points twice.
+            values = getattr(cfg, key)
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{key}: expected distinct values, got {list(values)}")
+        if cfg.decision_classes > min(cfg.universe_sizes):
+            raise ValidationError(
+                f"decision_classes: {cfg.decision_classes} classes need as many objects, "
+                f"but the smallest of universe_sizes is {min(cfg.universe_sizes)}"
+            )
         if "delete" in cfg.updates and any(m < 2 for m in cfg.covering_counts):
             raise ValidationError(
                 "covering_counts: a delete update needs at least 2 coverings, "

@@ -14,7 +14,12 @@ v' = v and t' sits inside t, so the antichain makes them equal.  After any
 prefix of the clauses the implicants are the minimal hitting sets of that
 prefix (Berge), so an expansion can also continue from a known antichain:
 the minimal hitting sets of clauses already multiplied in, times the
-clauses that remain.
+clauses that remain.  An expansion can also be asked only for the
+implicants that miss some row of an ``avoid`` set: an implicant that
+misses a row extends one of the step before that misses it too, so from
+the first step at which the implicants outnumber the ``avoid`` rows every
+implicant and extended term that meets all of them is dropped, and the
+rest of the product runs on the smaller sets.
 
 Absorption, the product step and the survivor check of shrinking deletes
 are all quadratic in the term count (sets in the thousands are routine
@@ -282,6 +287,7 @@ def minimal_dnf(
     cnf: MonotoneFormula,
     max_terms: int = DEFAULT_TERM_LIMIT,
     start: np.ndarray | None = None,
+    avoid: np.ndarray | None = None,
 ) -> MonotoneFormula:
     """The minimal DNF (all prime implicants) of ``(OR start) AND cnf``.
 
@@ -297,6 +303,17 @@ def minimal_dnf(
     steps) pass ``CELLS_PER_TERM * max_terms`` instead of running for hours.
     The empty CNF yields ``start``.  Clauses are absorbed and multiplied as
     rows, and the result holds its terms as rows, one per implicant.
+
+    ``avoid``, a ``(k, W)`` word array over ``cnf.names``, asks only for
+    the implicants that miss some of its rows.  From the first product step
+    at which the implicants outnumber the ``avoid`` rows, the rows are
+    absorbed and, on that step and every later one, each implicant and
+    each expanded term that meets every one of them is dropped.  The result
+    is then exactly the implicants of the full minimal DNF that miss some
+    ``avoid`` row (with no ``avoid`` rows, none of them); a product that
+    never outgrows the rows is not pruned and yields the full minimal DNF.
+    Either way it holds every implicant that misses some ``avoid`` row.
+    The default, None, prunes nothing.
     """
     if cnf.mode != "cnf":
         raise ValueError("minimal_dnf expects a CNF input")
@@ -307,17 +324,32 @@ def minimal_dnf(
     clauses = absorb(cnf.rows)
     if len(clauses) and not clauses[0].any():
         raise ValueError("monotone CNF must not contain an empty clause")
-    rows = _expand(start, clauses, n_vars, max_terms)
+    if avoid is not None:
+        avoid = _frozen_rows(avoid, n_vars, "avoid")
+    rows = _expand(start, clauses, n_vars, max_terms, avoid)
     return MonotoneFormula.from_rows("dnf", rows, cnf.names)
 
 
 def _expand(
-    implicants: np.ndarray, clauses: np.ndarray, n_vars: int, max_terms: int
+    implicants: np.ndarray,
+    clauses: np.ndarray,
+    n_vars: int,
+    max_terms: int,
+    avoid: np.ndarray | None,
 ) -> np.ndarray:
-    """Product-with-absorption over word arrays, from the antichain ``implicants``."""
+    """Product-with-absorption over word arrays, from the antichain ``implicants``,
+    pruned by the ``avoid`` rows once the implicants outnumber them (see
+    ``minimal_dnf``)."""
     unit = _pack([1 << v for v in range(n_vars)], n_vars)  # row v: variable v alone
     cells_left = CELLS_PER_TERM * max_terms
+    pruning = False
     for clause in clauses:
+        if avoid is not None and not pruning and len(implicants) > len(avoid):
+            # From here on every implicant misses some avoid row: the hit
+            # ones carry over and each expanded term is pruned below.
+            pruning = True
+            avoid = absorb(avoid)
+            implicants = implicants[_misses_some(implicants, avoid)]
         missing = ~(implicants & clause).any(axis=1)
         missed = implicants[missing]
         if not len(missed):
@@ -332,6 +364,8 @@ def _expand(
                 f"DNF expansion exceeded {CELLS_PER_TERM * max_terms} subset tests"
             )
         expanded = (missed[:, None, :] | var_bits[None, :, :]).reshape(-1, implicants.shape[1])
+        if pruning:
+            expanded = expanded[_misses_some(expanded, avoid)]
         # Hit terms are untouched: an expanded term extends an implicant
         # incomparable with every hit term, so it can never absorb one.
         # Expanded terms are distinct and never nest (t | v inside t' | v'
@@ -352,7 +386,10 @@ def filter_non_extensions(
     candidates and candidates without ``bit`` are kept as they come.  In an
     add that keeps the positive region, with ``bit`` the new covering, the
     dropped candidates are exactly the expansion terms that strictly
-    contain an old reduct (see the ``engine`` module docstring).
+    contain an old reduct (see the ``engine`` module docstring).  That
+    expansion's ``avoid`` rows drop such terms only from the product step
+    at which its terms outnumber them, so some may still arrive here, and
+    this filter is the step that removes every one that does.
     """
     bit = _word_rows(bit)
     cand = _word_rows(candidates, bit.shape[1])
@@ -367,8 +404,13 @@ def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:
 
     Both are word arrays of one width.
     """
+    return not _misses_some(terms, clauses).any()
+
+
+def _misses_some(terms: np.ndarray, clauses: np.ndarray) -> np.ndarray:
+    """For each term: does it miss (share no variable with) some clause?"""
     # A term misses a clause iff the clause sits inside its complement.
-    return not _contains_subset(~terms, clauses).any()
+    return _contains_subset(~terms, clauses)
 
 
 def minimal_hitting(rows: np.ndarray, clauses: np.ndarray) -> bool:

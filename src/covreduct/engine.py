@@ -18,6 +18,20 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
   minimal hitting set of R, so p = q.  Conversely an old reduct q sits
   strictly inside c + q.  So a term c + q is dropped exactly when q is an
   old reduct.
+  Most such terms are never built.  With S the old related sets of the
+  objects inside the union, the old clauses are R and S, so a q in MHS(R)
+  (the minimal hitting sets of R) meets every set of S exactly when q is
+  an old reduct, and the answer is the old reducts plus {c + q : q in
+  MHS(R), q misses some set of S}.  After each product step the
+  expansion is the minimal hitting sets of the clauses multiplied in so
+  far, and a term that misses a set of S extends a term of the step
+  before that misses it too, so dropping, from some step on, every term
+  that meets all of S (S is ``minimal_dnf``'s ``avoid``, and c lies in
+  none of its sets) leaves exactly the terms that miss one; a term that
+  absorbs a kept term is inside it, so it is kept as well.  The expansion
+  starts dropping only once its terms outnumber S, so it may still hold
+  old reducts plus c, and the filter stays the step that makes the answer
+  exact.
 * add, positive region grew: the same expansion IS the new reduct set (the
   handful of objects only the new covering resolves force it into every
   reduct, so no old reduct survives and no filtering applies).
@@ -224,8 +238,14 @@ def add_covering(
         restricted = flags(cache.positive & ~delta.union, system.universe_size).view(bool)
         new_bit = _pack([1 << (m_plus - 1)], m_plus)
         clauses = np.concatenate((related_plus.rows[restricted], new_bit))
-        expansion = minimal_dnf(MonotoneFormula.from_rows("cnf", clauses, names_plus), max_terms)
+        cnf = MonotoneFormula.from_rows("cnf", clauses, names_plus)
         if pos_plus == cache.positive:
+            # An expansion term that meets the old related set of every
+            # object inside the union is an old reduct plus the new bit, so
+            # the expansion may drop it (see the module docstring).
+            inside = flags(delta.union, system.universe_size).view(bool)
+            avoid = _widen(cache.related.rows[inside], m_plus)
+            expansion = minimal_dnf(cnf, max_terms, avoid=avoid)
             # An old reduct absorbs a term only when it is that term with
             # the new bit cleared (see the module docstring).
             old = _widen(cache.reducts.rows, m_plus)
@@ -235,7 +255,7 @@ def add_covering(
             # The positive region grew, so some object is resolved only by
             # the new covering: every reduct must contain it and the old
             # reducts all lapse.  The expansion alone is the exact answer.
-            reducts_plus = expansion.rows
+            reducts_plus = minimal_dnf(cnf, max_terms).rows
 
     reduct_set = ReductSet(names_plus, reducts_plus)
     new_cache = ReductionCache(fingerprint(delta.system), related_plus, reduct_set)

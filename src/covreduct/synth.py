@@ -52,20 +52,24 @@ def random_covering(
 def random_decision(
     rng: random.Random, n: int, classes: int, contiguous: bool = False
 ) -> DecisionPartition:
-    """Draw a decision partition with exactly ``classes`` non-empty classes."""
-    k = min(classes, n)
+    """Draw a decision partition with exactly ``classes`` non-empty classes.
+
+    Raises ValueError when there are more classes than the ``n`` objects.
+    """
+    if classes > n:
+        raise ValueError(f"{classes} decision classes need at least {classes} objects, got {n}")
     if contiguous:
-        cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+        cuts = sorted(rng.sample(range(1, n), classes - 1)) if classes > 1 else []
         bounds = [0] + cuts + [n]
         masks = [
             (full_mask(hi) >> lo) << lo for lo, hi in zip(bounds, bounds[1:])
         ]
         return DecisionPartition(tuple(masks))
-    color = [rng.randrange(k) for _ in range(n)]
+    color = [rng.randrange(classes) for _ in range(n)]
     # Pin one object per class so no class comes out empty.
-    for cls, x in enumerate(rng.sample(range(n), k)):
+    for cls, x in enumerate(rng.sample(range(n), classes)):
         color[x] = cls
-    members: list[list[int]] = [[] for _ in range(k)]
+    members: list[list[int]] = [[] for _ in range(classes)]
     for x, cls in enumerate(color):
         members[cls].append(x)
     return DecisionPartition(tuple(map(mask_of, members)))

@@ -118,7 +118,7 @@ def test_removing_reducible_blocks_keeps_descriptions(consistent8):
 def test_positive_region_matches_admissible_union(consistent8, inconsistent8):
     rng = random.Random(10)
     randoms = [
-        random_system(rng, n, rng.randint(1, 4), 4, rng.randint(2, 4), block_style="subset")
+        random_system(rng, n, rng.randint(1, 4), 4, min(rng.randint(2, 4), n), block_style="subset")
         for n in range(2, 12)
     ]
     for system in [consistent8, inconsistent8] + randoms:
@@ -174,7 +174,9 @@ def test_regions_match_the_upper_union_fold():
     for _ in range(80):
         n = rng.randint(1, 12)
         style = rng.choice(["interval", "subset"])
-        system = random_system(rng, n, rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4), style)
+        system = random_system(
+            rng, n, rng.randint(1, 4), rng.randint(1, 5), min(rng.randint(1, 4), n), style
+        )
         report = cr.regions(system)
         assert (report.boundary, report.negative) == _boundary_negative_by_upper_fold(system)
         verdicts.add(cr.classify_consistency(system))
@@ -185,7 +187,9 @@ def test_regions_partition_properties_random():
     rng = random.Random(9)
     for _ in range(30):
         n = rng.randint(2, 9)
-        system = random_system(rng, n, rng.randint(1, 3), 3, rng.randint(2, 3), block_style="subset")
+        system = random_system(
+            rng, n, rng.randint(1, 3), 3, min(rng.randint(2, 3), n), block_style="subset"
+        )
         report = cr.regions(system)
         assert report.positive & report.boundary == 0
         assert report.positive & report.negative == 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,8 @@ def test_minimal_dnf_start_defaults_to_the_empty_implicant():
     assert cr.minimal_dnf(MonotoneFormula("cnf", [], names)).terms == {0}
     with pytest.raises(ValueError, match=r"start rows of shape \(1, 1\)"):
         cr.minimal_dnf(cnf, start=np.zeros((1, 1), dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"avoid rows of shape \(1, 1\)"):
+        cr.minimal_dnf(cnf, avoid=np.zeros((1, 1), dtype=np.uint64))
 
 
 (C6,) = terms(("C6",))
@@ -394,6 +397,51 @@ def test_minimal_dnf_from_start_matches_brute_force(data):
     assert hits_all(_pack(candidates, m), _pack(rest, m)) == all(
         t & c for t in candidates for c in rest
     )
+
+
+def test_minimal_dnf_avoid_matches_its_definition():
+    """Every term returned with ``avoid`` is a term of the minimal DNF
+    without it, and every such term that misses some ``avoid`` row is
+    returned.  Once pruning has started (the spy sees ``_misses_some``
+    run) the result is exactly those terms; before, it is the whole DNF.
+    ``avoid`` sets both smaller and larger than the families, and empty
+    ones, are drawn, at one and two words."""
+    cases = Counter()
+    misses_some = boolformula._misses_some
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from([w for w in KERNEL_WIDTHS if w <= 128]))
+        names = tuple(f"V{i}" for i in range(m))
+        # Clauses of two or three variables, so the families grow.  The
+        # avoid rows are often clauses, of the CNF or, as in an add, left
+        # out of it, so some families meet every one of them.
+        wide = st.sets(st.sampled_from(_positions(m)), min_size=2, max_size=3)
+        clauses = data.draw(st.lists(wide.map(lambda ps: sum(1 << p for p in ps)), max_size=8))
+        k = data.draw(st.integers(0, len(clauses)))
+        cnf = MonotoneFormula("cnf", clauses[:k], names)
+        start = _pack(absorbed(data.draw(term_lists(m)) or [0], m), m)
+        few = data.draw(st.booleans())  # fewer rows than the families soon hold
+        avoid = data.draw(
+            st.lists(st.sampled_from(clauses or [1]), min_size=few, max_size=2 if few else 4)
+        )
+        if not few:
+            avoid += data.draw(term_lists(m))
+            avoid += data.draw(st.lists(st.sampled_from(avoid or [0]), max_size=40))
+        full = cr.minimal_dnf(cnf, start=start).terms
+        with mock.patch.object(boolformula, "_misses_some", wraps=misses_some) as spy:
+            got = cr.minimal_dnf(cnf, start=start, avoid=_pack(avoid, m)).terms
+        missing = {t for t in full if any(not t & a for a in avoid)}
+        assert missing <= got <= full
+        assert got == (missing if spy.called else full)
+        cases["empty avoid"] += not avoid
+        if avoid and len(cnf.rows) > 1:
+            cases["pruned"] += got != full
+            cases["whole"] += not spy.called
+
+    check()
+    assert cases["pruned"] and cases["whole"] and cases["empty avoid"], cases
 
 
 def _is_minimal_hitting(row: int, clauses: list[int]) -> bool:

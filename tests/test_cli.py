@@ -490,6 +490,13 @@ BAD_BENCH_CONFIGS = [
     ('{"universe_sizes": []}', "universe_sizes"),
     ('{"covering_counts": []}', "covering_counts"),
     ('{"updates": []}', "updates"),
+    # More classes than objects once ran with fewer classes, and a repeated
+    # value measured its grid points twice; both exited 0.
+    ('{"universe_sizes": [3], "covering_counts": [2], "decision_classes": 8}', "decision_classes"),
+    ('{"universe_sizes": [20, 9], "decision_classes": 10}', "decision_classes"),
+    ('{"universe_sizes": [20, 20]}', "universe_sizes"),
+    ('{"covering_counts": [3, 2, 3]}', "covering_counts"),
+    ('{"updates": ["add", "add"]}', "updates"),
     ('{"seeds": 1}', "seeds"),
     ('[1000]', "root"),
 ]

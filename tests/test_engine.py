@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import covreduct as cr
-from covreduct import engine, io
+from covreduct import boolformula, engine, io
 from covreduct.bitset import full_mask, to_indices
 from covreduct.boolformula import (
     _pack,
@@ -380,7 +380,7 @@ def test_reduct_set_invariants_hold_on_random_systems():
     for _ in range(60):
         n = rng.randint(2, 10)
         system = random_system(
-            rng, n, rng.randint(1, 5), rng.randint(2, 6), rng.randint(2, 3), block_style="subset"
+            rng, n, rng.randint(1, 5), rng.randint(2, 6), min(rng.randint(2, 3), n), "subset"
         )
         reducts, cache = cr.batch_reducts(system)
         rf = cache.related
@@ -402,7 +402,7 @@ def test_incremental_matches_batch_on_random_updates():
         n = rng.randint(2, 10)
         m = rng.randint(1, 4)
         system = random_system(
-            rng, n, m, rng.randint(2, 6), rng.randint(2, 3), block_style="subset"
+            rng, n, m, rng.randint(2, 6), min(rng.randint(2, 3), n), block_style="subset"
         )
         _, cache = cr.batch_reducts(system)
         extra = random_covering(rng, n, "X", rng.randint(1, 5), style="subset")
@@ -550,7 +550,7 @@ def test_deletes_match_batch_and_oracle(expansions):
     rng = random.Random(41)
     for _ in range(400):
         n, m = rng.randint(3, 12), rng.randint(2, 7)
-        system = random_system(rng, n, m, rng.randint(2, 6), rng.randint(2, 4), "subset")
+        system = random_system(rng, n, m, rng.randint(2, 6), min(rng.randint(2, 4), n), "subset")
         delete_each(system, system.names())
     n = 16
     decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
@@ -827,7 +827,7 @@ def _key_covering(name, n):
     return cr.make_covering(name, [[x] for x in range(n)], n)
 
 
-def test_add_filter_meets_only_the_stripped_old_reducts(filters):
+def test_add_filter_meets_only_the_stripped_old_reducts(filters, monkeypatch):
     """Seeded adds, most of them keeping the positive region, at one and
     two words.
 
@@ -840,13 +840,27 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters):
     twelve coverings.  Adds whose stripped terms are the old reducts
     (nothing new), adds whose expansion is the new covering alone (a key
     covering on a consistent system) and ordinary adds all occur at both
-    widths.
+    widths, and so do adds whose expansion drops terms that meet every
+    ``avoid`` row (a spy on ``_misses_some`` sees one dropped): those must also
+    equal batch and the oracle, and the filter must still keep exactly the
+    candidates that strictly contain no old reduct.
     """
     kinds = Counter()
+    pruning = []
+    misses_some = boolformula._misses_some
+
+    def spy(terms, clauses):
+        kept = misses_some(terms, clauses)
+        pruning.append(not kept.all())
+        return kept
+
+    monkeypatch.setattr(boolformula, "_misses_some", spy)
 
     def add(system, cache, covering):
         filters.clear()
+        pruning.clear()
         reducts, new_cache = cr.add_covering(system, cache, covering)
+        pruned = any(pruning)  # some term was dropped
         grown = system.with_covering(covering)
         batch, _ = cr.batch_reducts(grown)
         assert reducts.as_name_sets() == batch.as_name_sets()
@@ -868,12 +882,16 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters):
             else:
                 kind = "ordinary"
             kinds[len(grown.coverings) > 64, kind] += 1
+            kinds[len(grown.coverings) > 64, "pruned"] += pruned
+        assert filters or not pruning
         return grown, new_cache
 
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(3, 10)
-        system = random_system(rng, n, rng.randint(2, 6), rng.randint(2, 5), rng.randint(2, 4), "subset")
+        system = random_system(
+            rng, n, rng.randint(2, 6), rng.randint(2, 5), min(rng.randint(2, 4), n), "subset"
+        )
         _, cache = cr.batch_reducts(system)
         for j in range(rng.randint(1, 3)):
             covering = cr.make_covering(f"X{j}", _subset_blocks(rng, n), n)
@@ -895,5 +913,7 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters):
             covering = cr.make_covering(f"X{j}", _sparse_blocks(rng, n), n)
             system, cache = add(system, cache, covering)
     assert all(
-        kinds[wide, kind] for wide in (False, True) for kind in ("expansion is c", "nothing new", "ordinary")
+        kinds[wide, kind]
+        for wide in (False, True)
+        for kind in ("expansion is c", "nothing new", "ordinary", "pruned")
     )

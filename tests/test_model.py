@@ -228,7 +228,7 @@ def test_admissible_matches_the_definition(n):
     # another class added (often the lowest or the highest object, so the
     # block's two ends fall in different classes), and arbitrary blocks.
     rng = random.Random(n)
-    decision = random_decision(rng, n, 4)
+    decision = random_decision(rng, n, min(4, n))
     full = (1 << n) - 1
     system = cr.CoveringDecisionSystem(n, (cr.Covering("C", (full,)),), decision)
     classes = decision.classes

@@ -115,7 +115,7 @@ def test_nonempty_objects_equals_positive_region():
     for _ in range(40):
         n = rng.randint(2, 10)
         system = random_system(
-            rng, n, rng.randint(1, 4), rng.randint(2, 5), rng.randint(2, 3), block_style="subset"
+            rng, n, rng.randint(1, 4), rng.randint(2, 5), min(rng.randint(2, 3), n), "subset"
         )
         rf = cr.related_sets(system)
         _, pos = cr.positive_region(system)

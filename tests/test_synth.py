@@ -28,7 +28,7 @@ def test_generated_systems_are_valid(style, contiguous):
             n,
             rng.randint(1, 5),
             rng.randint(1, 8),
-            rng.randint(2, 4),
+            min(rng.randint(2, 4), n),
             block_style=style,
             contiguous_decision=contiguous,
         )
@@ -67,6 +67,15 @@ def test_random_decision_classes_nonempty():
                 assert union & c == 0
                 union |= c
             assert union == (1 << n) - 1
+
+
+def test_random_decision_rejects_more_classes_than_objects():
+    # It used to draw min(classes, n) classes, so a bench config asking for
+    # more classes than objects measured fewer without a word.
+    for contiguous in (False, True):
+        assert len(random_decision(random.Random(0), 3, 3, contiguous).classes) == 3
+        with pytest.raises(ValueError, match="4 decision classes need at least 4 objects, got 3"):
+            random_decision(random.Random(0), 3, 4, contiguous)
 
 
 def test_unknown_block_style_rejected():
