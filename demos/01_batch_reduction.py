@@ -48,8 +48,8 @@ print()
 
 cnf = cr.related_function(related)
 print("Related function (CNF over covering names), distinct clauses:")
-for clause in sorted(cnf.term_name_sets(), key=sorted):
-    print("  " + " or ".join(sorted(clause)))
+for clause in sorted(sorted(cr.mask_to_names(cnf.names, t)) for t in cnf.terms):
+    print("  " + " or ".join(clause))
 print()
 
 reducts, cache = cr.batch_reducts(system)

@@ -21,20 +21,27 @@ the first step at which the implicants outnumber the ``avoid`` rows every
 implicant and extended term that meets all of them is dropped, and the
 rest of the product runs on the smaller sets.
 
-Absorption, the product step and the survivor check of shrinking deletes
-are all quadratic in the term count (sets in the thousands are routine
-for dense systems); the filter of incremental adds is an equality test,
-and ``minimal_hitting``, which certifies a large loaded reduct set as an
+The product step and the survivor check of shrinking deletes are
+quadratic in the term count (sets in the thousands are routine for dense
+systems), and so is absorption at worst.  Absorption takes the rows a
+head at a time, up to ``HEAD_ROWS`` rows of the lowest whole popcount
+levels left, tests the head against itself and then, in one kernel
+call, the rows left against the kept head rows, so a family takes at
+most as many passes as it keeps rows, however many popcount levels it
+spans.  The filter of incremental adds is an equality test, and
+``minimal_hitting``, which certifies a large loaded reduct set as an
 antichain, is linear in the term count: it tests the terms against the
 clauses, not against each other, in one pass that counts the bits of
 each term-clause meet once for both of its tests.
 They run on numpy, for any number of variables: a set of k terms over m
 variables is a ``(k, W)`` uint64 array with W = ceil(m / 64) words per
 term, least significant word first.  One kernel, ``_contains_subset``,
-answers every "does some term of B sit inside this term of A" question.
-It broadcasts chunks of the shorter set against the whole of the longer
-one, each chunk sized so that a step touches at most ``CHUNK_CELLS``
-words, so temporaries stay small whatever the term counts.  At W = 1 a
+answers every "does some term of B sit inside this term of A" question
+between two sets.  It broadcasts chunks of the shorter set against the
+whole of the longer one, each chunk sized so that a step touches at most
+``CHUNK_CELLS`` words, so temporaries stay small whatever the term
+counts.  Only an ``absorb`` head, of at most ``HEAD_ROWS`` rows, is
+tested against itself, in one broadcast of its own.  At W = 1 a
 word column is the flat uint64 vector of the terms, so one-word formulas
 run plain vector arithmetic.  A ``MonotoneFormula`` stores its terms in
 this layout only (its int masks are a view built on demand), every
@@ -57,6 +64,10 @@ CELLS_PER_TERM = 10_000
 # Words (rows of A x rows of B x W) one broadcast step of _contains_subset
 # covers: 256 KiB of uint64 temporaries, which stay in a core's cache.
 CHUNK_CELLS = 1 << 15
+# Rows one pass of absorb takes from the lowest popcount levels left (a
+# single longer level is taken whole): the head is broadcast against
+# itself, so it stays a few thousand cells.
+HEAD_ROWS = 64
 
 
 class MonotoneFormula:
@@ -101,9 +112,6 @@ class MonotoneFormula:
 
     def __repr__(self) -> str:
         return f"MonotoneFormula({self.mode!r}, {self.terms!r}, {self.names!r})"
-
-    def term_name_sets(self) -> frozenset[frozenset[str]]:
-        return _name_sets(self.names, self.rows)
 
 
 def mask_to_names(names: Sequence[str], mask: int) -> tuple[str, ...]:
@@ -263,9 +271,16 @@ def absorb(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a ``(k, W)`` word array that contain no other row
     (absorption to an antichain), in ascending popcount, then value, order.
 
-    The rows of the lowest popcount left contain no other row left, so they
-    are kept and every row containing one of them is dropped, one level at
-    a time.  Fewer than two distinct rows are returned as they are.
+    Each pass takes a head of the rows left: their lowest whole popcount
+    levels, up to HEAD_ROWS rows and always at least one level.  A row
+    sits inside another only at a lower popcount, so one broadcast of the
+    head against itself finds the head rows that contain another head row
+    (a head of one level has none), and the rest of the head is kept:
+    every row left outside the head has no lower popcount than any of
+    them.  One ``_contains_subset`` call then drops every later row that
+    contains a kept row.  The passes follow the rows that survive, not the
+    popcount levels.  Fewer than two distinct rows are returned as they
+    are.
     """
     rows = _unique_rows(_word_rows(rows))
     if len(rows) < 2:
@@ -273,14 +288,30 @@ def absorb(rows: np.ndarray) -> np.ndarray:
     counts = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
     order = np.argsort(counts, kind="stable")
     rows, counts = rows[order], counts[order]
-    kept = rows[:0]
+    kept = []
     while len(rows):
-        low = np.searchsorted(counts, counts[0], side="right")
-        level, rows, counts = rows[:low], rows[low:], counts[low:]
-        kept = np.concatenate((kept, level))
-        left = ~_contains_subset(rows, level)
+        end = len(rows)
+        if end > HEAD_ROWS:
+            # Whole levels only: cut below the level of the first row past
+            # HEAD_ROWS, or after the first level if that one is longer.
+            end = np.searchsorted(counts, counts[HEAD_ROWS]) or np.searchsorted(
+                counts, counts[0], side="right"
+            )
+        head, head_counts = rows[:end], counts[:end]
+        if head_counts[-1] > head_counts[0]:
+            # inside[i, j]: head row j sits inside head row i at a lower
+            # popcount (distinct rows of one popcount never nest).
+            outside = ~head
+            spill = head[None, :, 0] & outside[:, None, 0]
+            for w in range(1, head.shape[1]):
+                spill |= head[None, :, w] & outside[:, None, w]
+            inside = (spill == 0) & (head_counts[None, :] < head_counts[:, None])
+            head = head[~inside.any(axis=1)]
+        kept.append(head)
+        rows, counts = rows[end:], counts[end:]
+        left = ~_contains_subset(rows, head)
         rows, counts = rows[left], counts[left]
-    return kept
+    return np.concatenate(kept)
 
 
 def minimal_dnf(

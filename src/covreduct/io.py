@@ -49,8 +49,12 @@ The ``k > n`` certificate: the antichain check on the k reducts of n
 objects has two ways to pass.  The reducts the engine writes are the
 minimal hitting sets of the non-empty related sets, and distinct minimal
 hitting sets never nest, so ``boolformula.minimal_hitting`` against the c
-absorbed related sets proves an antichain in O((n + k) * c) steps, the
-absorption included.  Absorbed sets suffice: a set private to a bit of a
+absorbed related sets proves an antichain in O((n + k) * c + n * h)
+steps, the absorption included.  ``absorb`` takes the n related sets in
+heads of at most h = ``HEAD_ROWS`` rows from the lowest popcount levels
+(a longer level alone is one head, tested against nothing inside), and
+tests each head against itself and its kept rows against the sets left,
+in at most c passes.  Absorbed sets suffice: a set private to a bit of a
 reduct contains an absorbed set, which is then private to that bit too.
 The certificate is tried when k > n, where it beats the O(k^2) ``absorb``
 of the reducts; otherwise, or when it fails, that ``absorb`` decides, so

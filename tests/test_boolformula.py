@@ -33,7 +33,7 @@ def terms(*groups):
 
 
 def named(formula: MonotoneFormula) -> frozenset[frozenset[str]]:
-    return formula.term_name_sets()
+    return boolformula._name_sets(formula.names, formula.rows)
 
 
 def absorbed(masks, m=len(NAMES6)):
@@ -294,8 +294,34 @@ def _positions(m: int) -> list[int]:
 
 
 @st.composite
-def term_lists(draw, m: int):
-    """Terms over a few positions of m variables, often repeated or nested."""
+def large_families(draw, m: int):
+    """40-150 terms over m >= 10 variables, each a union of some of 5-8
+    base terms, over at least 10 popcount levels, so ``absorb`` takes
+    several heads, and rows nest within a head and across heads."""
+    # A seeded Random: drawing every choice through Hypothesis would make
+    # a family cost thousands of draws.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        bases = [sum(1 << p for p in rng.sample(range(m), rng.randint(1, 6)))
+                 for _ in range(rng.randint(5, 8))]
+        family = []
+        for _ in range(rng.randint(40, 150)):
+            union = 0
+            for base in rng.sample(bases, rng.randint(1, len(bases))):
+                union |= base
+            family.append(union)
+        if len({t.bit_count() for t in family}) >= 10:
+            return family
+
+
+@st.composite
+def term_lists(draw, m: int, large: bool = True):
+    """Terms over a few positions of m variables, often repeated or nested;
+    at one and two words, unless ``large`` is False, sometimes one of
+    ``large_families`` instead.  The brute-force oracles, which enumerate
+    every subset of the variables in use, draw with ``large=False``."""
+    if large and 10 <= m <= 128 and draw(st.integers(0, 3)) == 0:
+        return draw(large_families(m))
     pool = _positions(m)
     masks = st.sets(st.sampled_from(pool), max_size=4).map(
         lambda ps: sum(1 << p for p in ps)
@@ -333,6 +359,37 @@ def test_clause_rows_absorb_in_size_then_value_order(data):
     )
 
 
+def test_absorb_drops_rows_within_a_head_and_across_heads():
+    """Over ``term_lists``, ``absorb`` drops both rows that contain a row
+    of their own head and rows that contain a kept row of an earlier head.
+    A spy on ``_contains_subset`` counts the second kind; the distinct
+    rows neither kept nor dropped by it are the first kind."""
+    cases = Counter()
+    contains_subset = boolformula._contains_subset
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from([w for w in KERNEL_WIDTHS if w <= 128]))
+        terms = data.draw(term_lists(m))
+        across = []
+
+        def spy(rows, head):
+            found = contains_subset(rows, head)
+            across.append(int(found.sum()))
+            return found
+
+        with mock.patch.object(boolformula, "_contains_subset", spy):
+            kept = cr.absorb(_pack(terms, m))
+        within = len(set(terms)) - len(kept) - sum(across)
+        assert within >= 0
+        cases["within a head"] += within > 0
+        cases["across heads"] += sum(across) > 0
+
+    check()
+    assert cases["within a head"] and cases["across heads"], cases
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_filter_non_extensions_matches_its_definition(data):
@@ -356,7 +413,7 @@ def test_filter_non_extensions_matches_its_definition(data):
 def test_minimal_dnf_matches_brute_force_at_every_width(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     names = tuple(f"V{i}" for i in range(m))
-    clauses = [c for c in data.draw(term_lists(m)) if c]
+    clauses = [c for c in data.draw(term_lists(m, large=False)) if c]
     dnf = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(clauses), names))
     # The same CNF as a row selection, its repeated rows kept, expands to
     # the same rows in the same order.
@@ -373,7 +430,7 @@ def test_minimal_dnf_matches_brute_force_at_every_width(data):
 def test_minimal_dnf_from_start_matches_brute_force(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     names = tuple(f"V{i}" for i in range(m))
-    clauses = [c for c in data.draw(term_lists(m)) if c]
+    clauses = [c for c in data.draw(term_lists(m, large=False)) if c]
     k = data.draw(st.integers(0, len(clauses)))
     prefix, rest = clauses[:k], clauses[k:]
     used = sorted({v for c in clauses for v in to_indices(c)})
@@ -458,7 +515,7 @@ def _is_minimal_hitting(row: int, clauses: list[int]) -> bool:
 @given(st.data())
 def test_minimal_hitting_matches_its_definition(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
-    clauses = [c for c in data.draw(term_lists(m)) if c]  # may be none, or repeat
+    clauses = [c for c in data.draw(term_lists(m, large=False)) if c]  # may be none, or repeat
     used = sorted({v for c in clauses for v in to_indices(c)})
     sets = [frozenset(to_indices(c)) for c in clauses]
     hitting = sorted(sum(1 << v for v in h) for h in minimal_hitting_sets(sets, used))

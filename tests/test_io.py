@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import covreduct as cr
-from covreduct import io
+from covreduct import boolformula, io
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.boolformula import _pack
@@ -637,6 +637,33 @@ def test_few_reducts_take_the_quadratic_check(absorbed_counts, consistent8):
     assert len(cache.reducts.rows) == 6 <= consistent8.universe_size
     assert cr.load_cache(cr.serialize_cache(cache)) == cache
     assert absorbed_counts == [6]
+
+
+@pytest.mark.parametrize("padding", [0, 56])
+def test_superset_past_the_first_absorb_head_is_rejected(absorbed_counts, padding):
+    # 167 reducts of popcount 7-10 on 200 objects, so absorb decides and
+    # takes several heads.  The appended row strictly contains a reduct of
+    # the lowest popcount, which is in the first head, and has the top
+    # popcount, which is not.
+    system = random_system(random.Random(2), 200, 30, 20, 6, contiguous_decision=True)
+    for i in range(padding):
+        system = system.with_covering(cr.make_covering(f"P{i}", [list(range(200))], 200))
+    _, cache = cr.batch_reducts(system)
+    rows = cache.reducts.rows
+    counts = np.bitwise_count(rows).sum(axis=1)
+    assert len(rows) == 167 <= system.universe_size and rows.shape[1] == 1 + (padding > 0)
+    assert np.count_nonzero(counts < counts.max()) > boolformula.HEAD_ROWS
+    doc = json.loads(cr.serialize_cache(cache))
+    width = max(1, -(-len(doc["covering_names"]) // 8))
+    superset = min(_fields(doc["reducts"], width), key=int.bit_count)
+    for i in range(len(doc["covering_names"])):
+        if superset.bit_count() < counts.max() and not superset >> i & 1:
+            superset |= 1 << i
+    doc["reducts"] += superset.to_bytes(width, "little").hex()
+    doc["digest"] = io._digest(doc["fingerprint"], doc["covering_names"], doc["related"], doc["reducts"])
+    with pytest.raises(ParseError, match=re.escape("reducts: one reduct contains another")):
+        cr.load_cache(json.dumps(doc))
+    assert absorbed_counts == [168]
 
 
 # With four more coverings, none admissible, the consistent8 masks take two

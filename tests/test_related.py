@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import covreduct as cr
+from covreduct import boolformula
 from covreduct.bitset import full_mask, mask_of
 from covreduct.boolformula import _pack
 from covreduct.synth import random_system
@@ -85,7 +86,7 @@ def test_related_sets_of_decision_covering():
 def test_related_function_golden(consistent8):
     cnf = cr.related_function(cr.related_sets(consistent8))
     assert cnf.mode == "cnf"
-    assert cnf.term_name_sets() == frozenset(
+    assert boolformula._name_sets(cnf.names, cnf.rows) == frozenset(
         frozenset(s)
         for s in [
             {"C1", "C3", "C5"},
@@ -98,7 +99,7 @@ def test_related_function_golden(consistent8):
 
 def test_related_function_inconsistent_golden(inconsistent8):
     cnf = cr.related_function(cr.related_sets(inconsistent8))
-    assert cnf.term_name_sets() == frozenset(
+    assert boolformula._name_sets(cnf.names, cnf.rows) == frozenset(
         frozenset(s) for s in [{"C2", "C3"}, {"C1", "C2"}, {"C1"}]
     )
 
