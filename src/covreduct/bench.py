@@ -10,9 +10,10 @@ never contains an unequal row.
 
 Every trial of a grid point reuses the same system objects, so once the
 untimed first calls have filled the memos on them, the timed add or
-delete skips the base system's fingerprint and the timed batch skips the
-admissible unions and the fingerprint of the updated system.  The times
-are those of warm systems; perfbench times fresh ones.
+delete finds the base system's admissible unions and fingerprint, and
+the timed batch those of the updated system, already computed.  A cold
+system would test each block once, for admissibility, and hash only the
+unions.  The times are those of warm systems; perfbench times fresh ones.
 """
 
 import random

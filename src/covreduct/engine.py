@@ -35,10 +35,11 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 * add, positive region grew: the same expansion IS the new reduct set (the
   handful of objects only the new covering resolves force it into every
   reduct, so no old reduct survives and no filtering applies).
-* delete, either way: the positive region of the shrunk system is
-  recomputed from its blocks; a cache whose updated related sets disagree
-  with it (the objects with a non-empty related set must be exactly that
-  region) raises StaleCache.
+* delete, either way: the positive region of the shrunk system is the OR
+  of its coverings' admissible unions, which the stamp check has just
+  computed from this system's blocks; a cache whose updated related sets
+  disagree with it (the objects with a non-empty related set must be
+  exactly that region) raises StaleCache.
 * delete, positive region unchanged: keep the reducts that avoid the
   deleted covering.
 * delete, positive region shrank: some object's only related covering was
@@ -273,7 +274,8 @@ def delete_covering(
     idx = system.covering_index(name)
     # Raises LastCovering when it would empty the family.
     system_minus = system.without_covering(name)
-    _, pos_minus = positive_region(system_minus)  # no shortcut: recomputed
+    # The OR of the unions that the stamp check computed from the blocks.
+    _, pos_minus = positive_region(system_minus)
     names_minus = system_minus.names()
     width = word_count(len(names_minus))
     rows_minus = drop_variable(cache.related.rows, idx)[:, :width]

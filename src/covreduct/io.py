@@ -14,9 +14,9 @@ inside each block, blocks lexicographically within a covering, and keeps
 coverings in declaration order, so equal systems produce byte-equal
 documents.
 
-Cache document layout (JSON, compact, format 5)::
+Cache document layout (JSON, compact, format 6)::
 
-    {"format": 5, "fingerprint": "...", "covering_names": ["C1", ...],
+    {"format": 6, "fingerprint": "...", "covering_names": ["C1", ...],
      "related": "0300...", "reducts": "0105...", "digest": "..."}
 
 ``related`` and ``reducts`` are each one lowercase hex string: a run of
@@ -38,12 +38,12 @@ they need no escaping, and ``json.dumps`` would scan them one character
 at a time.  The bytes are unchanged: those of
 ``json.dumps(doc, separators=(",", ":"))`` and a newline.
 ``fingerprint`` is ``model.fingerprint`` of the system the cache describes,
-a hash built from per-covering digests.  ``digest`` is SHA-256 over the
+a hash of each covering's admissible union.  ``digest`` is SHA-256 over the
 fingerprint and names (as JSON) and the two hex strings as written: it
 catches corruption and hand edits, not a forger who recomputes it.
-``load_cache`` accepts only format 5 and checks the invariants the engine
+``load_cache`` accepts only format 6 and checks the invariants the engine
 relies on and the digest before it returns.  Caches written before format
-5 are rejected; rebuild them with ``covreduct reduce --cache``.
+6 are rejected; rebuild them with ``covreduct reduce --cache``.
 
 The ``k > n`` certificate: the antichain check on the k reducts of n
 objects has two ways to pass.  The reducts the engine writes are the
@@ -326,7 +326,7 @@ def parse_coverization_spec(text: str) -> CoverizationSpec:
 # --- reduction caches ------------------------------------------------------
 
 
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 CACHE_FIELDS = ("format", "fingerprint", "covering_names", "related", "reducts", "digest")
 
 
@@ -421,7 +421,7 @@ def load_cache(text: str) -> ReductionCache:
     data = decode_json(text)
     _expect(isinstance(data, dict), "cache root must be an object")
     fmt = data.get("format")
-    # 5.0 == 5, but only the JSON integer 5 names the format.
+    # 6.0 == 6, but only the JSON integer 6 names the format.
     _expect(
         type(fmt) is int and fmt == CACHE_FORMAT,
         f"cache format {fmt!r} is not {CACHE_FORMAT}; "

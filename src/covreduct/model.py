@@ -58,11 +58,11 @@ class CoveringDecisionSystem:
     """The universe size, the coverings in declaration order, the decision.
 
     Facts derived from the blocks are memoized on the instance when first
-    asked for: per covering name, the covering's digest and admissible
-    union; per object, the objects outside its decision class; the digest
-    of the decision classes; and the fingerprint.  ``with_covering`` and
-    ``without_covering`` hand the memos of the coverings they keep to the
-    system they derive, so an updated system computes them only for the
+    asked for: per covering name, the admissible union; per object, the
+    objects outside its decision class; the digest of the decision
+    classes; and the fingerprint, which hashes the unions.  ``with_covering``
+    and ``without_covering`` hand the unions of the coverings they keep to
+    the system they derive, so an updated system tests blocks only for the
     covering that changed.
     """
 
@@ -120,19 +120,6 @@ class CoveringDecisionSystem:
             self._unions[covering.name] = union
         return union
 
-    def _covering_digest(self, covering: Covering) -> bytes:
-        digest = self._digests.get(covering.name)
-        if digest is None:
-            h = hashlib.sha256(_encode_name(covering.name))
-            h.update(self._encode_masks(covering.blocks))
-            digest = self._digests[covering.name] = h.digest()
-        return digest
-
-    def _encode_masks(self, masks: Iterable[int]) -> bytes:
-        """Masks as sorted fixed-width little-endian byte strings, joined."""
-        width = (self.universe_size + 7) // 8
-        return b"".join(sorted(m.to_bytes(width, "little") for m in masks))
-
     @functools.cached_property
     def _outside(self) -> list[int]:
         """outside[x] = the objects outside the decision class holding x."""
@@ -148,19 +135,18 @@ class CoveringDecisionSystem:
         return {}
 
     @functools.cached_property
-    def _digests(self) -> dict[str, bytes]:
-        return {}
-
-    @functools.cached_property
     def _decision_digest(self) -> bytes:
-        return hashlib.sha256(self._encode_masks(self.decision.classes)).digest()
+        width = (self.universe_size + 7) // 8
+        encoded = sorted(cls.to_bytes(width, "little") for cls in self.decision.classes)
+        return hashlib.sha256(b"".join(encoded)).digest()
 
     @functools.cached_property
     def _fingerprint(self) -> str:
+        width = (self.universe_size + 7) // 8
         h = hashlib.sha256(self.universe_size.to_bytes(8, "little"))
         for cov in sorted(self.coverings, key=lambda c: c.name):
             h.update(_encode_name(cov.name))
-            h.update(self._covering_digest(cov))
+            h.update(self._admissible_union(cov).to_bytes(width, "little"))
         h.update(self._decision_digest)
         return h.hexdigest()[:16]
 
@@ -170,10 +156,9 @@ class CoveringDecisionSystem:
         for key in ("_outside", "_decision_digest"):
             if key in self.__dict__:
                 child.__dict__[key] = self.__dict__[key]
-        for key in ("_unions", "_digests"):
-            memo = self.__dict__.get(key)
-            if memo:
-                child.__dict__[key] = {c.name: memo[c.name] for c in coverings if c.name in memo}
+        if unions := self.__dict__.get("_unions"):
+            kept = {c.name: unions[c.name] for c in coverings if c.name in unions}
+            child.__dict__["_unions"] = kept
         return child
 
 
@@ -320,18 +305,21 @@ def _encode_name(name: str) -> bytes:
 
 
 def fingerprint(system: CoveringDecisionSystem) -> str:
-    """Stable hash of a system's content, used to stamp caches.
+    """Stable hash of what a system's reducts depend on, used to stamp caches.
 
-    SHA-256 over the universe size, the (name, covering digest) pairs in
-    name order and a digest of the decision classes.  A covering's digest
-    is SHA-256 over its name and its blocks, the classes' digest SHA-256
-    over the classes; either encodes each mask in ``(n + 7) // 8``
-    little-endian bytes and sorts the encodings.  The stamp is therefore
-    invariant under reordering of blocks within a covering, of coverings
-    within the family (names are unique) and of classes.
+    SHA-256 over the universe size, the (name, admissible union) pairs in
+    name order and a digest of the decision classes.  Each union and each
+    class is encoded in ``(n + 7) // 8`` little-endian bytes, and the
+    classes' digest is SHA-256 over their sorted encodings.  Two systems
+    get equal stamps exactly when they agree on the universe size, the
+    covering names, every covering's admissible union and the decision
+    classes; their related sets, positive regions and reducts are then
+    equal.  Blocks that fit no class do not count, and neither does the
+    order of blocks, coverings (names are unique) or classes.
 
-    The covering digests and the classes' digest are memoized on the
-    instance and inherited through ``with_covering``/``without_covering``,
-    so the stamp of an updated system hashes only the changed covering.
+    The unions and the classes' digest are memoized on the instance and
+    the unions inherited through ``with_covering``/``without_covering``, so
+    the stamp of an updated system tests only the changed covering's
+    blocks, and a cold system tests each block once, for admissibility.
     """
     return system._fingerprint

@@ -1,6 +1,34 @@
+import hashlib
+
 import pytest
 
 import covreduct as cr
+
+
+def block_fingerprint(system: cr.CoveringDecisionSystem) -> str:
+    """The format 5 stamp, which hashes every block of every covering.
+
+    SHA-256 over the universe size, each covering's length-prefixed name
+    and SHA-256 digest (over that name and the covering's sorted blocks) in
+    name order, and SHA-256 over the sorted decision classes; every mask in
+    ``(n + 7) // 8`` little-endian bytes.  ``fingerprint`` now hashes the
+    admissible unions instead, so tests that pin the drawn blocks use this.
+    """
+    width = (system.universe_size + 7) // 8
+
+    def name(s: str) -> bytes:
+        raw = s.encode()
+        return len(raw).to_bytes(4, "little") + raw
+
+    def masks(ms) -> bytes:
+        return b"".join(sorted(m.to_bytes(width, "little") for m in ms))
+
+    h = hashlib.sha256(system.universe_size.to_bytes(8, "little"))
+    for cov in sorted(system.coverings, key=lambda c: c.name):
+        h.update(name(cov.name))
+        h.update(hashlib.sha256(name(cov.name) + masks(cov.blocks)).digest())
+    h.update(hashlib.sha256(masks(system.decision.classes)).digest())
+    return h.hexdigest()[:16]
 
 
 def obj(*labels: int) -> list[int]:

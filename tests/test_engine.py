@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import covreduct as cr
 from covreduct import boolformula, engine, io
@@ -917,3 +917,170 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters, monkeypatch):
         for wide in (False, True)
         for kind in ("expansion is c", "nothing new", "ordinary", "pruned")
     )
+
+
+# --- the stamp contract --------------------------------------------------
+#
+# Two systems get equal stamps exactly when they agree on n, the covering
+# names, each covering's admissible union and the decision classes.  The
+# systems below have object 0 and object 1 in different classes, so a
+# block holding both fits no class; padding with such one-block coverings
+# makes the cached rows two words wide and changes no reduct.
+
+PADDINGS = pytest.mark.parametrize("padding", [0, 64], ids=["one word", "two words"])
+
+
+@st.composite
+def _specs(draw, max_m):
+    """(n, [(name, blocks)], decision) with object 0 and 1 in different classes."""
+    n = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    m = draw(st.integers(1, max_m))
+    return n, [(f"C{i}", draw(_covering_blocks(n))) for i in range(m)], partition_blocks(labels)
+
+
+def _padded(n, coverings, decision, padding):
+    pads = [(f"P{i}", [range(n)]) for i in range(padding)]
+    return cr.build_system(n, list(coverings) + pads, decision)
+
+
+def _stamp_key(n, coverings, decision):
+    """What a stamp describes, by definition: n, each name's union of the
+    blocks that lie inside one class, and the classes as a set."""
+    classes = [set(cls) for cls in decision]
+    unions = {
+        name: frozenset(x for b in blocks if any(set(b) <= cls for cls in classes) for x in b)
+        for name, blocks in coverings
+    }
+    return n, unions, frozenset(map(frozenset, classes))
+
+
+@st.composite
+def _stamp_pairs(draw):
+    """A system spec and a spec changed one way, which may or may not
+    change what the stamp describes."""
+    n, coverings, decision = draw(_specs(12))
+    twin, twin_decision, twin_n = list(coverings), decision, n
+    k = draw(st.integers(0, len(coverings) - 1))
+    name, blocks = coverings[k]
+    change = draw(
+        st.sampled_from(
+            ["reorder", "block", "unfit block", "drop", "rename", "swap", "decision", "grow"]
+        )
+    )
+    if change == "reorder":
+        twin = [(c, [bs[i] for i in draw(st.permutations(range(len(bs))))]) for c, bs in twin]
+        twin = [twin[i] for i in draw(st.permutations(range(len(twin))))]
+        twin_decision = [decision[i] for i in draw(st.permutations(range(len(decision))))]
+    elif change in ("block", "unfit block"):
+        block = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        if change == "unfit block":
+            block = sorted({0, 1, *block})
+        if block not in blocks:
+            twin[k] = (name, blocks + [block])
+    elif change == "drop":
+        i = draw(st.integers(0, len(blocks) - 1))
+        rest = blocks[:i] + blocks[i + 1 :]
+        if set().union(*map(set, rest)) == set(range(n)):
+            twin[k] = (name, rest)
+    elif change == "rename":
+        twin[k] = ("Z", blocks)
+    elif change == "swap":
+        j = draw(st.integers(0, len(coverings) - 1))
+        twin[k], twin[j] = (name, coverings[j][1]), (coverings[j][0], blocks)
+    elif change == "decision":
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        labels[:2] = [0, 1]
+        twin_decision = partition_blocks(labels)
+    else:
+        twin_n = n + 1
+        twin = [(c, bs + [[n]]) for c, bs in twin]
+        twin_decision = [decision[0] + [n]] + decision[1:]
+    return (n, coverings, decision), (twin_n, twin, twin_decision), change
+
+
+@PADDINGS
+@settings(max_examples=150, deadline=None)
+@given(case=_stamp_pairs())
+def test_stamps_are_equal_exactly_when_unions_names_and_decision_are(padding, case):
+    spec, twin, change = case
+    a, b = _padded(*spec, padding), _padded(*twin, padding)
+    same = _stamp_key(*spec) == _stamp_key(*twin)
+    assert (cr.fingerprint(a) == cr.fingerprint(b)) == same
+    assert same or change not in ("reorder", "unfit block")
+
+
+@st.composite
+def _unfit_twins(draw):
+    """A system spec, the same with one more block that fits no class, a
+    covering to add and the name of one to delete."""
+    n, coverings, decision = draw(_specs(6))
+    k = draw(st.integers(0, len(coverings) - 1))
+    name, blocks = coverings[k]
+    block = sorted({0, 1, *draw(st.sets(st.integers(0, n - 1)))})
+    assume(block not in blocks)
+    twin = list(coverings)
+    twin[k] = (name, blocks + [block])
+    added = draw(_covering_blocks(n))
+    victim = draw(st.sampled_from([c for c, _ in coverings]))
+    return n, coverings, twin, decision, added, victim
+
+
+@PADDINGS
+@settings(max_examples=60, deadline=None)
+@given(case=_unfit_twins())
+def test_a_cache_serves_a_system_that_differs_only_in_unfit_blocks(padding, case):
+    n, coverings, twin, decision, added, victim = case
+    a, b = _padded(n, coverings, decision, padding), _padded(n, twin, decision, padding)
+    assert cr.fingerprint(a) == cr.fingerprint(b)
+    _, cache = cr.batch_reducts(a)
+    extra = cr.make_covering("X", added, n)
+    grown, _ = cr.add_covering(b, cache, extra)
+    assert grown == cr.batch_reducts(b.with_covering(extra))[0]
+    # The padding coverings lie in no reduct, so the oracle runs without them.
+    oracle = cr.oracle_reducts(cr.build_system(n, twin + [("X", added)], decision))
+    assert grown.as_name_sets() == oracle.as_name_sets()
+    if len(b.coverings) > 1:
+        shrunk, _ = cr.delete_covering(b, cache, victim)
+        assert shrunk == cr.batch_reducts(b.without_covering(victim))[0]
+        rest = [c for c in twin if c[0] != victim]
+        if rest:
+            oracle = cr.oracle_reducts(cr.build_system(n, rest, decision))
+            assert shrunk.as_name_sets() == oracle.as_name_sets()
+
+
+@st.composite
+def _stale_twins(draw):
+    """A system spec and the same with one covering's admissible union
+    changed, the decision changed or one covering renamed."""
+    n, coverings, decision = draw(_specs(6))
+    k = draw(st.integers(0, len(coverings) - 1))
+    name, blocks = coverings[k]
+    twin, twin_decision = list(coverings), decision
+    change = draw(st.sampled_from(["union", "decision", "name"]))
+    if change == "union":
+        outside = sorted(set(range(n)) - _stamp_key(n, coverings, decision)[1][name])
+        # A singleton fits its class; a whole-universe block fits none.
+        twin[k] = (name, blocks + [outside[:1]]) if outside else (name, [list(range(n))])
+    elif change == "decision":
+        # Merge the classes of objects 0 and 1.
+        twin_decision = [decision[0] + decision[1]] + decision[2:]
+    else:
+        twin[k] = ("Z", blocks)
+    return n, coverings, twin, decision, twin_decision, draw(_covering_blocks(n))
+
+
+@PADDINGS
+@settings(max_examples=60, deadline=None)
+@given(case=_stale_twins())
+def test_a_cache_is_stale_for_another_union_decision_or_name(padding, case):
+    n, coverings, twin, decision, twin_decision, added = case
+    a = _padded(n, coverings, decision, padding)
+    b = _padded(n, twin, twin_decision, padding)
+    assert cr.fingerprint(a) != cr.fingerprint(b)
+    _, cache = cr.batch_reducts(a)
+    with pytest.raises(StaleCache):
+        cr.add_covering(b, cache, cr.make_covering("X", added, n))
+    with pytest.raises(StaleCache):
+        cr.delete_covering(b, cache, b.names()[0])

@@ -28,7 +28,13 @@ from covreduct.io import (
 from covreduct.synth import random_system
 
 from bruteforce import minimal_hitting_sets
-from conftest import CONSISTENT8_COVERINGS, CONSISTENT8_REDUCTS, DECISION_8, partition_blocks
+from conftest import (
+    CONSISTENT8_COVERINGS,
+    CONSISTENT8_REDUCTS,
+    DECISION_8,
+    block_fingerprint,
+    partition_blocks,
+)
 
 
 def test_serialize_load_roundtrip(consistent8):
@@ -256,7 +262,7 @@ def test_cache_roundtrip_property(caches):
         _assert_compact_json(text, cache)
         assert cr.load_cache(text) == cache
         doc = json.loads(text)
-        assert doc["format"] == 5
+        assert doc["format"] == 6
         width = max(1, -(-len(cache.related.covering_names) // 8))
         assert _fields(doc["related"], width) == list(cache.related.r)
         assert _fields(doc["reducts"], width) == sorted(cache.reducts.reducts)
@@ -336,16 +342,17 @@ def test_cache_fields_are_little_endian_and_fixed_width():
 
 
 # SHA-256 of the document ``serialize_cache`` writes for ``_golden_cache(m)``.
-# A changed document needs a new CACHE_FORMAT, not a new digest here.
+# A changed document needs a new CACHE_FORMAT, not a new digest here; these
+# are the format 6 documents, which differ from format 5 in that byte alone.
 GOLDEN_CACHE_SHA256 = {
-    1: "d8cee1349935473d7e0175735055aa26512843995878b1b99ad435398a6026ff",
-    8: "518dc8f6045cbe1536c7062ec687ddaa86c0fdb12ecf2f3a9d7892ea9561df68",
-    9: "c38aaed8b616e762e47bc09cdf356dcec8386d9f8a36f143d8d5732581c30fd4",
-    63: "68f12cd8c1b8cc28f1dc75e7bfb36e3b08e17ea34f585c7011a57b1cb779799b",
-    64: "ac1f3b902efbee76402ec97ebc5c5136d4aa10f6a02d8652e9630e62cad6045f",
-    65: "9a404407e88f985ceedc867a753e7ffc6b09259d592fa3b60b32c90c52be9d3e",
-    72: "704eed0ba669f2ac96500405d330aa8e1f6ef918c5d370066f35ccd6b142f279",
-    130: "572b710f5b5ba58d2b157dfc9f82635cd91165fb80faafee9bdce310ff0911ed",
+    1: "979a79423ca37a587e5362982ff84f5fad886039f6c59a2eb3a74d0163a0c86a",
+    8: "e6f1cf9883e10fded6cfe17e6cae437d051d28518b484aa9175043fb204f508e",
+    9: "19efcde282ee263e0c368b1fa70c1fb90ad2ff1d185fc85c1181e3e079181e2f",
+    63: "bfad2a1051a1b17ed41dcfdbf902d790955990fa14b9a5bbbc73ca30ea568b1e",
+    64: "3902eb1bcc87b0b0f99f3aad653e549496be603f69d250271e94d3bb7d57044d",
+    65: "4b87691bf4467aa225016fc1d23c7fd19737cdecae9f12b240af2031fe23f6f1",
+    72: "defd1bdcba65865fa1757285dde6fcb8574a7113eeee13279f97a1af3c011e97",
+    130: "b39c53aa33710bd4373d5158f5274ee136e8faa36fded1bdc53ad53e6a8d5e9d",
 }
 
 
@@ -434,9 +441,27 @@ def test_format_4_cache_rejected(consistent8):
         "reducts": reducts,
         "digest": hashlib.sha256(content.encode()).hexdigest(),
     }
-    rebuild = "cache format 4 is not 5; rebuild the cache with `covreduct reduce --cache`"
+    rebuild = "cache format 4 is not 6; rebuild the cache with `covreduct reduce --cache`"
     with pytest.raises(ParseError, match=rebuild):
         cr.load_cache(json.dumps(doc, separators=(",", ":")))
+
+
+def test_format_5_cache_rejected(consistent8):
+    # Format 5 had this layout but stamped the system by hashing every
+    # block: its stamp never matches a format 6 one, so the cache must ask
+    # for a rebuild, not fail later as a stale cache.
+    _, cache = cr.batch_reducts(consistent8)
+    doc = json.loads(cr.serialize_cache(cache))
+    doc.update(format=5, fingerprint=block_fingerprint(consistent8))
+    doc["digest"] = io._digest(
+        doc["fingerprint"], doc["covering_names"], doc["related"], doc["reducts"]
+    )
+    rebuild = "cache format 5 is not 6; rebuild the cache with `covreduct reduce --cache`"
+    with pytest.raises(ParseError, match=rebuild):
+        cr.load_cache(json.dumps(doc, separators=(",", ":")))
+    doc["format"] = 6
+    with pytest.raises(cr.StaleCache):
+        cr.add_covering(consistent8, cr.load_cache(json.dumps(doc)), cr.make_covering("X", [range(8)], 8))
 
 
 def _cache_doc(system) -> dict:
@@ -494,8 +519,8 @@ CORRUPTIONS = [
     ("missing field", lambda d: d.pop("reducts"), "reducts"),
     ("fingerprint not a string", lambda d: _set(d, "fingerprint", 5), "fingerprint"),
     ("wrong format", lambda d: _set(d, "format", 1), "format"),
-    # 5.0 == 5 in Python, but the format is the JSON integer 5.
-    ("float format", lambda d: _set(d, "format", 5.0), "format"),
+    # 6.0 == 6 in Python, but the format is the JSON integer 6.
+    ("float format", lambda d: _set(d, "format", 6.0), "format"),
 ]
 
 

@@ -8,6 +8,8 @@ import covreduct as cr
 from covreduct.bitset import to_indices
 from covreduct.synth import random_covering, random_decision, random_system
 
+from conftest import block_fingerprint
+
 
 def revalidate(system: cr.CoveringDecisionSystem) -> cr.CoveringDecisionSystem:
     return cr.build_system(
@@ -32,15 +34,15 @@ def test_generated_systems_are_valid(style, contiguous):
             block_style=style,
             contiguous_decision=contiguous,
         )
-        assert cr.fingerprint(system) == cr.fingerprint(revalidate(system))
+        assert block_fingerprint(system) == block_fingerprint(revalidate(system))
 
 
 def test_generation_is_deterministic():
     a = random_system(random.Random(99), 50, 6, 8, 3)
     b = random_system(random.Random(99), 50, 6, 8, 3)
-    assert cr.fingerprint(a) == cr.fingerprint(b)
+    assert block_fingerprint(a) == block_fingerprint(b)
     c = random_system(random.Random(100), 50, 6, 8, 3)
-    assert cr.fingerprint(a) != cr.fingerprint(c)
+    assert block_fingerprint(a) != block_fingerprint(c)
 
 
 def test_random_covering_patches_leftovers():
@@ -83,9 +85,10 @@ def test_unknown_block_style_rejected():
         random_covering(random.Random(0), 5, "C", 3, style="hexagonal")
 
 
-# Fingerprints of subset-style systems as drawn before block and class
-# masks were packed by ``bitset.mask_of``: the same rng calls must keep
-# drawing the same systems.
+# Block stamps (the format 5 fingerprint, which hashes every block) of
+# subset-style systems as drawn before block and class masks were packed
+# by ``bitset.mask_of``: the same rng calls must keep drawing the same
+# systems.
 SUBSET_FINGERPRINTS = [
     "8fd8f0cbdf300cb4",
     "9c5791ed5eb18895",
@@ -97,7 +100,7 @@ SUBSET_FINGERPRINTS = [
 
 def test_subset_systems_are_pinned_by_seed():
     drawn = [
-        cr.fingerprint(random_system(random.Random(s), 60, 5, 8, 4, block_style="subset"))
+        block_fingerprint(random_system(random.Random(s), 60, 5, 8, 4, block_style="subset"))
         for s in range(5)
     ]
     assert drawn == SUBSET_FINGERPRINTS
