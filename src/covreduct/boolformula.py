@@ -177,11 +177,32 @@ def _row_ints(rows: np.ndarray) -> list[int]:
     return terms
 
 
-def drop_variable(rows: np.ndarray, idx: int) -> np.ndarray:
-    """The ``(k, W)`` word array ``rows`` with variable ``idx`` removed.
+def _widen(rows: np.ndarray, n_vars: int, holders: np.ndarray | None = None) -> np.ndarray:
+    """A copy of ``rows`` padded with zero words to the width of ``n_vars`` variables.
+
+    ``holders``, a bool per row, also sets variable ``n_vars - 1``, which
+    lives in the last word, on the marked rows.
+    """
+    wide = np.zeros((len(rows), word_count(n_vars)), dtype=np.uint64)
+    wide[:, : rows.shape[1]] = rows
+    if holders is not None:
+        wide[:, -1] |= holders.astype(np.uint64) << np.uint64((n_vars - 1) % 64)
+    return wide
+
+
+def _holds(rows: np.ndarray, idx: int) -> np.ndarray:
+    """For each row of a word array: does it hold variable ``idx``?"""
+    word, bit = divmod(idx, 64)
+    return rows[:, word] & np.uint64(1 << bit) != 0
+
+
+def drop_variable(rows: np.ndarray, idx: int, n_vars: int) -> np.ndarray:
+    """The ``(k, W)`` word array ``rows`` over ``n_vars`` variables with
+    variable ``idx`` removed.
 
     Bits below ``idx`` stay; every bit above moves down by one, bit 0 of
-    word w + 1 into bit 63 of word w.  The width stays W.
+    word w + 1 into bit 63 of word w.  The result is as wide as ``n_vars -
+    1`` variables need: a word narrower when ``n_vars`` is 65, 129, ...
     """
     word, bit = divmod(idx, 64)
     out = rows >> np.uint64(1)
@@ -189,7 +210,7 @@ def drop_variable(rows: np.ndarray, idx: int) -> np.ndarray:
     out[:, :word] = rows[:, :word]
     low = np.uint64((1 << bit) - 1)
     out[:, word] = (rows[:, word] & low) | (out[:, word] & ~low)
-    return out
+    return out[:, : word_count(n_vars - 1)]
 
 
 def _contains_subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:

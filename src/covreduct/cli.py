@@ -9,7 +9,9 @@ Commands::
     covreduct coverize <csv> --spec <spec> -o <out>
 
 Exit codes: 0 success, 1 validation/parse error, 2 engine error,
-3 verification mismatch.  Set COVREDUCT_LOG_LEVEL (a logging level name, in
+3 verification mismatch.  An output that would overwrite another file of
+the same command (other than ``update -o`` onto its input system, an
+in-place update) exits 1 before anything is written.  Set COVREDUCT_LOG_LEVEL (a logging level name, in
 any case) to adjust verbosity.
 """
 
@@ -42,6 +44,15 @@ EXIT_ENGINE = 2
 EXIT_MISMATCH = 3
 
 
+def _no_overwrite(flag: str, path: str | None, *others: tuple[str, str | None]) -> None:
+    """Refuse, before the command writes anything, an output ``path`` given
+    by ``flag`` that resolves to the file of one of the ``(flag, path)``
+    arguments ``others``."""
+    for other, other_path in others:
+        if path and other_path and Path(path).resolve() == Path(other_path).resolve():
+            raise ValidationError(f"{flag} and {other} both name {path}; it would be overwritten")
+
+
 def _print_reducts(reduct_set) -> None:
     for names in reduct_set.sorted_name_lists():
         print(",".join(names))
@@ -58,6 +69,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _no_overwrite("--cache", args.cache, ("file", args.file))
     system = load_system(Path(args.file).read_text())
     reducts, cache = batch_reducts(system)
     if not cache.consistent:
@@ -75,6 +87,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_update(args) -> int:
+    _no_overwrite("--cache", args.cache, ("file", args.file), ("--add", args.add))
+    # -o onto the input system is an in-place update.
+    _no_overwrite("-o", args.out, ("--cache", args.cache), ("--add", args.add))
     doc = decode_json(Path(args.file).read_text())
     system = _system_from_doc(doc)
     cache = load_cache(Path(args.cache).read_text())
@@ -101,6 +116,7 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _no_overwrite("--out", args.out, ("config", args.config))
     config = BenchConfig.from_json(Path(args.config).read_text())
     if args.out:
         with open(args.out, "w") as fh:
@@ -111,6 +127,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_coverize(args) -> int:
+    _no_overwrite("-o", args.out, ("csv", args.csv), ("--spec", args.spec))
     spec = parse_coverization_spec(Path(args.spec).read_text())
     with open(args.csv, newline="") as fh:
         reader = csv.reader(fh)
@@ -185,15 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     except BenchMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def entry() -> None:

@@ -7,6 +7,9 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 
 * add, either way: ``add_delta`` validates the new covering once, through
   ``with_covering``, and reads its admissible union off the grown system.
+  ``boolformula._widen`` pads the related rows to the new width (a word
+  wider past 64, 128, ... coverings) and sets the new covering's bit on
+  the objects inside that union.
 * add, positive region unchanged (always the case on a consistent base):
   expand  new AND (AND over x in POS outside the new covering's admissible
   union of OR r(x)),  then keep the expansion terms no existing reduct is a
@@ -39,7 +42,10 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
   of its coverings' admissible unions, which the stamp check has just
   computed from this system's blocks; a cache whose updated related sets
   disagree with it (the objects with a non-empty related set must be
-  exactly that region) raises StaleCache.
+  exactly that region) raises StaleCache.  ``boolformula.drop_variable``
+  strips the deleted covering's bit from the related rows and reducts (a
+  word narrower at 64, 128, ... coverings left), and ``boolformula._holds``
+  tells which rows held it.
 * delete, positive region unchanged: keep the reducts that avoid the
   deleted covering.
 * delete, positive region shrank: some object's only related covering was
@@ -52,10 +58,11 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 
 Every returned ReductSet is an antichain of sub-families that preserve the
 positive region and contain no superfluous covering.  Related sets, CNF
-clauses and reducts stay ``(k, W)`` word arrays: a CNF selects related rows,
-batch keeps the rows ``minimal_dnf`` returns, a delete selects or strips
-the cached rows, an add widens them and appends its new terms, and the add
-filter and the shrinking delete's ``absorb`` take and return rows too.
+clauses and reducts stay ``(k, W)`` word arrays, whose layout only
+``boolformula`` knows: a CNF selects related rows, batch keeps the rows
+``minimal_dnf`` returns, a delete selects or strips the cached rows, an
+add widens them and appends its new terms, and the add filter and the
+shrinking delete's ``absorb`` take and return rows too.
 ``ReductSet.reducts`` materializes the int masks for callers that ask.
 """
 
@@ -69,22 +76,26 @@ from .boolformula import (
     DEFAULT_TERM_LIMIT,
     MonotoneFormula,
     _frozen_rows,
+    _holds,
     _name_sets,
     _pack,
     _row_ints,
     _sorted_rows,
+    _widen,
     absorb,
     drop_variable,
     hits_all,
     mask_to_names,
     minimal_dnf,
     filter_non_extensions,
-    word_count,
 )
 from .errors import StaleCache, TooManyCoverings
 from .model import Covering, CoveringDecisionSystem, fingerprint
 from .related import RelatedFamily, related_function, related_sets
 from .approximation import positive_region, third_lower
+
+# The most coverings ``oracle_reducts`` enumerates the sub-families of.
+ORACLE_LIMIT = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,27 +207,6 @@ def batch_reducts(
     return reducts, cache
 
 
-def _widen(rows: np.ndarray, n_vars: int) -> np.ndarray:
-    """A copy of ``rows`` padded with zero words to the width of ``n_vars`` variables."""
-    wide = np.zeros((len(rows), word_count(n_vars)), dtype=np.uint64)
-    wide[:, : rows.shape[1]] = rows
-    return wide
-
-
-def _related_add(related: RelatedFamily, name: str, union: int) -> RelatedFamily:
-    """Extend the related sets with a covering whose admissible union is ``union``.
-
-    Only objects inside that union gain it, as one flag column ORed into the
-    rows (a word wider when the new covering is the 65th, 129th, ...);
-    nothing else changes, and no old block is re-tested.
-    """
-    n, m = related.universe_size, len(related.covering_names)
-    word, shift = divmod(m, 64)
-    rows = _widen(related.rows, m + 1)
-    rows[:, word] |= flags(union, n).astype(np.uint64) << np.uint64(shift)
-    return RelatedFamily(related.covering_names + (name,), rows)
-
-
 def add_covering(
     system: CoveringDecisionSystem,
     cache: ReductionCache,
@@ -226,30 +216,32 @@ def add_covering(
     """Incrementally recompute the reduct set after appending a covering."""
     _check_cache(system, cache)
     delta = add_delta(system, new_covering)
-    related_plus = _related_add(cache.related, new_covering.name, delta.union)
-    names_plus = related_plus.covering_names
-    pos_plus = cache.positive | delta.union
+    names_plus = cache.related.covering_names + (new_covering.name,)
     m_plus = len(names_plus)
+    # Only objects inside the new covering's union gain it; no old block is
+    # re-tested.
+    inside = flags(delta.union, system.universe_size).view(bool)
+    related_plus = RelatedFamily(names_plus, _widen(cache.related.rows, m_plus, inside))
+    old = _widen(cache.reducts.rows, m_plus)
 
-    if delta.union == 0:
+    if not inside.any():
         # No admissible blocks: related sets and reducts are untouched.
-        reducts_plus = _widen(cache.reducts.rows, m_plus)
+        reducts_plus = old
     else:
+        held = cache.related.rows.any(axis=1)
         # Outside the new covering's union the grown rows are the old ones.
-        restricted = flags(cache.positive & ~delta.union, system.universe_size).view(bool)
         new_bit = _pack([1 << (m_plus - 1)], m_plus)
-        clauses = np.concatenate((related_plus.rows[restricted], new_bit))
+        clauses = np.concatenate((related_plus.rows[held & ~inside], new_bit))
         cnf = MonotoneFormula.from_rows("cnf", clauses, names_plus)
-        if pos_plus == cache.positive:
-            # An expansion term that meets the old related set of every
-            # object inside the union is an old reduct plus the new bit, so
-            # the expansion may drop it (see the module docstring).
-            inside = flags(delta.union, system.universe_size).view(bool)
+        if held[inside].all():
+            # The positive region is unchanged.  An expansion term that
+            # meets the old related set of every object inside the union is
+            # an old reduct plus the new bit, so the expansion may drop it
+            # (see the module docstring).
             avoid = _widen(cache.related.rows[inside], m_plus)
             expansion = minimal_dnf(cnf, max_terms, avoid=avoid)
             # An old reduct absorbs a term only when it is that term with
             # the new bit cleared (see the module docstring).
-            old = _widen(cache.reducts.rows, m_plus)
             added = filter_non_extensions(expansion.rows, old, new_bit)
             reducts_plus = np.concatenate((old, added))
         else:
@@ -272,13 +264,13 @@ def delete_covering(
     """Incrementally recompute the reduct set after deleting a covering."""
     _check_cache(system, cache)
     idx = system.covering_index(name)
+    m = len(system.coverings)
     # Raises LastCovering when it would empty the family.
     system_minus = system.without_covering(name)
     # The OR of the unions that the stamp check computed from the blocks.
     _, pos_minus = positive_region(system_minus)
     names_minus = system_minus.names()
-    width = word_count(len(names_minus))
-    rows_minus = drop_variable(cache.related.rows, idx)[:, :width]
+    rows_minus = drop_variable(cache.related.rows, idx, m)
     related_minus = RelatedFamily(names_minus, rows_minus)
     # Both the filter and the continuation trust the related sets, so they
     # must account for exactly the recomputed region.
@@ -287,19 +279,17 @@ def delete_covering(
             f"cached related sets disagree with the positive region of the "
             f"system without {name!r}; rebuild the cache"
         )
-    word, shift = divmod(idx, 64)
-    bit = np.uint64(1 << shift)
     old = cache.reducts.rows
 
     if pos_minus == cache.positive:
-        reducts_minus = drop_variable(old[old[:, word] & bit == 0], idx)[:, :width]
+        reducts_minus = drop_variable(old[~_holds(old, idx)], idx, m)
     else:
         # The stripped reducts, the minimal hitting sets of the clauses
         # without d, are already an antichain (see the module docstring).
         # ``absorb`` changes nothing here; it stays because perfbench's
         # spans.py tells delete-verified from delete-fallback by this call.
-        reducts_minus = absorb(drop_variable(old, idx)[:, :width])
-        had_d = cache.related.rows[:, word] & bit != 0
+        reducts_minus = absorb(drop_variable(old, idx, m))
+        had_d = _holds(cache.related.rows, idx)
         residual = rows_minus[had_d & rows_minus.any(axis=1)]
         if not hits_all(reducts_minus, residual):
             cnf = MonotoneFormula.from_rows("cnf", residual, names_minus)
@@ -310,7 +300,7 @@ def delete_covering(
     return reduct_set, new_cache
 
 
-def oracle_reducts(system: CoveringDecisionSystem, limit: int = 16) -> ReductSet:
+def oracle_reducts(system: CoveringDecisionSystem) -> ReductSet:
     """Definition-level brute force, independent of the related-family route.
 
     Enumerates every sub-family of the coverings (the empty one included:
@@ -320,8 +310,8 @@ def oracle_reducts(system: CoveringDecisionSystem, limit: int = 16) -> ReductSet
     keeps the inclusion-minimal preserving sub-families.
     """
     m = len(system.coverings)
-    if m > limit:
-        raise TooManyCoverings(f"{m} coverings exceeds the oracle limit of {limit}")
+    if m > ORACLE_LIMIT:
+        raise TooManyCoverings(f"{m} coverings exceeds the oracle limit of {ORACLE_LIMIT}")
     classes = system.decision.classes
 
     def pos_of(subset: int) -> int:

@@ -12,10 +12,12 @@ from covreduct import boolformula
 from covreduct.bench import BenchConfig, _generate
 from covreduct.boolformula import (
     MonotoneFormula,
+    _holds,
     _pack,
     _row_ints,
     _rows_in,
     _sorted_rows,
+    _widen,
     drop_variable,
     filter_non_extensions,
     hits_all,
@@ -668,12 +670,34 @@ def test_drop_variable_matches_drop_index(data):
     idx = data.draw(st.sampled_from(sorted({i for i in (0, 62, 63, 64, m - 1) if i < m})))
     masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=12))
     rows = _pack(masks, m)
-    assert _row_ints(drop_variable(rows, idx)) == _drop_index(masks, idx)
+    dropped = drop_variable(rows, idx, m)
+    # The width narrows to what m - 1 variables need.
+    assert dropped.shape == (len(masks), boolformula.word_count(m - 1))
+    assert _row_ints(dropped) == _drop_index(masks, idx)
+    holds = _holds(rows, idx)
+    assert holds.tolist() == [bool(t >> idx & 1) for t in masks]
     # The delete filter's row selection: the terms without the variable.
-    word, bit = divmod(idx, 64)
-    kept = rows[rows[:, word] & np.uint64(1 << bit) == 0]
+    kept = rows[~holds]
     without = [t for t in masks if not t >> idx & 1]
-    assert frozenset(_row_ints(drop_variable(kept, idx))) == frozenset(_drop_index(without, idx))
+    assert frozenset(_row_ints(drop_variable(kept, idx, m))) == frozenset(_drop_index(without, idx))
+    # _widen with the holders of the last variable undoes its drop.
+    top = _holds(rows, m - 1)
+    assert np.array_equal(_widen(drop_variable(rows, m - 1, m), m, top), rows)
+
+
+def test_row_types_compare_hash_and_print():
+    names = ("a", "b")
+    cnf = MonotoneFormula("cnf", [0b01, 0b11], names)
+    values = (cnf, cr.ReductSet(names, _pack([0b01], 2)), cr.RelatedFamily(names, _pack([0b01, 0], 2)))
+    for value in values:
+        # A non-instance defers to the other operand instead of raising.
+        for other in (None, 0b01, names, "cnf"):
+            assert (value == other) is False
+            assert (value != other) is True
+    same = MonotoneFormula.from_rows("cnf", _pack([0b11, 0b01], 2), names)
+    assert same == cnf and hash(same) == hash(cnf) and len({cnf, same}) == 1
+    assert MonotoneFormula("dnf", [0b01, 0b11], names) not in {cnf}
+    assert repr(cnf) == "MonotoneFormula('cnf', frozenset({1, 3}), ('a', 'b'))"
 
 
 def test_names_mask_roundtrip():

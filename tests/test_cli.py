@@ -180,6 +180,66 @@ def test_update_keeps_the_cache_when_the_output_fails(capsys, tmp_path, consiste
     assert code == 0 and len(out.splitlines()) == 6
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["reduce", "{system}", "--cache", "system.cds.json"], ("--cache", "file")),
+        (["update", "{system}", "--add", "{c6}", "--cache", "system.cds.json"], ("--cache", "file")),
+        (["update", "{system}", "--add", "{c6}", "--cache", "c6.json"], ("--cache", "--add")),
+        (["update", "{system}", "--add", "{c6}", "--cache", "{cache}", "-o", "cache.json"], ("-o", "--cache")),
+        (["update", "{system}", "--del", "C1", "--cache", "{cache}", "-o", "cache.json"], ("-o", "--cache")),
+        (["update", "{system}", "--add", "{c6}", "--cache", "{cache}", "-o", "c6.json"], ("-o", "--add")),
+        (["coverize", "{table}", "--spec", "{spec}", "-o", "table.csv"], ("-o", "csv")),
+        (["coverize", "{table}", "--spec", "{spec}", "-o", "spec.json"], ("-o", "--spec")),
+        (["bench", "{bench}", "--out", "bench.json"], ("--out", "config")),
+    ],
+    ids=[
+        "reduce-cache-file",
+        "update-cache-file",
+        "update-cache-add",
+        "update-add-out-cache",
+        "update-del-out-cache",
+        "update-out-add",
+        "coverize-out-csv",
+        "coverize-out-spec",
+        "bench-out-config",
+    ],
+)
+def test_no_command_overwrites_its_own_files(capsys, tmp_path, monkeypatch, consistent8, argv, flags):
+    # The output is named relative to the working directory, the input by
+    # its absolute path: the two are compared as resolved paths.
+    files = {
+        "system": ("system.cds.json", cr.serialize_system(consistent8)),
+        "c6": ("c6.json", json.dumps(dict(zip(("name", "blocks"), EXTRA_COVERING_6)))),
+        "table": ("table.csv", "size,class\n1,p\n9,q\n"),
+        "spec": ("spec.json", '{"decision": "class"}'),
+        "bench": ("bench.json", '{"universe_sizes": [20], "covering_counts": [3]}'),
+    }
+    paths = {key: tmp_path / name for key, (name, _) in files.items()}
+    for key, (_, text) in files.items():
+        paths[key].write_text(text)
+    paths["cache"] = tmp_path / "cache.json"
+    assert run(capsys, "reduce", paths["system"], "--cache", paths["cache"])[0] == 0
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert all(flag in err for flag in flags)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_update_output_may_replace_its_input_system(capsys, tmp_path, consistent8_file):
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
+    code, updated, _ = run(
+        capsys, "update", consistent8_file, "--del", "C5", "--cache", cache_path, "-o", consistent8_file
+    )
+    assert code == 0
+    assert cr.load_system(consistent8_file.read_text()).names() == ("C1", "C2", "C3", "C4")
+    assert run(capsys, "reduce", consistent8_file)[1] == updated
+
+
 @pytest.mark.parametrize("op", ["add", "del"])
 def test_update_output_reduces_to_the_same_reducts(capsys, tmp_path, consistent8_file, op):
     cache_path = tmp_path / "cache.json"

@@ -69,9 +69,10 @@ def test_oracle_single_covering():
     assert cr.oracle_reducts(system).as_name_sets() == nameset(("C1",))
 
 
-def test_oracle_covering_limit(consistent8):
-    with pytest.raises(TooManyCoverings):
-        cr.oracle_reducts(consistent8, limit=4)
+def test_oracle_covering_limit():
+    system = cr.build_system(2, [(f"C{i}", [[0], [1]]) for i in range(17)], [[0], [1]])
+    with pytest.raises(TooManyCoverings, match="17 coverings exceeds the oracle limit of 16"):
+        cr.oracle_reducts(system)
 
 
 def test_empty_positive_region_reduct_is_empty_family():
@@ -487,30 +488,34 @@ def test_update_chain_across_the_word_boundary(expansions):
     assert shrinking == {(False, True), (False, False), (True, True), (True, False)}
 
 
-def test_cached_related_rows_follow_the_covering_count_across_64():
-    """64 -> 65 -> 64 coverings, twice: after every update the cached related
-    and reduct rows have W = ceil(m / 64) words, equal batch's and cannot
-    be written."""
+@pytest.mark.parametrize("start", [63, 64, 127, 128])
+def test_cached_related_rows_follow_the_covering_count_across_word_edges(start):
+    """start -> start + 1 -> start coverings, twice.  Each add puts the new
+    covering at bit ``start`` (bit 63 of word 0, bit 0 of word 1, bit 63 of
+    word 1 or bit 0 of word 2), and each delete strips the bit on one side
+    of that edge: first the last old covering's, then the new one's.  After
+    every update the cached related and reduct rows have word_count(m)
+    words, equal batch's and cannot be written."""
     rng = random.Random(3)
     n = 16
     decision = [list(range(k, k + n // 4)) for k in range(0, n, n // 4)]
     system = cr.build_system(
-        n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(64)], decision
+        n, [(f"C{i}", _sparse_blocks(rng, n)) for i in range(start)], decision
     )
     _, cache = cr.batch_reducts(system)
-    live = [c.name for c in system.coverings if len(c.blocks) > 1]
-    steps = [("add", "X0"), ("delete", live[0]), ("add", "X1"), ("delete", "X1")]
+    steps = [("add", "X0"), ("delete", f"C{start - 1}"), ("add", "X1"), ("delete", "X1")]
     for op, name in steps:
         if op == "add":
             covering = cr.make_covering(name, [list(range(n // 4))] + _sparse_blocks(rng, n), n)
             _, cache = cr.add_covering(system, cache, covering)
             system = system.with_covering(covering)
+            assert system.covering_index(name) == start
         else:
             _, cache = cr.delete_covering(system, cache, name)
             system = system.without_covering(name)
         m = len(system.coverings)
         rows = cache.related.rows
-        assert rows.shape == (n, 1 if m <= 64 else 2)
+        assert rows.shape == (n, boolformula.word_count(m))
         _, batch = cr.batch_reducts(system)
         assert np.array_equal(rows, batch.related.rows)
         assert cache.reducts.rows.shape[1] == rows.shape[1]
