@@ -43,43 +43,50 @@ class BenchConfig:
     trials: int = 3
     updates: tuple[str, ...] = ("add", "delete")
 
+    def __post_init__(self) -> None:
+        """Check every value, so that a config fails here, before anything
+        runs, however it was built; each error line names its field."""
+        for key in _LISTS:
+            values = getattr(self, key)
+            if not isinstance(values, tuple) or not values:
+                raise ValidationError(f"{key}: expected a non-empty tuple, got {values!r}")
+        for key in _COUNTS:
+            value = getattr(self, key)
+            # type(), not isinstance(): a bool is no integer.
+            if any(type(v) is not int or v < 1 for v in (value if key in _LISTS else (value,))):
+                raise ValidationError(f"{key}: expected positive integers, got {value!r}")
+        if type(self.seed) is not int:
+            raise ValidationError(f"seed: expected an integer, got {self.seed!r}")
+        bad = [u for u in self.updates if u not in ("add", "delete")]
+        if bad:
+            raise ValidationError(f"updates: unknown update kinds {bad}")
+        for key in _LISTS:
+            # A repeated value would measure its grid points twice.
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{key}: expected distinct values, got {list(values)}")
+        if self.decision_classes > min(self.universe_sizes):
+            raise ValidationError(
+                f"decision_classes: {self.decision_classes} classes need as many objects, "
+                f"but the smallest of universe_sizes is {min(self.universe_sizes)}"
+            )
+        if "delete" in self.updates and any(m < 2 for m in self.covering_counts):
+            raise ValidationError(
+                "covering_counts: a delete update needs at least 2 coverings, "
+                f"got {list(self.covering_counts)}"
+            )
+
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
+        """A config from its JSON document; ``__post_init__`` checks the values."""
         data = decode_json(text)
         if not isinstance(data, dict):
             raise ParseError("bench config root must be an object")
         _only_fields(data, cls.__dataclass_fields__, "a bench config")
-        kwargs = {}
-        for key, value in data.items():
-            values = value if key in _LISTS else [value]
-            if not isinstance(values, list) or not values:
-                raise ParseError(f"{key}: expected a non-empty list, got {value!r}")
-            # type(), not isinstance(): a bool is no integer.
-            if key in _COUNTS and any(type(v) is not int or v < 1 for v in values):
-                raise ValidationError(f"{key}: expected positive integers, got {value!r}")
-            if key == "seed" and type(value) is not int:
-                raise ValidationError(f"seed: expected an integer, got {value!r}")
-            kwargs[key] = tuple(value) if key in _LISTS else value
-        cfg = cls(**kwargs)
-        bad = [u for u in cfg.updates if u not in ("add", "delete")]
-        if bad:
-            raise ValidationError(f"unknown update kinds: {bad}")
         for key in _LISTS:
-            # A repeated value would measure its grid points twice.
-            values = getattr(cfg, key)
-            if len(set(values)) < len(values):
-                raise ValidationError(f"{key}: expected distinct values, got {list(values)}")
-        if cfg.decision_classes > min(cfg.universe_sizes):
-            raise ValidationError(
-                f"decision_classes: {cfg.decision_classes} classes need as many objects, "
-                f"but the smallest of universe_sizes is {min(cfg.universe_sizes)}"
-            )
-        if "delete" in cfg.updates and any(m < 2 for m in cfg.covering_counts):
-            raise ValidationError(
-                "covering_counts: a delete update needs at least 2 coverings, "
-                f"got {list(cfg.covering_counts)}"
-            )
-        return cfg
+            if key in data and (not isinstance(data[key], list) or not data[key]):
+                raise ParseError(f"{key}: expected a non-empty list, got {data[key]!r}")
+        return cls(**{k: tuple(v) if k in _LISTS else v for k, v in data.items()})
 
 
 @dataclass(frozen=True)

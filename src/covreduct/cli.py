@@ -8,11 +8,12 @@ Commands::
     covreduct bench    <config> [--out <csv>]
     covreduct coverize <csv> --spec <spec> -o <out>
 
-Exit codes: 0 success, 1 validation/parse error, 2 engine error,
-3 verification mismatch.  An output that would overwrite another file of
-the same command (other than ``update -o`` onto its input system, an
-in-place update) exits 1 before anything is written.  Set COVREDUCT_LOG_LEVEL (a logging level name, in
-any case) to adjust verbosity.
+Exit codes: 0 success, 1 usage or validation/parse error, 2 engine
+error, 3 verification mismatch.  An output that would overwrite another
+file of the same command (other than ``update -o`` onto its input system,
+an in-place update) exits 1 before anything is written.  Set
+COVREDUCT_LOG_LEVEL (a logging level name, in any case) to adjust
+verbosity.
 """
 
 import argparse
@@ -196,7 +197,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: COVREDUCT_LOG_LEVEL={level!r} is not a logging level", file=sys.stderr)
         return EXIT_INVALID
     logging.basicConfig(level=level.upper())
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage and error lines, or the help, and
+        # exits 2 on a usage error; 2 is an engine error here.
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except BenchMismatch as exc:

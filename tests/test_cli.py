@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,12 @@ import covreduct as cr
 import covreduct.cli as cli
 from covreduct import bench
 from covreduct.bench import BenchConfig, _generate
-from covreduct.boolformula import _pack
+from covreduct.bitset import to_indices
+from covreduct.boolformula import HEAD_ROWS, _pack
+from covreduct.io import _digest
+from covreduct.synth import random_covering, random_system
 
-from conftest import EXTRA_COVERING_6
+from conftest import CONSISTENT8_COVERINGS, DECISION_8, EXTRA_COVERING_6
 
 
 @pytest.fixture
@@ -88,6 +92,28 @@ def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", tmp_path / "nope.json")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce"], "the following arguments are required: file"),
+        (["validate", "{system}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["update", "{system}", "--cache", "cache.json"], "one of the arguments --add --del is required"),
+    ],
+    ids=["missing-file", "unknown-flag", "update-without-change"],
+)
+def test_usage_errors_exit_1(capsys, consistent8_file, argv, message):
+    # argparse exits 2, which the CLI keeps for engine errors.
+    code, out, err = run(capsys, *(arg.format(system=consistent8_file) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: covreduct") and f"error: {message}" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: covreduct")
 
 
 def test_reduce_prints_golden_lines(capsys, consistent8_file):
@@ -240,24 +266,144 @@ def test_update_output_may_replace_its_input_system(capsys, tmp_path, consistent
     assert run(capsys, "reduce", consistent8_file)[1] == updated
 
 
-@pytest.mark.parametrize("op", ["add", "del"])
-def test_update_output_reduces_to_the_same_reducts(capsys, tmp_path, consistent8_file, op):
+def _covering_json(covering):
+    blocks = sorted(to_indices(b) for b in covering.blocks)
+    return json.dumps({"name": covering.name, "blocks": blocks})
+
+
+def _drawn(seed, n, m, classes, object_names=None):
+    """A drawn system, with 40 blocks per covering, and the chain that adds
+    A1, drawn from the same rng, then deletes C1."""
+    rng = random.Random(seed)
+    system = random_system(rng, n, m, 40, classes, contiguous_decision=True)
+    a1 = _covering_json(random_covering(rng, n, "A1", 40))
+    return cr.serialize_system(system, object_names), [("--add", a1), ("--del", "C1")]
+
+
+def _masks(doc, key, digits):
+    """The ``digits``-wide hex mask fields of a cache document's ``key``."""
+    text = doc[key]
+    assert len(text) % digits == 0, (key, len(text), digits)
+    return [text[i : i + digits] for i in range(0, len(text), digits)]
+
+
+def _consistent8_chain(add_first):
+    c6 = ("--add", json.dumps(dict(zip(("name", "blocks"), EXTRA_COVERING_6))))
+    steps = [c6, ("--del", "C5")]
+    system = cr.build_system(8, CONSISTENT8_COVERINGS, DECISION_8)
+    return cr.serialize_system(system), steps if add_first else steps[::-1], None
+
+
+def _readme_chain():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### File formats")[1].split("```json\n")[1].split("```")[0]
+    c2 = json.dumps({"name": "C2", "blocks": [[0, 1], [1, 2], [3]]})
+    return example, [("--add", c2), ("--del", "C1")], None
+
+
+def _word_edge_cache(step, doc):
+    # 64 coverings fill one word; the add makes 65, so every mask field
+    # grows from 16 to 18 hex digits (9 bytes), and the delete of C1,
+    # below bit 64, brings the system back to one word and 16.
+    digits = (16, 18, 16)[step]
+    assert len(_masks(doc, "related", digits)) == 1000
+    assert _masks(doc, "reducts", digits)
+
+
+def _more_reducts_chain():
+    # 16 reducts on 10 objects, so every cache load certifies the reducts
+    # as minimal hitting sets of the related sets instead of running the
+    # quadratic antichain test.  C1 is in no reduct, so the count stays 16
+    # along the chain; 13 and 14 coverings take four hex digits per mask.
+    system = random_system(random.Random(0), 10, 14, 4, 3, block_style="subset")
+    steps = [("--del", "C1"), ("--add", _covering_json(system.coverings[0]))]
+
+    def check(step, doc):
+        assert (len(_masks(doc, "reducts", 4)), len(_masks(doc, "related", 4))) == (16, 10)
+
+    return cr.serialize_system(system), steps, check
+
+
+def _several_heads_cache(step, doc):
+    # More reducts than objects, so each load absorbs the related sets for
+    # its certificate, and more non-empty ones than one absorb head holds.
+    digits = 2 * -(-len(doc["covering_names"]) // 8)
+    related = _masks(doc, "related", digits)
+    assert len(_masks(doc, "reducts", digits)) > len(related) == 300
+    assert sum(int(r, 16) > 0 for r in related) > HEAD_ROWS
+
+
+# Each case: a system document, its chain of update steps and a check of
+# the cache after reduce (step 0) and after each step.  The consistent8
+# cases keep the ids they had as one-step tests.  A new edge case of the
+# chain is one more entry here.
+UPDATE_CHAINS = {
+    "add": lambda: _consistent8_chain(add_first=True),
+    "del": lambda: _consistent8_chain(add_first=False),
+    "readme": _readme_chain,
+    # 66 coverings, two words per mask, and object names to keep.
+    "wide": lambda: (*_drawn(66, 1000, 66, 6, [f"x{i}" for i in range(1000)]), None),
+    "word-edge": lambda: (*_drawn(64, 1000, 64, 6), _word_edge_cache),
+    "more-reducts-than-objects": _more_reducts_chain,
+    "several-heads": lambda: (*_drawn(1, 300, 36, 8), _several_heads_cache),
+}
+
+
+@pytest.mark.parametrize("chain", UPDATE_CHAINS)
+def test_update_output_reduces_to_the_same_reducts(capsys, tmp_path, chain):
+    text, steps, check = UPDATE_CHAINS[chain]()
+    names = json.loads(text).get("object_names")
+    paths = [tmp_path / f"step{i}.cds.json" for i in range(len(steps) + 1)]
+    paths[0].write_text(text)
     cache_path = tmp_path / "cache.json"
-    run(capsys, "reduce", consistent8_file, "--cache", cache_path)
-    if op == "add":
-        name, blocks = EXTRA_COVERING_6
-        change = tmp_path / "c6.json"
-        change.write_text(json.dumps({"name": name, "blocks": blocks}))
-    else:
-        change = "C5"
-    out_path = tmp_path / "updated.cds.json"
-    code, updated, _ = run(
-        capsys, "update", consistent8_file, f"--{op}", change, "--cache", cache_path, "-o", out_path
-    )
-    assert code == 0
-    code, batch, _ = run(capsys, "reduce", out_path)
-    assert code == 0
-    assert batch == updated
+
+    def check_cache(step):
+        # The writer places its hex fields without json.dumps; the cache
+        # must still be exactly the compact JSON dump.
+        cache = cache_path.read_text()
+        assert cache == json.dumps(json.loads(cache), separators=(",", ":")) + "\n"
+        if check:
+            check(step, json.loads(cache))
+
+    assert run(capsys, "reduce", paths[0], "--cache", cache_path)[0] == 0
+    check_cache(0)
+    for step, (flag, change) in enumerate(steps, 1):
+        if flag == "--add":
+            (tmp_path / "covering.json").write_text(change)
+            change = tmp_path / "covering.json"
+        argv = ["update", paths[step - 1], flag, change, "--cache", cache_path, "-o", paths[step]]
+        code, updated, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        check_cache(step)
+        # update prints what reduce finds for the system it wrote; reduce
+        # also notes an inconsistent system, update does not.
+        code, batch, _ = run(capsys, "reduce", paths[step])
+        assert code == 0 and updated
+        assert batch.removeprefix("inconsistent (POS != U)\n") == updated
+        # An add or delete moves no object, so the names stay.
+        assert json.loads(paths[step].read_text()).get("object_names") == names
+
+
+def test_update_rejects_a_reduct_that_contains_another(capsys, tmp_path):
+    # A 17th reduct on 10 objects, a strict superset of the first, with the
+    # digest recomputed: it is no minimal hitting set, so the certificate
+    # fails, the antichain test rejects the cache and the file stays.
+    text, _, _ = _more_reducts_chain()
+    path = tmp_path / "system.cds.json"
+    path.write_text(text)
+    cache_path = tmp_path / "cache.json"
+    run(capsys, "reduce", path, "--cache", cache_path)
+    doc = json.loads(cache_path.read_text())
+    first = int.from_bytes(bytes.fromhex(doc["reducts"][:4]), "little")
+    extra = next(1 << i for i in range(14) if not first >> i & 1)
+    doc["reducts"] += (first | extra).to_bytes(2, "little").hex()
+    doc["digest"] = _digest(doc["fingerprint"], doc["covering_names"], doc["related"], doc["reducts"])
+    cache_path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    before = cache_path.read_bytes()
+    code, out, err = run(capsys, "update", path, "--del", "C1", "--cache", cache_path)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "reducts: one reduct contains another" in err
+    assert cache_path.read_bytes() == before
 
 
 @pytest.mark.parametrize("op", ["add", "del"])
@@ -538,7 +684,7 @@ BAD_BENCH_CONFIGS = [
     ('{"decision_classes": 0}', "decision_classes"),
     ('{"blocks_per_covering": -1}', "blocks_per_covering"),
     ('{"updates": "add"}', "updates"),
-    ('{"updates": [["add"]]}', "update"),
+    ('{"updates": [["add"]]}', "updates"),
     ('{"covering_counts": [1]}', "covering_counts"),
     # A seed that is no integer once ran, and an empty list wrote only
     # the CSV header and exited 0.
@@ -557,6 +703,10 @@ BAD_BENCH_CONFIGS = [
     ('{"universe_sizes": [20, 20]}', "universe_sizes"),
     ('{"covering_counts": [3, 2, 3]}', "covering_counts"),
     ('{"updates": ["add", "add"]}', "updates"),
+    # A config built in Python once ran with these, timing deletes under
+    # the label "remove" and drawing blocks_per_covering=0 blocks.
+    ('{"updates": ["add", "remove"]}', "updates"),
+    ('{"blocks_per_covering": 0}', "blocks_per_covering"),
     ('{"seeds": 1}', "seeds"),
     ('[1000]', "root"),
 ]
@@ -570,6 +720,26 @@ def test_bench_bad_config(capsys, tmp_path):
         assert (code, out) == (1, ""), text
         assert err.startswith("error: ") and field in err.splitlines()[0], (text, err)
         assert "Traceback" not in err
+
+
+def test_bench_config_checks_values_however_it_is_built():
+    # The value faults of BAD_BENCH_CONFIGS, built in Python: a config that
+    # passes the JSON-shape checks (an object of known fields, lists where
+    # lists belong) fails in BenchConfig itself, before anything runs.  The
+    # four shape faults, the two non-list grids, "seeds" and the list root,
+    # are from_json's alone.
+    built = 0
+    for text, field in BAD_BENCH_CONFIGS:
+        data = json.loads(text)
+        if not isinstance(data, dict) or not data.keys() <= BenchConfig.__dataclass_fields__.keys():
+            continue
+        if any(not isinstance(data.get(key, [1]), list) for key in bench._LISTS):
+            continue
+        kwargs = {k: tuple(v) if k in bench._LISTS else v for k, v in data.items()}
+        with pytest.raises(cr.ValidationError, match=f"^{field}: "):
+            BenchConfig(**kwargs)
+        built += 1
+    assert built == len(BAD_BENCH_CONFIGS) - 4
 
 
 def test_bench_mismatch_exits_3_with_the_system(capsys, tmp_path, monkeypatch):
