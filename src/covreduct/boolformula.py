@@ -81,7 +81,7 @@ class MonotoneFormula:
 
     def __init__(self, mode: str, terms: Iterable[int], names: tuple[str, ...]):
         terms = list(terms)
-        if max(terms, default=0) >> len(names):
+        if min(terms, default=0) < 0 or max(terms, default=0) >> len(names):
             raise ValueError(f"a term has a bit past its {len(names)} variables")
         self._set(mode, _pack(terms, len(names)), names)
 

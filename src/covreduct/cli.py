@@ -9,11 +9,12 @@ Commands::
     covreduct coverize <csv> --spec <spec> -o <out>
 
 Exit codes: 0 success, 1 usage or validation/parse error, 2 engine
-error, 3 verification mismatch.  An output that would overwrite another
-file of the same command (other than ``update -o`` onto its input system,
-an in-place update) exits 1 before anything is written.  Set
-COVREDUCT_LOG_LEVEL (a logging level name, in any case) to adjust
-verbosity.
+error, 3 verification mismatch.  Every input file is read as UTF-8; one
+that is not is a parse error naming the file.  An output that would
+overwrite another file of the same command (other than ``update -o`` onto
+its input system, an in-place update) exits 1 before anything is
+written.  Set COVREDUCT_LOG_LEVEL (a logging level name, in any case) to
+adjust verbosity.
 """
 
 import argparse
@@ -21,12 +22,13 @@ import csv
 import logging
 import os
 import sys
+from io import StringIO
 from pathlib import Path
 
 from .approximation import classify_consistency
 from .bench import BenchConfig, BenchMismatch, run_bench
 from .engine import add_covering, batch_reducts, delete_covering, oracle_reducts
-from .errors import EngineError, ValidationError
+from .errors import EngineError, ParseError, ValidationError
 from .io import (
     _system_from_doc,
     coverize,
@@ -54,13 +56,23 @@ def _no_overwrite(flag: str, path: str | None, *others: tuple[str, str | None]) 
             raise ValidationError(f"{flag} and {other} both name {path}; it would be overwritten")
 
 
+def _read(path: str) -> str:
+    """The text of the file ``path``, decoded as UTF-8 with its newlines
+    as they are; a byte that is not UTF-8 is a ParseError naming the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
 def _print_reducts(reduct_set) -> None:
     for names in reduct_set.sorted_name_lists():
         print(",".join(names))
 
 
 def _cmd_validate(args) -> int:
-    system = load_system(Path(args.file).read_text())
+    system = load_system(_read(args.file))
     verdict = classify_consistency(system).value
     print(
         f"ok: {system.universe_size} objects, {len(system.coverings)} coverings, "
@@ -71,7 +83,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     _no_overwrite("--cache", args.cache, ("file", args.file))
-    system = load_system(Path(args.file).read_text())
+    system = load_system(_read(args.file))
     reducts, cache = batch_reducts(system)
     if not cache.consistent:
         print("inconsistent (POS != U)")
@@ -91,11 +103,11 @@ def _cmd_update(args) -> int:
     _no_overwrite("--cache", args.cache, ("file", args.file), ("--add", args.add))
     # -o onto the input system is an in-place update.
     _no_overwrite("-o", args.out, ("--cache", args.cache), ("--add", args.add))
-    doc = decode_json(Path(args.file).read_text())
+    doc = decode_json(_read(args.file))
     system = _system_from_doc(doc)
-    cache = load_cache(Path(args.cache).read_text())
+    cache = load_cache(_read(args.cache))
     if args.add:
-        covering = parse_covering(Path(args.add).read_text(), system.universe_size)
+        covering = parse_covering(_read(args.add), system.universe_size)
         reducts, new_cache = add_covering(system, cache, covering)
     else:
         reducts, new_cache = delete_covering(system, cache, args.delete)
@@ -118,7 +130,7 @@ def _cmd_update(args) -> int:
 
 def _cmd_bench(args) -> int:
     _no_overwrite("--out", args.out, ("config", args.config))
-    config = BenchConfig.from_json(Path(args.config).read_text())
+    config = BenchConfig.from_json(_read(args.config))
     if args.out:
         with open(args.out, "w") as fh:
             run_bench(config, fh)
@@ -129,10 +141,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_coverize(args) -> int:
     _no_overwrite("-o", args.out, ("csv", args.csv), ("--spec", args.spec))
-    spec = parse_coverization_spec(Path(args.spec).read_text())
-    with open(args.csv, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    spec = parse_coverization_spec(_read(args.spec))
+    rows = list(csv.reader(StringIO(_read(args.csv), newline="")))
     if not rows:
         raise ValidationError("CSV file is empty")
     header, data = rows[0], rows[1:]

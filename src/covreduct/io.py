@@ -118,13 +118,16 @@ def _index_list(raw: Any, where: str) -> tuple[int, ...]:
 
 def decode_json(text: str) -> Any:
     """``json.loads``, raising a syntax error as ParseError with its line and
-    column, and nesting too deep for the decoder as ParseError too."""
+    column, and nesting too deep for the decoder or an integer literal past
+    Python's digit limit as ParseError too."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def _object_names(names: Any, size: int) -> list[str]:

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +109,9 @@ def covering5() -> cr.Covering:
 
 def names_of(reducts: cr.ReductSet) -> frozenset[frozenset[str]]:
     return reducts.as_name_sets()
+
+
+def readme_block(after: str, lang: str) -> str:
+    """The first ``lang`` code block of README.md after the text ``after``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split(after, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]

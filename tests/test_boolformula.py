@@ -124,9 +124,10 @@ def test_minimal_dnf_rejects_empty_clause():
 
 @pytest.mark.parametrize(
     "m, term",
-    [(2, 0b100), (64, 1 << 64), (65, 1 << 65), (65, 1 << 128)],
+    [(2, 0b100), (64, 1 << 64), (65, 1 << 65), (65, 1 << 128), (2, -1), (65, -1)],
     ids=["one word, bit past the names", "one word, past the word",
-         "two words, bit past the names", "two words, past the words"],
+         "two words, bit past the names", "two words, past the words",
+         "one word, negative", "two words, negative"],
 )
 def test_formula_rejects_a_term_past_its_names(m, term):
     names = tuple(f"V{i}" for i in range(m))

@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -184,9 +185,12 @@ def test_cache_parse_error():
 
 # Each invalid text and the message every reader must raise for it.  The
 # deep one once escaped as a bare RecursionError from the decoder.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 INVALID_JSON = [
     ('{\n  "name": }', "invalid JSON at line 2, column 11"),
     ("[" * 200000, "invalid JSON: arrays and objects nest too deeply"),
+    # An integer literal past the interpreter's digit limit, where it has one.
+    *([("1" * (INT_DIGITS + 1), "invalid JSON: Exceeds the limit")] if INT_DIGITS else []),
 ]
 
 
