@@ -14,7 +14,15 @@ v' = v and t' sits inside t, so the antichain makes them equal.  After any
 prefix of the clauses the implicants are the minimal hitting sets of that
 prefix (Berge), so an expansion can also continue from a known antichain:
 the minimal hitting sets of clauses already multiplied in, times the
-clauses that remain.  An expansion can also be asked only for the
+clauses that remain.  The core, the OR of the one-variable clauses, is
+in every minimal hitting set (of an antichain, a variable is in all of
+them exactly when it is a clause by itself), and in a reduct expansion
+it is the coverings in every reduct.  It is split off before the
+product: a clause that meets it contains a one-variable clause and is
+dropped, and the core is multiplied in as one union, each start term
+with the core added, absorbed (a DNF times a conjunction of variables is
+the set of its minimized unions), in place of one product step per
+one-variable clause.  An expansion can also be asked only for the
 implicants that miss some row of an ``avoid`` set: an implicant that
 misses a row extends one of the step before that misses it too, so from
 the first step at which the implicants outnumber the ``avoid`` rows every
@@ -346,19 +354,29 @@ def minimal_dnf(
     ``start`` is the implicant set the product begins from, a ``(k, W)``
     uint64 word array over ``cnf.names`` whose rows must be an antichain;
     the default, None, is the single empty implicant (true) and expands the
-    CNF alone.  Clauses are absorbed first and multiplied in ascending size
-    order; after each product step the implicant set is absorbed again,
-    which keeps the intermediate sets antichains and bounds the blowup on
-    typical inputs.  A growth past ``max_terms``, the start terms included,
-    raises TermBlowup instead of exhausting memory, and so does a product
-    whose subset tests (expanded terms times hit terms, summed over the
-    steps) pass ``CELLS_PER_TERM * max_terms`` instead of running for hours.
-    The empty CNF yields ``start``.  Clauses are absorbed and multiplied as
-    rows, and the result holds its terms as rows, one per implicant.
+    CNF alone.  The core, the variables of the one-variable clauses, is in
+    every implicant (in a reduct expansion, the coverings in every reduct).
+    The clauses that meet it are dropped, and the core is multiplied into
+    the start first, as one union: each start term with the core added,
+    absorbed when there is more than one.  The other clauses are absorbed
+    and multiplied in ascending size order; after each product step the
+    implicant set is absorbed again, which keeps the intermediate sets
+    antichains and bounds the blowup on typical inputs.  A growth past
+    ``max_terms``, the start terms included, raises TermBlowup instead of
+    exhausting memory, and so does a product whose subset tests (expanded
+    terms times hit terms, summed over the steps) pass ``CELLS_PER_TERM *
+    max_terms`` instead of running for hours.  The core step is charged as
+    the one-variable steps it replaces: when some start term lacks a core
+    variable, the start's terms count toward ``max_terms``, and its subset
+    tests are the start terms that miss the core times those that meet it.
+    The raised TermBlowup's ``core`` names the core variables.  The empty
+    CNF yields ``start``.  Clauses are absorbed and multiplied as rows, and
+    the result holds its terms as rows, one per implicant.
 
     ``avoid``, a ``(k, W)`` word array over ``cnf.names``, asks only for
     the implicants that miss some of its rows.  From the first product step
-    at which the implicants outnumber the ``avoid`` rows, the rows are
+    at which the implicants outnumber the ``avoid`` rows (the core step, if
+    any, comes first and starts from the start's terms), the rows are
     absorbed and, on that step and every later one, each implicant and
     each expanded term that meets every one of them is dropped.  The result
     is then exactly the implicants of the full minimal DNF that miss some
@@ -373,48 +391,78 @@ def minimal_dnf(
     if start is None:
         start = np.zeros((1, word_count(n_vars)), dtype=np.uint64)
     start = _frozen_rows(start, n_vars, "start")
-    clauses = absorb(cnf.rows)
+    # The core, the OR of the one-variable rows.  A row that meets it holds
+    # a one-variable row, so the rows that miss it absorb to the same rows,
+    # in the same order, as all of them but the core's.
+    single = cnf.rows[np.bitwise_count(cnf.rows).sum(axis=1) == 1]
+    core = np.bitwise_or.reduce(single, axis=0, keepdims=True)
+    clauses = absorb(cnf.rows[~(cnf.rows & core).any(axis=1)])
     if len(clauses) and not clauses[0].any():
         raise ValueError("monotone CNF must not contain an empty clause")
     if avoid is not None:
         avoid = _frozen_rows(avoid, n_vars, "avoid")
-    rows = _expand(start, clauses, n_vars, max_terms, avoid)
+    rows = _expand(start, core, clauses, cnf.names, max_terms, avoid)
     return MonotoneFormula.from_rows("dnf", rows, cnf.names)
 
 
 def _expand(
     implicants: np.ndarray,
+    core: np.ndarray,
     clauses: np.ndarray,
-    n_vars: int,
+    names: tuple[str, ...],
     max_terms: int,
     avoid: np.ndarray | None,
 ) -> np.ndarray:
-    """Product-with-absorption over word arrays, from the antichain ``implicants``,
-    pruned by the ``avoid`` rows once the implicants outnumber them (see
-    ``minimal_dnf``)."""
-    unit = _pack([1 << v for v in range(n_vars)], n_vars)  # row v: variable v alone
+    """Product-with-absorption over word arrays, from the antichain ``implicants``
+    times the ``core`` row's variables, then the clauses, pruned by the
+    ``avoid`` rows once the implicants outnumber them (see ``minimal_dnf``)."""
+    unit = _pack([1 << v for v in range(len(names))], len(names))  # row v: variable v alone
     cells_left = CELLS_PER_TERM * max_terms
+
+    def charge(terms: int, cells: int) -> None:
+        """Count a product step of ``terms`` terms and ``cells`` subset tests."""
+        nonlocal cells_left
+        cells_left -= cells
+        if terms > max_terms:
+            message = f"DNF expansion exceeded {max_terms} intermediate terms"
+        elif cells_left < 0:
+            message = f"DNF expansion exceeded {CELLS_PER_TERM * max_terms} subset tests"
+        else:
+            return
+        raise TermBlowup(message, core=mask_to_names(names, _row_ints(core)[0]))
+
+    # The core step, if the CNF has a core, then one step per clause.
+    steps = [(core[0], True)] if core.any() else []
     pruning = False
-    for clause in clauses:
+    for clause, is_core in steps + [(clause, False) for clause in clauses]:
         if avoid is not None and not pruning and len(implicants) > len(avoid):
             # From here on every implicant misses some avoid row: the hit
             # ones carry over and each expanded term is pruned below.
             pruning = True
             avoid = absorb(avoid)
             implicants = implicants[_misses_some(implicants, avoid)]
+        if is_core:
+            # The start times the AND of the core variables: the terms with
+            # the core added, absorbed.  It is charged as the one-variable
+            # steps it replaces: the first of them that some term misses
+            # holds every term, and their subset tests are counted as the
+            # terms that miss the core times the terms that meet it.
+            if (implicants & clause != clause).any():
+                meets = int((implicants & clause).any(axis=1).sum())
+                charge(len(implicants), meets * (len(implicants) - meets))
+                implicants = implicants | clause
+                if len(implicants) > 1:
+                    implicants = absorb(implicants)
+                if pruning:
+                    implicants = implicants[_misses_some(implicants, avoid)]
+            continue
         missing = ~(implicants & clause).any(axis=1)
         missed = implicants[missing]
         if not len(missed):
             continue
         var_bits = unit[(unit & clause).any(axis=1)]
         hit = implicants[~missing]
-        if len(hit) + len(missed) * len(var_bits) > max_terms:
-            raise TermBlowup(f"DNF expansion exceeded {max_terms} intermediate terms")
-        cells_left -= len(missed) * len(var_bits) * len(hit)
-        if cells_left < 0:
-            raise TermBlowup(
-                f"DNF expansion exceeded {CELLS_PER_TERM * max_terms} subset tests"
-            )
+        charge(len(hit) + len(missed) * len(var_bits), len(missed) * len(var_bits) * len(hit))
         expanded = (missed[:, None, :] | var_bits[None, :, :]).reshape(-1, implicants.shape[1])
         if pruning:
             expanded = expanded[_misses_some(expanded, avoid)]

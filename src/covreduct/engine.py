@@ -13,7 +13,10 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
 * add, positive region unchanged (always the case on a consistent base):
   expand  new AND (AND over x in POS outside the new covering's admissible
   union of OR r(x)),  then keep the expansion terms no existing reduct is a
-  strict subset of, and union them with the old reducts.  That filter is
+  strict subset of, and union them with the old reducts.  The new
+  covering's bit is a one-bit clause, so the product starts from the one
+  term {c} + core, the core being the coverings of the one-covering sets
+  among those r(x) (see ``minimal_dnf``).  That filter is
   one equality test: with c the new covering and R those restricted
   related sets, the expansion is {c + q : q a minimal hitting set of R}.
   An old reduct p lacks c, so p strictly inside c + q puts p inside q; p

@@ -52,7 +52,16 @@ class EngineError(CovreductError):
 
 
 class TermBlowup(EngineError):
-    """Intermediate term count exceeded the configured guard limit."""
+    """Intermediate term count exceeded the configured guard limit.
+
+    ``core`` names the variables of the expanded CNF's one-variable
+    clauses, which every term of its minimal DNF holds; raised from
+    ``batch_reducts``, they are the coverings in every reduct.
+    """
+
+    def __init__(self, message: str, core: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.core = core
 
 
 class StaleCache(EngineError):

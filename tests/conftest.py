@@ -2,6 +2,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import covreduct as cr
 
@@ -115,3 +116,20 @@ def readme_block(after: str, lang: str) -> str:
     """The first ``lang`` code block of README.md after the text ``after``."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     return readme.split(after, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+@st.composite
+def core_cnfs(draw, m: int) -> list[int]:
+    """Clause masks over a few of m variables, word edges included, in any
+    order: one to three one-bit clauses (the core), rows that meet the core,
+    rows drawn freely and repeats of all of them."""
+    pool = sorted({p for p in (0, 1, 2, 3, 62, 63, 64, 65, m - 2, m - 1) if 0 <= p < m})
+    core = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    rows = st.sets(st.sampled_from(pool), min_size=1, max_size=3).map(
+        lambda ps: sum(1 << p for p in ps)
+    )
+    clauses = [1 << p for p in core]
+    clauses += [row | 1 << draw(st.sampled_from(core)) for row in draw(st.lists(rows, max_size=3))]
+    clauses += draw(st.lists(rows, max_size=5))
+    clauses += draw(st.lists(st.sampled_from(clauses), max_size=4))
+    return draw(st.permutations(clauses))

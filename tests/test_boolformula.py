@@ -26,6 +26,7 @@ from covreduct.boolformula import (
 from covreduct.errors import TermBlowup
 
 from bruteforce import minimal_hitting_sets, minimal_models, truth_table_equal
+from conftest import core_cnfs
 
 NAMES6 = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -416,7 +417,7 @@ def test_filter_non_extensions_matches_its_definition(data):
 def test_minimal_dnf_matches_brute_force_at_every_width(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     names = tuple(f"V{i}" for i in range(m))
-    clauses = [c for c in data.draw(term_lists(m, large=False)) if c]
+    clauses = [c for c in data.draw(term_lists(m, large=False) | core_cnfs(m)) if c]
     dnf = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(clauses), names))
     # The same CNF as a row selection, its repeated rows kept, expands to
     # the same rows in the same order.
@@ -433,7 +434,7 @@ def test_minimal_dnf_matches_brute_force_at_every_width(data):
 def test_minimal_dnf_from_start_matches_brute_force(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
     names = tuple(f"V{i}" for i in range(m))
-    clauses = [c for c in data.draw(term_lists(m, large=False)) if c]
+    clauses = [c for c in data.draw(term_lists(m, large=False) | core_cnfs(m)) if c]
     k = data.draw(st.integers(0, len(clauses)))
     prefix, rest = clauses[:k], clauses[k:]
     used = sorted({v for c in clauses for v in to_indices(c)})

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -31,6 +32,7 @@ from conftest import (
     CONSISTENT8_PLUS_REDUCTS,
     CONSISTENT8_REDUCTS,
     INCONSISTENT8_REDUCTS,
+    core_cnfs,
     nameset,
     obj,
     partition_blocks,
@@ -595,21 +597,28 @@ def _minimal(terms):
     return {t for t in terms if not any(u != t and u & ~t == 0 for u in terms)}
 
 
-def _peak_terms(start, clauses):
-    """The largest intermediate term count the blowup guard sees.
+def _product(start, clauses):
+    """A plain-Python product from the antichain ``start`` over the minimal
+    clauses, smallest first (ties by value), absorbed after every step.
 
-    A plain-Python product from the antichain ``start`` over the minimal
-    clauses, smallest first: each step that meets a missing implicant
-    counts the hit implicants plus the missed ones times the clause size.
+    Returns the implicants before every step and after the last, and per
+    step the term count the blowup guard sees: the hit implicants plus the
+    missed ones times the clause size, or 0 when none misses the clause.
     """
-    implicants, peak = set(start), 0
+    implicants, history, counts = set(start), [], []
     for clause in sorted(_minimal(set(clauses)), key=lambda c: (c.bit_count(), c)):
+        history.append(implicants)
         hit = {t for t in implicants if t & clause}
         missed = implicants - hit
+        counts.append(len(hit) + len(missed) * clause.bit_count() if missed else 0)
         if missed:
-            peak = max(peak, len(hit) + len(missed) * clause.bit_count())
             implicants = _minimal(hit | {t | 1 << v for t in missed for v in to_indices(clause)})
-    return peak
+    return history + [implicants], counts
+
+
+def _peak_terms(start, clauses):
+    """The largest intermediate term count the blowup guard sees (see ``_product``)."""
+    return max(_product(start, clauses)[1], default=0)
 
 
 @pytest.mark.parametrize("padding", [0, 64], ids=["one word", "two words"])
@@ -653,6 +662,69 @@ def test_term_limit_boundary_of_batch_and_continued_delete(padding):
             assert reducts.as_name_sets() == batch.as_name_sets()
             continued += 1
     assert continued >= 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_dnf_with_a_core_matches_the_plain_product(data):
+    """A CNF with a core (one-bit clauses, repeated, with rows that meet
+    them) from the empty term or a drawn antichain, at one and two words,
+    gives the plain product's terms.  The term limit stops it exactly where
+    the product's one-bit steps would, and the raised ``TermBlowup`` names
+    the core.  With ``avoid`` rows it gives the terms that miss one of them
+    once some step starts with more terms than there are rows (the core's
+    step with the start's), else every term."""
+    m = data.draw(st.sampled_from((6, 63, 64, 65, 128)))
+    names = tuple(f"V{i}" for i in range(m))
+    clauses = data.draw(core_cnfs(m))
+    cnf = cr.MonotoneFormula("cnf", clauses, names)
+    core = tuple(names[v] for v in range(m) if 1 << v in clauses)
+    used = sorted({v for c in clauses for v in to_indices(c)})
+    terms = st.sets(st.sampled_from(used), max_size=3).map(lambda vs: sum(1 << v for v in vs))
+    # Distinct terms of one size form an antichain.
+    size = min(len(used), data.draw(st.integers(1, 2)))
+    sized = st.sets(st.sampled_from(used), min_size=size, max_size=size)
+    two = min(2, math.comb(len(used), size))
+    drawn = st.sets(sized.map(lambda vs: sum(1 << v for v in vs)), min_size=two, max_size=6)
+    start = data.draw(st.just({0}) | drawn)
+    rows = _pack(sorted(start), m)
+    history, counts = _product(start, clauses)
+    full, peak = history[-1], max(counts, default=0)
+    if peak:
+        with pytest.raises(TermBlowup) as raised:
+            cr.minimal_dnf(cnf, max_terms=peak - 1, start=rows)
+        assert raised.value.core == core
+    assert cr.minimal_dnf(cnf, max_terms=peak, start=rows).terms == full
+    avoid = data.draw(st.lists(st.sampled_from(clauses) | terms, max_size=4))
+    got = cr.minimal_dnf(cnf, start=rows, avoid=_pack(avoid, m)).terms
+    if any(len(before) > len(avoid) for before in history[:-1]):
+        assert got == {t for t in full if any(not t & a for a in avoid)}
+    else:
+        assert got == full
+
+
+@pytest.mark.parametrize("m", [6, 65], ids=["one word", "two words"])
+def test_core_step_counts_the_start_and_its_tests_toward_the_limits(monkeypatch, m):
+    """A CNF that is all core multiplies into a start in one step, charged as
+    its one-bit steps: k start terms that miss the core count k terms, and
+    the subset tests are the terms that miss it times those that meet it."""
+    names = tuple(f"V{i}" for i in range(m))
+    a, b = 1, 1 << (m - 1)
+    cnf = cr.MonotoneFormula("cnf", [a, b, a, a | b, b | 0b110], names)
+    missing = [0b10, 0b100, 0b1000, 0b10000]
+    with pytest.raises(TermBlowup, match="exceeded 3 intermediate terms") as raised:
+        cr.minimal_dnf(cnf, max_terms=3, start=_pack(missing, m))
+    assert raised.value.core == ("V0", f"V{m - 1}")
+    got = cr.minimal_dnf(cnf, max_terms=4, start=_pack(missing, m)).terms
+    assert got == {a | b | t for t in missing}
+    # Two of five start terms meet the core: 2 x 3 = 6 subset tests.
+    mixed = [a | 0b10, b | 0b100, 0b1000, 0b10000, 0b110]
+    monkeypatch.setattr(boolformula, "CELLS_PER_TERM", 1)
+    with pytest.raises(TermBlowup, match="exceeded 5 subset tests"):
+        cr.minimal_dnf(cnf, max_terms=5, start=_pack(mixed, m))
+    assert cr.minimal_dnf(cnf, max_terms=6, start=_pack(mixed, m)).terms == {
+        a | b | 0b10, a | b | 0b100, a | b | 0b1000, a | b | 0b10000
+    }
 
 
 def _check_step(system, reducts, rng):
@@ -809,6 +881,36 @@ def test_reducts_do_not_depend_on_covering_order(case):
         answers.append((reducts, added, deleted))
     for ours, theirs in zip(*answers):
         assert ours.as_name_sets() == theirs.as_name_sets()
+
+
+@st.composite
+def _small_systems(draw):
+    n = draw(st.integers(3, 8))
+    decision = partition_blocks(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    m = draw(st.integers(2, 12))
+    return cr.build_system(n, [(f"C{i}", draw(_covering_blocks(n))) for i in range(m)], decision)
+
+
+def test_term_blowup_names_the_coverings_in_every_reduct():
+    """A batch that holds more than one term blows up at a limit of one, and
+    the error's ``core`` is the intersection of the oracle's reducts, the
+    coverings of its one-covering related sets.  Systems with and without
+    a core are both drawn."""
+    cases = Counter()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_systems())
+    def check(system):
+        oracle = cr.oracle_reducts(system).as_name_sets()
+        assume(len(oracle) >= 2)
+        with pytest.raises(TermBlowup) as raised:
+            cr.batch_reducts(system, max_terms=1)
+        core = frozenset.intersection(*oracle)
+        assert raised.value.core == tuple(name for name in system.names() if name in core)
+        cases["core" if core else "no core"] += 1
+
+    check()
+    assert cases["core"] and cases["no core"], cases
 
 
 @pytest.fixture
