@@ -36,11 +36,12 @@ head at a time, up to ``HEAD_ROWS`` rows of the lowest whole popcount
 levels left, tests the head against itself and then, in one kernel
 call, the rows left against the kept head rows, so a family takes at
 most as many passes as it keeps rows, however many popcount levels it
-spans.  The filter of incremental adds is an equality test, and
-``minimal_hitting``, which certifies a large loaded reduct set as an
-antichain, is linear in the term count: it tests the terms against the
-clauses, not against each other, in one pass that counts the bits of
-each term-clause meet once for both of its tests.
+spans.  The filter of incremental adds and ``minimal_hitting``, which
+certifies a large loaded reduct set as an antichain, are linear in the
+term count: they test the terms against the ``avoid`` rows or the
+clauses, not against each other, and ``minimal_hitting`` does it in one
+pass that counts the bits of each term-clause meet once for both of its
+tests.
 They run on numpy, for any number of variables: a set of k terms over m
 variables is a ``(k, W)`` uint64 array with W = ceil(m / 64) words per
 term, least significant word first.  One kernel, ``_contains_subset``,
@@ -259,41 +260,14 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T)]
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """For each row of a sorted word array: does it differ from the row before?"""
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return fresh
-
-
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     if len(rows) < 2:
         return rows
     # Sorting beats np.unique, which hashes integer input.
     ordered = _sorted_rows(rows)
-    return ordered[_run_starts(ordered)]
-
-
-def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row of ``a``: does it equal a row of ``b``?
-
-    Rows may repeat in either array.  One word is a sort of ``b`` and a
-    binary search; wider rows sort both arrays together into runs of equal
-    rows, and a row of ``a`` is found when its run holds a row of ``b``.
-    """
-    if a.shape[1] == 1:
-        keys = np.sort(b[:, 0])
-        at = np.searchsorted(keys, a[:, 0])
-        found = at < len(keys)
-        found[found] = keys[at[found]] == a[found, 0]
-        return found
-    both = np.concatenate((b, a))
-    order = np.lexsort(both.T)
-    fresh = _run_starts(both[order])
-    has_b = np.logical_or.reduceat(order < len(b), np.flatnonzero(fresh))  # per run
-    found = np.empty(len(both), dtype=bool)
-    found[order] = has_b[np.cumsum(fresh) - 1]
-    return found[len(b) :]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[fresh]
 
 
 def absorb(rows: np.ndarray) -> np.ndarray:
@@ -475,28 +449,20 @@ def _expand(
     return implicants
 
 
-def filter_non_extensions(
-    candidates: np.ndarray, existing: np.ndarray, bit: np.ndarray
-) -> np.ndarray:
-    """The candidate rows, in their order, that are not an existing row plus ``bit``.
+def filter_non_extensions(candidates: np.ndarray, avoid: np.ndarray) -> np.ndarray:
+    """The candidate rows, in their order, that miss some ``avoid`` row.
 
-    ``bit`` is a one-row word array; the candidates and the existing rows
-    are word arrays of its width.  A candidate is dropped only when it holds
-    ``bit`` and, with ``bit`` cleared, equals an existing row.  Repeated
-    candidates and candidates without ``bit`` are kept as they come.  In an
-    add that keeps the positive region, with ``bit`` the new covering, the
-    dropped candidates are exactly the expansion terms that strictly
-    contain an old reduct (see the ``engine`` module docstring).  That
-    expansion's ``avoid`` rows drop such terms only from the product step
-    at which its terms outnumber them, so some may still arrive here, and
-    this filter is the step that removes every one that does.
+    Both are word arrays of one width, or sequences of 1-D rows; the width
+    is taken from ``avoid``.  In an add that keeps the positive region, with
+    the expansion terms as the candidates and that expansion's ``avoid``
+    rows, the rows kept are exactly the new reducts (see the ``engine``
+    module docstring): the expansion drops terms that meet every ``avoid``
+    row only from the product step at which its terms outnumber them, and
+    this filter drops every one that is left.
     """
-    bit = _word_rows(bit)
-    cand = _word_rows(candidates, bit.shape[1])
-    exist = _word_rows(existing, bit.shape[1])
-    extends = (cand & bit == bit).all(axis=1)
-    extends[extends] = _rows_in(cand[extends] & ~bit, exist)
-    return cand[~extends]
+    avoid = _word_rows(avoid)
+    candidates = _word_rows(candidates, avoid.shape[1])
+    return candidates[_misses_some(candidates, avoid)]
 
 
 def hits_all(terms: np.ndarray, clauses: np.ndarray) -> bool:

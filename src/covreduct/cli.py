@@ -9,12 +9,12 @@ Commands::
     covreduct coverize <csv> --spec <spec> -o <out>
 
 Exit codes: 0 success, 1 usage or validation/parse error, 2 engine
-error, 3 verification mismatch.  Every input file is read as UTF-8; one
-that is not is a parse error naming the file.  An output that would
-overwrite another file of the same command (other than ``update -o`` onto
-its input system, an in-place update) exits 1 before anything is
-written.  Set COVREDUCT_LOG_LEVEL (a logging level name, in any case) to
-adjust verbosity.
+error, 3 verification mismatch.  Every input file is read as UTF-8, less
+one leading byte-order mark; one that is not UTF-8 is a parse error naming
+the file.  An output that would overwrite another file of the same
+command (other than ``update -o`` onto its input system, an in-place
+update) exits 1 before anything is written.  Set COVREDUCT_LOG_LEVEL (a
+logging level name, in any case) to adjust verbosity.
 """
 
 import argparse
@@ -58,10 +58,12 @@ def _no_overwrite(flag: str, path: str | None, *others: tuple[str, str | None]) 
 
 def _read(path: str) -> str:
     """The text of the file ``path``, decoded as UTF-8 with its newlines
-    as they are; a byte that is not UTF-8 is a ParseError naming the file."""
+    as they are and one leading byte-order mark (U+FEFF, which spreadsheet
+    tools write) dropped; a byte that is not UTF-8 is a ParseError naming
+    the file."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 

@@ -11,33 +11,29 @@ Incremental updates reuse a ReductionCache built for the pre-update system:
   wider past 64, 128, ... coverings) and sets the new covering's bit on
   the objects inside that union.
 * add, positive region unchanged (always the case on a consistent base):
-  expand  new AND (AND over x in POS outside the new covering's admissible
-  union of OR r(x)),  then keep the expansion terms no existing reduct is a
-  strict subset of, and union them with the old reducts.  The new
-  covering's bit is a one-bit clause, so the product starts from the one
-  term {c} + core, the core being the coverings of the one-covering sets
-  among those r(x) (see ``minimal_dnf``).  That filter is
-  one equality test: with c the new covering and R those restricted
-  related sets, the expansion is {c + q : q a minimal hitting set of R}.
-  An old reduct p lacks c, so p strictly inside c + q puts p inside q; p
-  meets every clause of R (R is a subset of the old clauses) and q is a
-  minimal hitting set of R, so p = q.  Conversely an old reduct q sits
-  strictly inside c + q.  So a term c + q is dropped exactly when q is an
-  old reduct.
-  Most such terms are never built.  With S the old related sets of the
-  objects inside the union, the old clauses are R and S, so a q in MHS(R)
-  (the minimal hitting sets of R) meets every set of S exactly when q is
-  an old reduct, and the answer is the old reducts plus {c + q : q in
-  MHS(R), q misses some set of S}.  After each product step the
-  expansion is the minimal hitting sets of the clauses multiplied in so
-  far, and a term that misses a set of S extends a term of the step
-  before that misses it too, so dropping, from some step on, every term
-  that meets all of S (S is ``minimal_dnf``'s ``avoid``, and c lies in
-  none of its sets) leaves exactly the terms that miss one; a term that
-  absorbs a kept term is inside it, so it is kept as well.  The expansion
-  starts dropping only once its terms outnumber S, so it may still hold
-  old reducts plus c, and the filter stays the step that makes the answer
-  exact.
+  with c the new covering, R the related sets of the objects in POS
+  outside its admissible union and S those of the objects inside it, the
+  old clauses are R and S, and the new ones R and S with c added to each.
+  So the new reducts are the old ones and the terms c + q, q in MHS(R)
+  (the minimal hitting sets of R), absorbed together.  An old reduct p
+  lacks c, so it never contains c + q, and p strictly inside c + q puts p
+  inside q; p meets every clause of R and q is a minimal hitting set of
+  R, so p = q.  And q, a minimal hitting set of R, meets every set of S
+  exactly when it is an old reduct.  Since c lies in no set of S, the
+  answer is the old reducts plus the terms c + q that miss some set of
+  S.  Those terms are the expansion of  new AND (AND over x in POS
+  outside the new covering's admissible union of OR r(x))  that miss some
+  set of S.  The new covering's bit is a one-bit clause, so the product
+  starts from the one term {c} + core, the core being the coverings of
+  the one-covering sets in R (see ``minimal_dnf``).  After each product
+  step the expansion is the minimal hitting sets of the clauses
+  multiplied in so far, and a term that misses a set of S extends a term
+  of the step before that misses it too, so dropping, from some step on,
+  every term that meets all of S (S is ``minimal_dnf``'s ``avoid``)
+  leaves exactly the terms that miss one; a term that absorbs a kept term
+  is inside it, so it is kept as well.  The expansion starts dropping
+  only once its terms outnumber S, so ``filter_non_extensions`` applies
+  the same test to the terms that come out.
 * add, positive region grew: the same expansion IS the new reduct set (the
   handful of objects only the new covering resolves force it into every
   reduct, so no old reduct survives and no filtering applies).
@@ -239,13 +235,12 @@ def add_covering(
         if held[inside].all():
             # The positive region is unchanged.  An expansion term that
             # meets the old related set of every object inside the union is
-            # an old reduct plus the new bit, so the expansion may drop it
+            # an old reduct plus the new bit; the expansion drops such terms
+            # once they outnumber those sets, and the filter drops the rest
             # (see the module docstring).
             avoid = _widen(cache.related.rows[inside], m_plus)
             expansion = minimal_dnf(cnf, max_terms, avoid=avoid)
-            # An old reduct absorbs a term only when it is that term with
-            # the new bit cleared (see the module docstring).
-            added = filter_non_extensions(expansion.rows, old, new_bit)
+            added = filter_non_extensions(expansion.rows, avoid)
             reducts_plus = np.concatenate((old, added))
         else:
             # The positive region grew, so some object is resolved only by

@@ -15,7 +15,6 @@ from covreduct.boolformula import (
     _holds,
     _pack,
     _row_ints,
-    _rows_in,
     _sorted_rows,
     _widen,
     drop_variable,
@@ -44,17 +43,16 @@ def absorbed(masks, m=len(NAMES6)):
     return frozenset(_row_ints(cr.absorb(_pack(masks, m))))
 
 
-def kept(candidates, existing, bit, m=len(NAMES6)):
-    """``filter_non_extensions`` of int masks over m variables, ``bit`` one
-    of them, read back as int masks in row order."""
-    rows = filter_non_extensions(_pack(candidates, m), _pack(existing, m), _pack([bit], m))
-    return _row_ints(rows)
+def kept(candidates, avoid, m=len(NAMES6)):
+    """``filter_non_extensions`` of int masks over m variables, read back as
+    int masks in row order."""
+    return _row_ints(filter_non_extensions(_pack(candidates, m), _pack(avoid, m)))
 
 
-def not_extensions(candidates, existing, bit):
-    """Reference: the candidates, in order, that are not an existing term plus ``bit``."""
-    existing = set(existing)
-    return [t for t in candidates if not (t & bit and t & ~bit in existing)]
+def missing_some(candidates, avoid):
+    """Reference: the candidates, in order, that miss (share no variable
+    with) some ``avoid`` term."""
+    return [t for t in candidates if any(not t & a for a in avoid)]
 
 
 def test_absorb_keeps_minimal_clauses():
@@ -210,27 +208,27 @@ def test_minimal_dnf_start_defaults_to_the_empty_implicant():
         cr.minimal_dnf(cnf, avoid=np.zeros((1, 1), dtype=np.uint64))
 
 
-(C6,) = terms(("C6",))
-
-
 def test_filter_non_extensions_drops_strict_supersets():
-    candidates = sorted(terms(("C1", "C6"), ("C5", "C6"), ("C1", "C2", "C6")))
-    existing = terms(("C1", "C2"))
-    got = kept(candidates, existing, C6)
-    assert got == sorted(terms(("C1", "C6"), ("C5", "C6")))
+    # A C6 add whose union holds one object, related set {C2, C5} (the
+    # avoid row), with {C1, C3} and {C2, C3} the clauses outside it.  They
+    # expand to {C3} and {C1, C2}, each plus C6.  {C1, C2} meets the avoid
+    # row, so it is an old reduct and {C1, C2, C6} strictly contains it.
+    candidates = sorted(terms(("C3", "C6"), ("C1", "C2", "C6")))
+    assert kept(candidates, terms(("C2", "C5"))) == sorted(terms(("C3", "C6")))
 
 
 def test_filter_non_extensions_empty_existing():
+    # With no avoid rows there is no row to miss, so nothing is kept.
     candidates = sorted(terms(("C1",), ("C2", "C3"), ("C2", "C6")))
-    assert kept(candidates, frozenset(), C6) == candidates
+    assert kept(candidates, frozenset()) == []
 
 
 def test_filter_non_extensions_keeps_equal_terms():
-    # An existing term equal to a candidate lies inside it but not strictly,
-    # with the bit or without it.
-    candidates = sorted(terms(("C1", "C2"), ("C3", "C6")))
-    existing = terms(("C1", "C2"), ("C3", "C6"))
-    assert kept(candidates, existing, C6) == candidates
+    # A candidate equal to an avoid row meets it, and is kept only for
+    # missing another row; repeated candidates are kept as they come.
+    candidates = sorted(terms(("C1", "C2"), ("C3", "C6"))) * 2
+    assert kept(candidates, terms(("C1", "C2"), ("C3", "C6"))) == candidates
+    assert kept(candidates, terms(("C1", "C3"), ("C2", "C6"))) == []
 
 
 def test_term_blowup_guard():
@@ -398,18 +396,12 @@ def test_absorb_drops_rows_within_a_head_and_across_heads():
 @given(st.data())
 def test_filter_non_extensions_matches_its_definition(data):
     m = data.draw(st.sampled_from(KERNEL_WIDTHS))
-    bit = 1 << data.draw(st.sampled_from(_positions(m)))
-    # Candidates repeat, and some lack the bit.
+    # Candidates repeat, and so do avoid rows, some of them candidates.
     candidates = data.draw(term_lists(m))
-    candidates += [t | bit for t in data.draw(term_lists(m))]
     data.draw(st.randoms()).shuffle(candidates)
-    # Existing terms repeat, some equal candidates with the bit cleared
-    # (those candidates go) and some hold the bit (they remove nothing).
-    existing = data.draw(term_lists(m))
-    existing += data.draw(st.lists(st.sampled_from(candidates or [0]), max_size=4).map(
-        lambda ts: [t & ~bit for t in ts[::2]] + ts[1::2]
-    ))
-    assert kept(candidates, existing, bit, m) == not_extensions(candidates, existing, bit)
+    avoid = data.draw(term_lists(m))
+    avoid += data.draw(st.lists(st.sampled_from(candidates or [0]), max_size=3))
+    assert kept(candidates, avoid, m) == missing_some(candidates, avoid)
 
 
 @settings(max_examples=150, deadline=None)
@@ -563,11 +555,7 @@ def test_row_matching_and_order_against_ints(data):
         a = data.draw(term_lists(m))
         b = data.draw(term_lists(m)) + data.draw(st.lists(st.sampled_from(a or [0]), max_size=3))
         data.draw(st.randoms()).shuffle(a)
-        assert _rows_in(_pack(a, m), _pack(b, m)).tolist() == [t in b for t in a]
         assert _row_ints(_sorted_rows(_pack(a, m))) == sorted(a)
-        # A repeated row of a that no row of b equals.
-        top = 1 << (m - 1)
-        assert _rows_in(_pack([top, top, 3], m), _pack([5], m)).tolist() == [False] * 3
 
 
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)
@@ -580,10 +568,10 @@ def test_kernel_users_on_empty_inputs(m):
         for got in (cr.absorb(rows), boolformula._unique_rows(np.asarray(rows))):
             assert got.dtype == np.uint64 and got.shape == (1, width)
             assert _row_ints(got) == [0b11]
-    bit = 1 << (m - 1)
-    assert kept([], some, bit, m) == []
-    assert kept(sorted(some), [], bit, m) == sorted(some)
-    assert kept(sorted(some), [0], bit, m) == [0b11]  # the bit alone is the empty term plus it
+    assert kept([], some, m) == []
+    assert kept(sorted(some), [], m) == []
+    assert kept(sorted(some), [1 << (m - 1)], m) == [0b11]
+    assert kept([0], [0b11], m) == [0]  # the empty term misses every non-empty row
     names = tuple(f"V{i}" for i in range(m))
     assert cr.minimal_dnf(MonotoneFormula("cnf", frozenset(), names)).terms == frozenset({0})
     # With no clauses only the empty row is a minimal hitting set.
@@ -596,27 +584,25 @@ def test_kernel_users_on_empty_inputs(m):
 @pytest.mark.parametrize("m", KERNEL_WIDTHS)
 def test_row_operators_take_sequences_of_rows(m):
     # A caller may hand the rows on one at a time, as a tuple of 1-D rows;
-    # an empty existing tuple then has no width of its own.
+    # an empty candidates tuple then has no width of its own.
     rows = _pack([1 << (m - 1), 0b11, 0b111], m)
-    bit = _pack([0b100], m)
+    avoid = _pack([0b100, 0b1], m)
     assert np.array_equal(cr.absorb(tuple(rows)), cr.absorb(rows))
-    assert np.array_equal(filter_non_extensions(tuple(rows), (), bit), rows)
-    assert np.array_equal(filter_non_extensions((), tuple(rows), bit), rows[:0])
+    assert np.array_equal(filter_non_extensions((), tuple(avoid)), rows[:0])
     assert np.array_equal(
-        filter_non_extensions(tuple(rows), tuple(rows[1:2]), bit),
-        filter_non_extensions(rows, rows[1:2], bit),
+        filter_non_extensions(tuple(rows), tuple(avoid)), filter_non_extensions(rows, avoid)
     )
-    assert _row_ints(filter_non_extensions(rows, rows[1:2], bit)) == [1 << (m - 1), 0b11]
+    assert _row_ints(filter_non_extensions(rows, avoid)) == [1 << (m - 1), 0b11]
     # Int masks are not rows.
     with pytest.raises(ValueError, match="word rows"):
         cr.absorb([0b11, 0b111])
     with pytest.raises(ValueError, match="word rows"):
-        filter_non_extensions(rows, [0b11], bit)
+        filter_non_extensions(rows, [0b11])
     with pytest.raises(ValueError, match="word rows"):
-        filter_non_extensions(rows, rows, [0b100])
-    # Every operand has the bit's width.
+        filter_non_extensions([0b11], avoid)
+    # Both operands have one width.
     wider = np.zeros((1, rows.shape[1] + 1), dtype=np.uint64)
-    for operands in ((rows, wider, bit), (wider, rows, bit), (rows, rows, wider)):
+    for operands in ((rows, wider), (wider, avoid)):
         with pytest.raises(ValueError, match="word rows"):
             filter_non_extensions(*operands)
 

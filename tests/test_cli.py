@@ -57,6 +57,12 @@ def test_validate_ok(capsys, consistent8_file):
     assert "8 objects" in out and "consistent" in out
 
 
+def test_validate_reads_past_a_byte_order_mark(capsys, consistent8_file, tmp_path):
+    marked = tmp_path / "marked.cds.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(consistent8_file).read_bytes())
+    assert run(capsys, "validate", marked) == run(capsys, "validate", consistent8_file)
+
+
 def _cli_process(log_level, *argv):
     """The CLI in a fresh interpreter, so that ``logging`` is not yet configured."""
     src = str(Path(cr.__file__).parents[1])
@@ -450,6 +456,25 @@ def test_coverize_command(capsys, tmp_path):
     system = cr.load_system(out_path.read_text())
     assert system.universe_size == 4
     assert system.names() == ("size", "color")
+
+
+def test_coverize_reads_past_a_byte_order_mark(capsys, tmp_path):
+    """Spreadsheet tools start a UTF-8 CSV with U+FEFF.  It is no part of the
+    first column's name, so a table whose decision column comes first
+    coverizes to the same bytes with the mark or without it."""
+    table = "class,size,color\np,1,r\np,2,g\nq,2,r\nq,9,g\n"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"decision": "class", "rules": {"size": {"tolerance": 0.25}}}')
+    written = []
+    for mark in ("", "\ufeff"):
+        csv_path = tmp_path / f"table{len(mark)}.csv"
+        csv_path.write_text(mark + table, encoding="utf-8")
+        out_path = tmp_path / f"out{len(mark)}.cds.json"
+        code, _, err = run(capsys, "coverize", csv_path, "--spec", spec_path, "-o", out_path)
+        assert code == 0, err
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+    assert cr.load_system(written[1].decode()).names() == ("size", "color")
 
 
 def test_bench_command(capsys, tmp_path):

@@ -915,15 +915,14 @@ def test_term_blowup_names_the_coverings_in_every_reduct():
 
 @pytest.fixture
 def filters(monkeypatch):
-    """The candidates, the existing terms, the bit and the result of every
+    """The candidates, the ``avoid`` rows and the result of every
     ``engine.filter_non_extensions`` call, as they happen, read from the
-    rows as int masks: row lists, and the bit as one mask."""
+    rows as lists of int masks."""
     calls = []
 
-    def recording(candidates, existing, bit):
-        kept = filter_non_extensions(candidates, existing, bit)
-        (mask,) = _row_ints(bit)
-        calls.append((_row_ints(candidates), frozenset(_row_ints(existing)), mask, _row_ints(kept)))
+    def recording(candidates, avoid):
+        kept = filter_non_extensions(candidates, avoid)
+        calls.append((_row_ints(candidates), _row_ints(avoid), _row_ints(kept)))
         return kept
 
     monkeypatch.setattr(engine, "filter_non_extensions", recording)
@@ -939,29 +938,40 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters, monkeypatch):
     two words.
 
     The filter must run on exactly the adds that keep the positive region
-    and expand (the new covering has admissible blocks).  It must get every
-    old reduct and the new covering's bit, and the terms it keeps must be
-    exactly those that strictly contain no old reduct: the equality test
-    stands in for the subset test of the module docstring's lemma, checked
-    here as an equivalence.  The add must equal batch, and the oracle up to
-    twelve coverings.  Adds whose stripped terms are the old reducts
-    (nothing new), adds whose expansion is the new covering alone (a key
-    covering on a consistent system) and ordinary adds all occur at both
-    widths, and so do adds whose expansion drops terms that meet every
-    ``avoid`` row (a spy on ``_misses_some`` sees one dropped): those must also
-    equal batch and the oracle, and the filter must still keep exactly the
-    candidates that strictly contain no old reduct.
+    and expand (the new covering has admissible blocks).  It must get the
+    old related sets of the objects inside the new covering's union, and
+    the terms it keeps must be both the candidates that miss some of them
+    and those that strictly contain no old reduct: the module docstring's
+    lemma, checked here as an equivalence.  The add must equal batch, and
+    the oracle up to twelve coverings.  Adds whose stripped terms are the
+    old reducts (nothing new), adds whose expansion is the new covering
+    alone (a key covering on a consistent system) and ordinary adds all
+    occur at both widths, and so do adds whose expansion drops terms that
+    meet every ``avoid`` row (a spy on ``_misses_some`` inside
+    ``minimal_dnf`` sees one dropped): those must also equal batch and the
+    oracle, and the filter's two definitions must still agree.
     """
     kinds = Counter()
     pruning = []
+    expanding = []
     misses_some = boolformula._misses_some
+    minimal_dnf = engine.minimal_dnf
 
     def spy(terms, clauses):
         kept = misses_some(terms, clauses)
-        pruning.append(not kept.all())
+        if expanding:
+            pruning.append(not kept.all())
         return kept
 
+    def expand(*args, **kwargs):
+        expanding.append(True)
+        try:
+            return minimal_dnf(*args, **kwargs)
+        finally:
+            expanding.pop()
+
     monkeypatch.setattr(boolformula, "_misses_some", spy)
+    monkeypatch.setattr(engine, "minimal_dnf", expand)
 
     def add(system, cache, covering):
         filters.clear()
@@ -976,11 +986,14 @@ def test_add_filter_meets_only_the_stripped_old_reducts(filters, monkeypatch):
         union = grown.admissible_union(covering.name)
         assert bool(filters) == (union != 0 and cache.positive | union == cache.positive)
         if filters:
-            (candidates, existing, bit, kept), = filters
+            (candidates, avoid, kept), = filters
             old = cache.reducts.reducts
-            assert bit == 1 << len(system.coverings)
-            assert existing == old
+            bit = 1 << len(system.coverings)
+            inside = set(to_indices(union))
+            rows = _row_ints(cache.related.rows)
+            assert avoid == [r for x, r in enumerate(rows) if x in inside]
             assert kept == [t for t in candidates if not any(p != t and p & ~t == 0 for p in old)]
+            assert kept == [t for t in candidates if any(not t & a for a in avoid)]
             stripped = {t & ~bit for t in candidates}
             if candidates == [bit]:
                 kind = "expansion is c"
