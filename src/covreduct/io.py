@@ -73,6 +73,7 @@ covering (per object, the block of rows within epsilon times the column
 range), and the decision column a partition by value.
 """
 
+import bisect
 import hashlib
 import json
 import logging
@@ -255,13 +256,28 @@ def _tolerance_blocks(column: str, values: Sequence[str], epsilon: float) -> lis
         log.warning("column %r is constant; tolerance covering collapses to one block", column)
         return [list(range(len(nums)))]
     threshold = epsilon * span
+    # Rounding keeps vx - vy monotone in vy, so in value order the objects
+    # within the threshold of vx form one run around vx: below vx the test
+    # fails and then holds, above it holds and then fails.  Equal runs hold
+    # equal objects, so a block is built once per distinct run.
+    order = sorted(range(len(nums)), key=nums.__getitem__)
+    ordered = [nums[y] for y in order]
+    rank = [0] * len(nums)
+    for r, y in enumerate(order):
+        rank[y] = r
     blocks: list[list[int]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, int]] = set()
     for x, vx in enumerate(nums):
-        members = tuple(y for y, vy in enumerate(nums) if abs(vx - vy) <= threshold)
-        if members not in seen:
-            seen.add(members)
-            blocks.append(list(members))
+
+        def near(vy: float) -> bool:
+            return abs(vx - vy) <= threshold
+
+        r = rank[x]
+        lo = bisect.bisect_left(ordered, True, 0, r, key=near)
+        hi = bisect.bisect_left(ordered, True, r, len(ordered), key=lambda vy: not near(vy))
+        if (lo, hi) not in seen:
+            seen.add((lo, hi))
+            blocks.append(sorted(order[lo:hi]))
     return blocks
 
 

@@ -9,6 +9,12 @@ the way in, so downstream code can assume the structural invariants:
 * decision classes are non-empty, pairwise disjoint, and union to the universe
 * covering names are unique and there is at least one covering
 
+A covering's blocks are sorted, to find repeats, only when they overlap:
+blocks sum to their union exactly when they are pairwise disjoint, and
+disjoint non-empty blocks cannot repeat.  The invariant also makes n
+blocks that sum to the universe the discrete covering of n singletons,
+whose admissible union is the universe without testing a block.
+
 A covering or decision that misses objects names the first ten and counts
 the rest, as in ``does not cover objects [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
 and 999989 more``, read from the union's lowest popcount + 10 bits.
@@ -112,11 +118,23 @@ class CoveringDecisionSystem:
         return tuple(self._admissible_union(c) for c in self.coverings)
 
     def _admissible_union(self, covering: Covering) -> int:
+        """The union of ``covering``'s admissible blocks, memoized by name.
+
+        n blocks that sum to the universe are pairwise disjoint, so by the
+        covering invariant (non-empty blocks inside the universe) they are
+        the n singletons: the discrete covering.  Every singleton fits its
+        class, so its union is the universe, stamped without testing a
+        block."""
         union = self._unions.get(covering.name)
         if union is None:
-            union = 0
-            for b in self.admissible(covering.blocks):
-                union |= b
+            n = self.universe_size
+            blocks = covering.blocks
+            if len(blocks) == n and sum(blocks) == full_mask(n):
+                union = full_mask(n)
+            else:
+                union = 0
+                for b in self.admissible(blocks):
+                    union |= b
             self._unions[covering.name] = union
         return union
 
@@ -194,19 +212,25 @@ def _check_covering(
     one whose blocks miss an object; blocks over the ranks of ``objects``
     (see ``_masks``) miss every object of [0, n) outside it.
 
-    The blocks are sorted once as ints, so an empty or negative block comes
-    first, the widest block last and equal blocks side by side: the first
-    and the last block and one C-level pass over adjacent pairs find any
-    faulty block, and an OR-reduce over the blocks checks coverage.  The
-    per-block loop runs only when a block is at fault, to name the first
-    faulty block in input order.
+    One OR-reduce over the blocks finds a block past object ``n - 1`` or a
+    negative one (the union then reaches past bit ``n - 1``) and checks
+    coverage.  Non-negative blocks sum to their union exactly when they
+    are pairwise disjoint (a + b is a | b plus a & b), and disjoint
+    non-empty blocks cannot repeat, so only an overlapping family is
+    sorted, to bring equal blocks side by side for one C-level pass over
+    adjacent pairs.  The per-block loop runs only when a block is at
+    fault, to name the first faulty block in input order.
     """
     if not blocks:
         raise CoverageGap(f"covering {name!r} has no blocks")
-    ordered = sorted(blocks)
-    if ordered[0] <= 0 or ordered[-1] >> n or any(map(operator.eq, ordered, ordered[1:])):
+    union = functools.reduce(operator.or_, blocks)
+    if union >> n or not all(blocks):
         _name_block_fault(name, blocks, n)
-    if gap := _uncovered(functools.reduce(operator.or_, blocks), n, objects):
+    if sum(blocks) != union:
+        ordered = sorted(blocks)
+        if any(map(operator.eq, ordered, ordered[1:])):
+            _name_block_fault(name, blocks, n)
+    if gap := _uncovered(union, n, objects):
         raise CoverageGap(f"covering {name!r} does not cover {gap}")
 
 
@@ -320,6 +344,8 @@ def fingerprint(system: CoveringDecisionSystem) -> str:
     The unions and the classes' digest are memoized on the instance and
     the unions inherited through ``with_covering``/``without_covering``, so
     the stamp of an updated system tests only the changed covering's
-    blocks, and a cold system tests each block once, for admissibility.
+    blocks, and a cold system tests each block once, for admissibility,
+    except the discrete covering's singletons, which always fit their
+    class and are not tested.
     """
     return system._fingerprint

@@ -25,7 +25,7 @@ from covreduct.errors import (
     TooManyCoverings,
     UnknownCovering,
 )
-from covreduct.synth import random_covering, random_system
+from covreduct.synth import random_covering, random_decision, random_system
 
 from conftest import (
     CONSISTENT8_MINUS_REDUCTS,
@@ -287,6 +287,34 @@ def test_add_then_delete_roundtrip(consistent8, covering6):
     reducts2, cache2 = cr.delete_covering(grown, cache1, "C6")
     assert reducts2.as_name_sets() == reducts0.as_name_sets()
     assert cache2.fingerprint == cache0.fingerprint
+
+
+@pytest.mark.parametrize("m", [8, 63, 64, 70])
+def test_adding_and_deleting_the_discrete_covering_matches_batch(m):
+    # A key column's covering: one singleton per object, shuffled.  At
+    # m = 64 and 70 the grown system's rows take two words.  Eight drawn
+    # coverings sit at random positions among whole-universe ones, which
+    # fit no class, so the reduct sets stay small.
+    n = 40
+    regions = Counter()
+    for seed in range(4):
+        rng = random.Random(f"discrete-covering:{m}:{seed}")
+        blocks = 30 if seed % 2 else 14
+        coverings = [random_covering(rng, n, f"C{j}", blocks) for j in range(8)]
+        coverings += [cr.Covering(f"W{j}", (full_mask(n),)) for j in range(m - 8)]
+        rng.shuffle(coverings)
+        decision = random_decision(rng, n, 3, contiguous=seed < 2)
+        system = cr.CoveringDecisionSystem(n, tuple(coverings), decision)
+        key = cr.Covering("KEY", tuple(rng.sample([1 << x for x in range(n)], n)))
+        reducts, cache = cr.batch_reducts(system)
+        added, cache_plus = cr.add_covering(system, cache, key)
+        grown = system.with_covering(key)
+        assert added.as_name_sets() == cr.batch_reducts(grown)[0].as_name_sets()
+        deleted, _ = cr.delete_covering(grown, cache_plus, "KEY")
+        assert deleted.as_name_sets() == reducts.as_name_sets()
+        regions[cache.consistent] += 1
+    # The key covering keeps a full region and grows a partial one.
+    assert set(regions) == {True, False}
 
 
 def test_stale_cache_rejected(consistent8, covering6):

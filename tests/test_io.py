@@ -781,6 +781,50 @@ def test_coverize_tolerance_full_range_collapses():
     assert system.coverings[0].blocks == (0b111,)
 
 
+def _reference_tolerance_blocks(values, epsilon):
+    """The all-pairs loop that sorted runs replaced, kept as the reference
+    for the blocks and their order."""
+    nums = [float(v) for v in values]
+    threshold = epsilon * (max(nums) - min(nums))
+    blocks, seen = [], set()
+    for vx in nums:
+        members = tuple(y for y, vy in enumerate(nums) if abs(vx - vy) <= threshold)
+        if members not in seen:
+            seen.add(members)
+            blocks.append(list(members))
+    return blocks
+
+
+def test_tolerance_blocks_match_the_all_pairs_loop():
+    # Ties, small integers whose differences can equal the threshold, huge
+    # values whose differences overflow to inf, tiny negatives and signed
+    # zeros.
+    rng = random.Random("tolerance-blocks")
+    pools = [
+        lambda: rng.choice([0, 1, 2, 3, 5, 8]),
+        lambda: rng.uniform(-10, 10),
+        lambda: rng.choice([1e308, -1e308, 1.7e308, -1.7e308, 0.0, 1.0]),
+        lambda: rng.choice([-5e-324, 5e-324, -1e-300, 0.0, -0.0, 1e-310]),
+        lambda: rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, 1.1]) * rng.choice([1, -1, 3]),
+    ]
+    for trial in range(300):
+        draw = pools[trial % len(pools)]
+        values = [repr(float(draw())) for _ in range(rng.randint(2, 60))]
+        if len(set(map(float, values))) == 1:
+            continue
+        for epsilon in (0.01, 0.1, 1 / 3, 0.5, 1.0):
+            got = io._tolerance_blocks("v", values, epsilon)
+            assert got == _reference_tolerance_blocks(values, epsilon), (values, epsilon)
+
+
+def test_tolerance_blocks_of_twenty_thousand_rows_are_not_quadratic():
+    rng = random.Random(20_000)
+    values = [repr(rng.gauss(0, 1)) for _ in range(20_000)]
+    start = time.perf_counter()
+    io._tolerance_blocks("v", values, 0.01)
+    assert time.perf_counter() - start < 10
+
+
 def test_coverize_constant_column_warns(caplog):
     columns = {"v": ["5", "5", "5"], "class": ["p", "p", "q"]}
     spec = cr.CoverizationSpec(decision_column="class", rules={"v": cr.Tolerance(0.5)})

@@ -258,6 +258,53 @@ def test_admissible_matches_the_definition(n):
     assert n == 1 or split_ends > 100
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2000])
+def test_admissible_union_matches_the_per_block_or(n, monkeypatch):
+    """The discrete covering's union is stamped without testing a block;
+    every other covering's, including n-block ones that are not the
+    discrete covering, is the OR of its blocks that fit a class."""
+    tested = []
+    admissible = cr.CoveringDecisionSystem.admissible
+
+    def recording_admissible(self, blocks):
+        tested.append(tuple(blocks))
+        return admissible(self, blocks)
+
+    monkeypatch.setattr(cr.CoveringDecisionSystem, "admissible", recording_admissible)
+    rng = random.Random(f"admissible-union:{n}")
+    full = (1 << n) - 1
+    for trial in range(6):
+        decision = random_decision(rng, n, rng.randint(1, min(4, n)), contiguous=trial % 2 == 1)
+        members = [to_indices(cls) for cls in decision.classes]
+        discrete = [1 << x for x in range(n)]
+        rng.shuffle(discrete)
+        chain = [1] + [3 << x for x in range(n - 1)]  # {0}, {0,1}, {1,2}, ...
+        rng.shuffle(chain)
+        overlapping = {mask_of(rng.sample(xs, rng.randint(1, len(xs)))) for xs in members}
+        overlapping |= {rng.randint(1, full) for _ in range(4)}
+        if rest := full & ~functools.reduce(operator.or_, overlapping):
+            overlapping.add(rest)
+        coverings = {
+            "D": discrete,
+            "N": chain,
+            "P1": _partition_blocks(rng, n),
+            "P2": _partition_blocks(rng, n),
+            "O": list(overlapping),
+        }
+        for name, blocks in coverings.items():
+            model._check_covering(name, blocks, n)
+        system = cr.CoveringDecisionSystem(
+            n, tuple(cr.Covering(k, tuple(bs)) for k, bs in coverings.items()), decision
+        )
+        tested.clear()
+        for name, blocks in coverings.items():
+            fits = [b for b in blocks if any(b & ~cls == 0 for cls in decision.classes)]
+            expected = functools.reduce(operator.or_, fits, 0)
+            assert system.admissible_union(name) == expected, name
+        assert tuple(discrete) not in tested
+        assert tuple(chain) in tested or n == 1  # at n = 1 the chain is {0}
+
+
 def _reference_check_covering(name, blocks, n):
     """The per-block validation loop that the sorted passes replaced, kept
     as the reference for which fault is named and how."""
@@ -296,6 +343,20 @@ def _valid_blocks(rng, n):
     if rest:
         blocks.add(rest)
     blocks = list(blocks)
+    rng.shuffle(blocks)
+    return blocks
+
+
+def _partition_blocks(rng, n):
+    """The blocks of a random object-to-block assignment, shuffled; now
+    and then all singletons or a single block."""
+    pick = rng.random()
+    k = n if pick < 0.2 else 1 if pick < 0.3 else rng.randint(1, n)
+    owner = list(range(n)) if k == n else [rng.randrange(k) for _ in range(n)]
+    members = [[] for _ in range(k)]
+    for x, j in enumerate(owner):
+        members[j].append(x)
+    blocks = [mask_of(xs) for xs in members if xs]
     rng.shuffle(blocks)
     return blocks
 
@@ -342,22 +403,34 @@ FAULTS = ("empty", "negative", "range", "duplicate", "uncovered")
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 2000])
-def test_check_covering_matches_the_per_block_loop(n):
-    """Every fault, alone and together at random positions: the sorted
-    passes raise what the loop raises, with the same message, and pass
-    exactly when it passes."""
+def test_check_covering_matches_the_per_block_loop(n, monkeypatch):
+    """Every fault, alone and together at random positions, in overlapping
+    families and in partitions: the check raises what the loop raises,
+    with the same message, and passes exactly when it passes.  Every
+    outcome is reached without sorting the blocks, and some with it."""
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(model, "sorted", counting_sorted, raising=False)
     rng = random.Random(f"check-covering:{n}")
     seen = Counter()
     for trial in range(400):
-        blocks = _valid_blocks(rng, n)
-        faults = [] if trial % 8 == 0 else rng.sample(FAULTS, rng.randint(1, len(FAULTS)))
+        blocks = _partition_blocks(rng, n) if trial % 2 else _valid_blocks(rng, n)
+        faults = [] if trial % 8 < 2 else rng.sample(FAULTS, rng.randint(1, len(FAULTS)))
         # Uncovering last, since it may drop every block.
         for fault in sorted(faults, key=FAULTS.index):
             _add_fault(rng, blocks, n, fault)
         expected = _outcome(_reference_check_covering, tuple(blocks), n)
+        before = len(sorts)
         assert _outcome(model._check_covering, tuple(blocks), n) == expected
-        seen[expected[0] if expected else None] += 1
-    assert set(seen) == {None, EmptyBlock, IndexOutOfRange, DuplicateBlock, CoverageGap}
+        seen[expected[0] if expected else None, len(sorts) > before] += 1
+    outcomes = {None, EmptyBlock, IndexOutOfRange, DuplicateBlock, CoverageGap}
+    assert {kind for kind, _ in seen} == outcomes
+    assert {kind for kind, sorted_ in seen if not sorted_} == outcomes
+    assert any(sorted_ for _, sorted_ in seen)
 
 
 def test_check_covering_accepts_two_thousand_singletons():
