@@ -187,11 +187,15 @@ def _row_ints(rows: np.ndarray) -> list[int]:
 
 
 def _widen(rows: np.ndarray, n_vars: int, holders: np.ndarray | None = None) -> np.ndarray:
-    """A copy of ``rows`` padded with zero words to the width of ``n_vars`` variables.
+    """``rows`` padded with zero words to the width of ``n_vars`` variables.
 
     ``holders``, a bool per row, also sets variable ``n_vars - 1``, which
-    lives in the last word, on the marked rows.
+    lives in the last word, on the marked rows.  With no ``holders`` and no
+    word to add there is nothing to pad, and ``rows`` itself comes back, so
+    callers must not write to the result.
     """
+    if holders is None and rows.shape[1] == word_count(n_vars):
+        return rows
     wide = np.zeros((len(rows), word_count(n_vars)), dtype=np.uint64)
     wide[:, : rows.shape[1]] = rows
     if holders is not None:

@@ -13,8 +13,10 @@ error, 3 verification mismatch.  Every input file is read as UTF-8, less
 one leading byte-order mark; one that is not UTF-8 is a parse error naming
 the file.  An output that would overwrite another file of the same
 command (other than ``update -o`` onto its input system, an in-place
-update) exits 1 before anything is written.  Set COVREDUCT_LOG_LEVEL (a
-logging level name, in any case) to adjust verbosity.
+update) exits 1 before anything is written.  ``reduce --verify`` on a
+system of more than 16 coverings, past the brute-force oracle's limit,
+exits 2 before anything is printed or written.  Set COVREDUCT_LOG_LEVEL
+(a logging level name, in any case) to adjust verbosity.
 """
 
 import argparse
@@ -27,7 +29,13 @@ from pathlib import Path
 
 from .approximation import classify_consistency
 from .bench import BenchConfig, BenchMismatch, run_bench
-from .engine import add_covering, batch_reducts, delete_covering, oracle_reducts
+from .engine import (
+    add_covering,
+    batch_reducts,
+    check_oracle_limit,
+    delete_covering,
+    oracle_reducts,
+)
 from .errors import EngineError, ParseError, ValidationError
 from .io import (
     _system_from_doc,
@@ -86,6 +94,9 @@ def _cmd_validate(args) -> int:
 def _cmd_reduce(args) -> int:
     _no_overwrite("--cache", args.cache, ("file", args.file))
     system = load_system(_read(args.file))
+    if args.verify:
+        # Refused before anything is printed or written.
+        check_oracle_limit(system)
     reducts, cache = batch_reducts(system)
     if not cache.consistent:
         print("inconsistent (POS != U)")

@@ -298,6 +298,14 @@ def delete_covering(
     return reduct_set, new_cache
 
 
+def check_oracle_limit(system: CoveringDecisionSystem) -> None:
+    """Raise TooManyCoverings when ``oracle_reducts`` would refuse ``system``:
+    it has more than ``ORACLE_LIMIT`` coverings."""
+    m = len(system.coverings)
+    if m > ORACLE_LIMIT:
+        raise TooManyCoverings(f"{m} coverings exceeds the oracle limit of {ORACLE_LIMIT}")
+
+
 def oracle_reducts(system: CoveringDecisionSystem) -> ReductSet:
     """Definition-level brute force, independent of the related-family route.
 
@@ -307,9 +315,8 @@ def oracle_reducts(system: CoveringDecisionSystem) -> ReductSet:
     the union of the decision classes' third lower approximations, and
     keeps the inclusion-minimal preserving sub-families.
     """
+    check_oracle_limit(system)
     m = len(system.coverings)
-    if m > ORACLE_LIMIT:
-        raise TooManyCoverings(f"{m} coverings exceeds the oracle limit of {ORACLE_LIMIT}")
     classes = system.decision.classes
 
     def pos_of(subset: int) -> int:

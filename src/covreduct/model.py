@@ -13,7 +13,11 @@ A covering's blocks are sorted, to find repeats, only when they overlap:
 blocks sum to their union exactly when they are pairwise disjoint, and
 disjoint non-empty blocks cannot repeat.  The invariant also makes n
 blocks that sum to the universe the discrete covering of n singletons,
-whose admissible union is the universe without testing a block.
+whose admissible union is the universe without testing a block
+(``_is_discrete``); ``with_covering`` stamps it from the validation's own
+sum.  Every other covering's union is one pass over its blocks that tests
+a block against the objects outside its highest object's class and ORs it
+in when it meets none of them.
 
 A covering or decision that misses objects names the first ten and counts
 the rest, as in ``does not cover objects [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
@@ -86,11 +90,19 @@ class CoveringDecisionSystem:
         raise UnknownCovering(f"no covering named {name!r}")
 
     def with_covering(self, covering: Covering) -> "CoveringDecisionSystem":
-        """Return a copy with ``covering`` appended (validated)."""
+        """Return a copy with ``covering`` appended (validated).
+
+        The validation tells whether the blocks are pairwise disjoint, so
+        the discrete covering's admissible union, the universe, is stamped
+        on the copy here and never summed again."""
         if covering.name in self.names():
             raise DuplicateCoveringName(f"covering name {covering.name!r} already present")
-        _check_covering(covering.name, covering.blocks, self.universe_size)
-        return self._derive(self.coverings + (covering,))
+        n = self.universe_size
+        disjoint = _check_covering(covering.name, covering.blocks, n)
+        child = self._derive(self.coverings + (covering,))
+        if _is_discrete(covering.blocks, n, disjoint):
+            child._unions[covering.name] = full_mask(n)
+        return child
 
     def without_covering(self, name: str) -> "CoveringDecisionSystem":
         idx = self.covering_index(name)
@@ -104,10 +116,12 @@ class CoveringDecisionSystem:
         A non-empty block fits inside at most one class of a partition, the
         class of any of its objects, so each block is tested against the
         class of its highest object: the block fits when it meets nothing
-        outside that class.  That costs one big-int ``&`` per block.
+        outside that class, ``_outside[b.bit_length()]``.  That costs one
+        big-int ``&`` per block.  ``_admissible_union`` runs the same test
+        inline.
         """
         outside = self._outside
-        return [b for b in blocks if not b & outside[b.bit_length() - 1]]
+        return [b for b in blocks if not b & outside[b.bit_length()]]
 
     def admissible_union(self, name: str) -> int:
         """Union of the admissible blocks of the covering ``name``."""
@@ -120,32 +134,36 @@ class CoveringDecisionSystem:
     def _admissible_union(self, covering: Covering) -> int:
         """The union of ``covering``'s admissible blocks, memoized by name.
 
-        n blocks that sum to the universe are pairwise disjoint, so by the
-        covering invariant (non-empty blocks inside the universe) they are
-        the n singletons: the discrete covering.  Every singleton fits its
-        class, so its union is the universe, stamped without testing a
-        block."""
+        One pass over the blocks tests each as ``admissible`` does and ORs
+        in those that fit.  Every singleton fits its class, so the discrete
+        covering's union is the universe, stamped without testing a block
+        (see ``_is_discrete``)."""
         union = self._unions.get(covering.name)
         if union is None:
             n = self.universe_size
             blocks = covering.blocks
-            if len(blocks) == n and sum(blocks) == full_mask(n):
+            if _is_discrete(blocks, n):
                 union = full_mask(n)
             else:
+                outside = self._outside
                 union = 0
-                for b in self.admissible(blocks):
-                    union |= b
+                for b in blocks:
+                    if not b & outside[b.bit_length()]:
+                        union |= b
             self._unions[covering.name] = union
         return union
 
     @functools.cached_property
     def _outside(self) -> list[int]:
-        """outside[x] = the objects outside the decision class holding x."""
+        """outside[k] = the objects outside the decision class holding
+        object k - 1, so a block's entry is ``outside[b.bit_length()]``, its
+        highest object's.  Entry 0 is a placeholder, 0, that no non-empty
+        block reads; it spares every lookup a ``- 1``."""
         n = self.universe_size
-        owner = np.empty(n, dtype=np.intp)
-        for j, cls in enumerate(self.decision.classes):
-            owner[flags(cls, n).view(bool)] = j
-        complements = [full_mask(n) ^ cls for cls in self.decision.classes]
+        owner = np.zeros(n + 1, dtype=np.intp)
+        for j, cls in enumerate(self.decision.classes, start=1):
+            owner[1:][flags(cls, n).view(bool)] = j
+        complements = [0] + [full_mask(n) ^ cls for cls in self.decision.classes]
         return [complements[j] for j in owner.tolist()]
 
     @functools.cached_property
@@ -207,10 +225,11 @@ def _masks(
 
 def _check_covering(
     name: str, blocks: Sequence[int], n: int, objects: list[int] | None = None
-) -> None:
+) -> bool:
     """Reject a covering with an empty, out-of-range or repeated block, or
     one whose blocks miss an object; blocks over the ranks of ``objects``
-    (see ``_masks``) miss every object of [0, n) outside it.
+    (see ``_masks``) miss every object of [0, n) outside it.  Return
+    whether the blocks, which have passed, are pairwise disjoint.
 
     One OR-reduce over the blocks finds a block past object ``n - 1`` or a
     negative one (the union then reaches past bit ``n - 1``) and checks
@@ -226,12 +245,26 @@ def _check_covering(
     union = functools.reduce(operator.or_, blocks)
     if union >> n or not all(blocks):
         _name_block_fault(name, blocks, n)
-    if sum(blocks) != union:
+    disjoint = sum(blocks) == union
+    if not disjoint:
         ordered = sorted(blocks)
         if any(map(operator.eq, ordered, ordered[1:])):
             _name_block_fault(name, blocks, n)
     if gap := _uncovered(union, n, objects):
         raise CoverageGap(f"covering {name!r} does not cover {gap}")
+    return disjoint
+
+
+def _is_discrete(blocks: Sequence[int], n: int, disjoint: bool | None = None) -> bool:
+    """Whether the blocks of a valid covering of [0, n) are the discrete
+    covering, the n singletons: n pairwise disjoint non-empty blocks.
+
+    Valid blocks union to [0, n), so they are disjoint exactly when they
+    sum to it; ``disjoint``, when ``_check_covering`` has just said, spares
+    that sum."""
+    if len(blocks) != n:
+        return False
+    return sum(blocks) == full_mask(n) if disjoint is None else disjoint
 
 
 def _uncovered(union: int, n: int, objects: list[int] | None = None) -> str:

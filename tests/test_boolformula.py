@@ -673,6 +673,23 @@ def test_drop_variable_matches_drop_index(data):
     assert np.array_equal(_widen(drop_variable(rows, m - 1, m), m, top), rows)
 
 
+@pytest.mark.parametrize("m, m_plus", [(63, 64), (64, 65)])
+@pytest.mark.parametrize("with_holders", [False, True])
+def test_widen_pads_with_zero_words(m, m_plus, with_holders):
+    rng = random.Random(f"widen:{m}:{with_holders}")
+    masks = [rng.getrandbits(m) for _ in range(9)] + [0, (1 << m) - 1]
+    rows = _pack(masks, m)
+    rows.setflags(write=False)
+    holders = np.array([rng.random() < 0.5 for _ in masks]) if with_holders else None
+    wide = _widen(rows, m_plus, holders)
+    top = [int(h) << (m_plus - 1) for h in holders] if with_holders else [0] * len(masks)
+    assert wide.shape == (len(masks), boolformula.word_count(m_plus))
+    assert _row_ints(wide) == [t | h for t, h in zip(masks, top)]
+    # With nothing to pad, the rows themselves come back, still read-only.
+    assert (wide is rows) == (not with_holders and m_plus == 64)
+    assert wide is not rows or not wide.flags.writeable
+
+
 def test_row_types_compare_hash_and_print():
     names = ("a", "b")
     cnf = MonotoneFormula("cnf", [0b01, 0b11], names)

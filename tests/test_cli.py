@@ -701,6 +701,13 @@ REJECTED_INPUT = [
         {"m72.cds.json": lambda: cr.serialize_system(_generate(BenchConfig(), 1000, 72))},
         2, "error: DNF expansion exceeded 10000000000 subset tests",
     ),
+    # 17 coverings are past the oracle's limit: refused before the reducts
+    # are printed or the cache written.
+    _row(
+        "reduce-verify-past-oracle-limit", "reduce s17.cds.json --verify --cache cache.json",
+        {"s17.cds.json": lambda: cr.serialize_system(random_system(random.Random(5), 30, 17, 4, 3))},
+        2, "error: 17 coverings exceeds the oracle limit of 16\n",
+    ),
     _row(
         "update-stale-cache", UPDATE + " --del C4", {**UPDATE8, "system.cds.json": INCONSISTENT_SYSTEM8},
         2, "error: cache was built for system ",

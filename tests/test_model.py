@@ -258,51 +258,123 @@ def test_admissible_matches_the_definition(n):
     assert n == 1 or split_ends > 100
 
 
+class _RecordingList(list):
+    """A list that records the index of every read, to stand in for a
+    system's ``_outside`` memo, which every block test reads once."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+
+def _record_outside(system):
+    """Replace ``system``'s ``_outside`` memo by a recording copy and return it."""
+    recording = _RecordingList(system._outside)
+    system.__dict__["_outside"] = recording
+    return recording
+
+
+def _lookups(blocks):
+    """The ``_outside`` reads that testing each of ``blocks`` once makes."""
+    return Counter(b.bit_length() for b in blocks)
+
+
+def _union_cases(rng, n, trial):
+    """A random decision over [0, n) and valid coverings of it: the shuffled
+    discrete covering "D", the n-block chain "N" {0}, {0,1}, {1,2}, ...,
+    random partitions "P1" and "P2" and an overlapping covering "O"."""
+    full = (1 << n) - 1
+    decision = random_decision(rng, n, rng.randint(1, min(4, n)), contiguous=trial % 2 == 1)
+    members = [to_indices(cls) for cls in decision.classes]
+    discrete = [1 << x for x in range(n)]
+    rng.shuffle(discrete)
+    chain = [1] + [3 << x for x in range(n - 1)]
+    rng.shuffle(chain)
+    overlapping = {mask_of(rng.sample(xs, rng.randint(1, len(xs)))) for xs in members}
+    overlapping |= {rng.randint(1, full) for _ in range(4)}
+    if rest := full & ~functools.reduce(operator.or_, overlapping):
+        overlapping.add(rest)
+    coverings = {
+        "D": discrete,
+        "N": chain,
+        "P1": _partition_blocks(rng, n),
+        "P2": _partition_blocks(rng, n),
+        "O": list(overlapping),
+    }
+    for name, blocks in coverings.items():
+        model._check_covering(name, blocks, n)
+    return decision, coverings
+
+
+def _fitting_or(blocks, decision):
+    fits = [b for b in blocks if any(b & ~cls == 0 for cls in decision.classes)]
+    return functools.reduce(operator.or_, fits, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2000])
-def test_admissible_union_matches_the_per_block_or(n, monkeypatch):
+def test_admissible_union_matches_the_per_block_or(n):
     """The discrete covering's union is stamped without testing a block;
     every other covering's, including n-block ones that are not the
-    discrete covering, is the OR of its blocks that fit a class."""
-    tested = []
-    admissible = cr.CoveringDecisionSystem.admissible
-
-    def recording_admissible(self, blocks):
-        tested.append(tuple(blocks))
-        return admissible(self, blocks)
-
-    monkeypatch.setattr(cr.CoveringDecisionSystem, "admissible", recording_admissible)
+    discrete covering, is the OR of its blocks that fit a class, each block
+    tested once."""
     rng = random.Random(f"admissible-union:{n}")
-    full = (1 << n) - 1
     for trial in range(6):
-        decision = random_decision(rng, n, rng.randint(1, min(4, n)), contiguous=trial % 2 == 1)
-        members = [to_indices(cls) for cls in decision.classes]
-        discrete = [1 << x for x in range(n)]
-        rng.shuffle(discrete)
-        chain = [1] + [3 << x for x in range(n - 1)]  # {0}, {0,1}, {1,2}, ...
-        rng.shuffle(chain)
-        overlapping = {mask_of(rng.sample(xs, rng.randint(1, len(xs)))) for xs in members}
-        overlapping |= {rng.randint(1, full) for _ in range(4)}
-        if rest := full & ~functools.reduce(operator.or_, overlapping):
-            overlapping.add(rest)
-        coverings = {
-            "D": discrete,
-            "N": chain,
-            "P1": _partition_blocks(rng, n),
-            "P2": _partition_blocks(rng, n),
-            "O": list(overlapping),
-        }
-        for name, blocks in coverings.items():
-            model._check_covering(name, blocks, n)
+        decision, coverings = _union_cases(rng, n, trial)
         system = cr.CoveringDecisionSystem(
             n, tuple(cr.Covering(k, tuple(bs)) for k, bs in coverings.items()), decision
         )
-        tested.clear()
+        recording = _record_outside(system)
+        looked_up = {}
         for name, blocks in coverings.items():
-            fits = [b for b in blocks if any(b & ~cls == 0 for cls in decision.classes)]
-            expected = functools.reduce(operator.or_, fits, 0)
-            assert system.admissible_union(name) == expected, name
-        assert tuple(discrete) not in tested
-        assert tuple(chain) in tested or n == 1  # at n = 1 the chain is {0}
+            recording.reads.clear()
+            assert system.admissible_union(name) == _fitting_or(blocks, decision), name
+            looked_up[name] = Counter(recording.reads)
+        assert not looked_up["D"]
+        # At n = 1 the chain is {0}, the discrete covering.
+        assert looked_up["N"] == (Counter() if n == 1 else _lookups(coverings["N"]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2000])
+def test_cold_fingerprint_tests_each_block_once(n):
+    rng = random.Random(f"cold-fingerprint:{n}")
+    for trial in range(4):
+        decision, coverings = _union_cases(rng, n, trial)
+        system = cr.CoveringDecisionSystem(
+            n, tuple(cr.Covering(k, tuple(bs)) for k, bs in coverings.items()), decision
+        )
+        recording = _record_outside(system)
+        cr.fingerprint(system)
+        singletons = {1 << x for x in range(n)}
+        tested = [b for blocks in coverings.values() if set(blocks) != singletons for b in blocks]
+        assert Counter(recording.reads) == _lookups(tested)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+def test_with_covering_stamps_the_discrete_covering_from_its_validation(n):
+    """``with_covering`` memoizes the discrete covering's union, the
+    universe, before any stamp is taken, and no other covering's."""
+    rng = random.Random(f"with-covering:{n}")
+    full = (1 << n) - 1
+    for trial in range(4):
+        decision, coverings = _union_cases(rng, n, trial)
+        base = cr.CoveringDecisionSystem(n, (cr.Covering("B", (full,)),), decision)
+        grown = base.with_covering(cr.Covering("D", tuple(coverings["D"])))
+        assert grown.__dict__["_unions"] == {"D": full}
+        recording = _record_outside(grown)
+        assert grown.admissible_union("D") == full
+        assert recording.reads == []
+        coarser = [bs for bs in (_partition_blocks(rng, n) for _ in range(8)) if len(bs) < n]
+        assert coarser or n == 1
+        for k, blocks in enumerate([coverings["N"], *coarser]):
+            name = f"X{k}"
+            grown = base.with_covering(cr.Covering(name, tuple(blocks)))
+            # At n = 1 the chain is {0}, the discrete covering.
+            assert (name in grown.__dict__.get("_unions", {})) == (len(blocks) == n == 1)
+            assert grown.admissible_union(name) == _fitting_or(blocks, decision)
 
 
 def _reference_check_covering(name, blocks, n):
