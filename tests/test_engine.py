@@ -31,6 +31,8 @@ from conftest import (
     CONSISTENT8_MINUS_REDUCTS,
     CONSISTENT8_PLUS_REDUCTS,
     CONSISTENT8_REDUCTS,
+    EXTRA_COVERING_5,
+    EXTRA_COVERING_6,
     INCONSISTENT8_REDUCTS,
     core_cnfs,
     nameset,
@@ -96,7 +98,7 @@ def test_add_covering_consistent_golden(consistent8, covering6):
     assert new_cache.fingerprint == cr.fingerprint(consistent8.with_covering(covering6))
 
 
-def test_update_related_add_golden(consistent8, covering6):
+def test_add_related_sets_gain_the_covering_inside_its_union_golden(consistent8, covering6):
     _, cache = cr.batch_reducts(consistent8)
     assert to_indices(engine.add_delta(consistent8, covering6).union) == obj(2, 7, 8)
     rf_plus = cr.add_covering(consistent8, cache, covering6)[1].related
@@ -227,7 +229,7 @@ def test_delete_covering_consistent_golden(consistent8):
     assert new_cache.fingerprint == cr.fingerprint(consistent8.without_covering("C5"))
 
 
-def test_update_related_delete_golden(consistent8):
+def test_delete_related_sets_lose_the_covering_golden(consistent8):
     _, cache = cr.batch_reducts(consistent8)
     rf_minus = cr.delete_covering(consistent8, cache, "C5")[1].related
     assert rf_minus.related_names(obj(1)[0]) == {"C1", "C3"}
@@ -317,27 +319,67 @@ def test_adding_and_deleting_the_discrete_covering_matches_batch(m):
     assert set(regions) == {True, False}
 
 
-def test_stale_cache_rejected(consistent8, covering6):
-    _, cache = cr.batch_reducts(consistent8)
-    grown = consistent8.with_covering(covering6)
-    with pytest.raises(StaleCache):
-        cr.add_covering(grown, cache, cr.make_covering("C9", [obj(1, 2, 3, 4, 5, 6, 7, 8)], 8))
-    with pytest.raises(StaleCache):
-        cr.delete_covering(grown, cache, "C1")
+def _tampered(x):
+    """Set object ``x``'s related set to {C1}, then write and load the cache,
+    digest and all, as a forger would.  The set is still non-empty, so the
+    cache loads; only a delete of C1, which empties it, can see that it
+    misdescribes the system."""
+
+    def edit(system, cache):
+        r, names = list(cache.related.r), cache.related.covering_names
+        r[x] = 0b1
+        related = cr.RelatedFamily(names, _pack(r, len(names)))
+        return system, cr.load_cache(cr.serialize_cache(dataclasses.replace(cache, related=related)))
+
+    return edit
 
 
-def test_reordered_cache_rejected(consistent8, covering6):
-    # Reordering keeps the fingerprint but moves every covering's bit in
-    # the cached masks, so the cache must not be reused.
-    _, cache = cr.batch_reducts(consistent8)
-    reordered = cr.CoveringDecisionSystem(
-        consistent8.universe_size, consistent8.coverings[::-1], consistent8.decision
-    )
-    assert cr.fingerprint(reordered) == cache.fingerprint
-    with pytest.raises(StaleCache):
-        cr.delete_covering(reordered, cache, "C5")
-    with pytest.raises(StaleCache):
-        cr.add_covering(reordered, cache, covering6)
+REGION = "cached related sets disagree with the positive region of the system without 'C1'; rebuild the cache"
+
+# Caches refused for a system they do not describe, one row each: the
+# fixture whose batch cache is taken; an edit returning the system and cache
+# then used together; the add (a covering) and delete (a name) that must
+# raise StaleCache; and a fragment of its message.  A new refused cache is
+# one more row.
+REFUSED_CACHES = [
+    pytest.param(
+        "consistent8", lambda s, c: (s.with_covering(cr.make_covering(*EXTRA_COVERING_6, 8)), c),
+        {"add": ("C9", [range(8)]), "delete": "C1"}, "cache was built for system ", id="stale",
+    ),
+    # Reordering keeps the fingerprint but moves every covering's bit in the
+    # cached masks.
+    pytest.param(
+        "consistent8", lambda s, c: (cr.CoveringDecisionSystem(s.universe_size, s.coverings[::-1], s.decision), c),
+        {"add": EXTRA_COVERING_6, "delete": "C5"},
+        "cache lists coverings ('C1', 'C2', 'C3', 'C4', 'C5'), the system ('C5', 'C4', 'C3', 'C2', 'C1')",
+        id="reordered",
+    ),
+    # Object 1 has an empty related set, so a cache cut to the first two
+    # objects still agrees with its own positive region.
+    pytest.param(
+        "inconsistent8",
+        lambda s, c: (s, dataclasses.replace(c, related=cr.RelatedFamily(c.related.covering_names, c.related.rows[:2]))),
+        {"add": EXTRA_COVERING_5, "delete": "C4"}, "cache holds related sets for 2 objects, the system has 8",
+        id="short-related",
+    ),
+    # The region survives deleting C1 (the filter path), or shrinks (strip
+    # and continue).
+    pytest.param("consistent8", _tampered(0), {"delete": "C1"}, REGION, id="region-kept"),
+    pytest.param("inconsistent8", _tampered(3), {"delete": "C1"}, REGION, id="region-shrinks"),
+]
+
+
+@pytest.mark.parametrize("fixture, edit, ops, fragment", REFUSED_CACHES)
+def test_refused_caches(fixture, edit, ops, fragment, request):
+    system = request.getfixturevalue(fixture)
+    system, cache = edit(system, cr.batch_reducts(system)[1])
+    for op, arg in ops.items():
+        with pytest.raises(StaleCache) as err:
+            if op == "add":
+                cr.add_covering(system, cache, cr.make_covering(*arg, 8))
+            else:
+                cr.delete_covering(system, cache, arg)
+        assert type(err.value) is StaleCache and fragment in str(err.value), op
 
 
 def test_cache_whose_reducts_name_other_coverings_is_rejected():
@@ -354,46 +396,6 @@ def test_cache_whose_reducts_name_other_coverings_is_rejected():
         cr.ReductionCache(cache.fingerprint, cache.related, other)
     with pytest.raises(ValueError, match="its reducts"):
         dataclasses.replace(cache, reducts=other)
-
-
-def test_short_related_cache_rejected(inconsistent8, covering5):
-    # Index 1 has an empty related set, so a cache cut to the first two
-    # objects still agrees with its own positive region.
-    _, cache = cr.batch_reducts(inconsistent8)
-    related = cache.related
-    short = dataclasses.replace(
-        cache, related=cr.RelatedFamily(related.covering_names, related.rows[:2])
-    )
-    with pytest.raises(StaleCache, match="2 objects"):
-        cr.add_covering(inconsistent8, short, covering5)
-    with pytest.raises(StaleCache, match="2 objects"):
-        cr.delete_covering(inconsistent8, short, "C4")
-
-
-@pytest.mark.parametrize(
-    "fixture, x, tampered",
-    [
-        # The region survives deleting C1: the filter path.
-        ("consistent8", 0, 0b1),
-        # The region shrinks: the strip-and-continue path.
-        ("inconsistent8", 3, 0b1),
-    ],
-)
-def test_delete_rejects_related_sets_that_disagree_with_the_region(
-    fixture, x, tampered, request
-):
-    # The tampered related set is still non-empty, so a cache written with
-    # it (digest and all, as a forger would) loads; only the delete, which
-    # empties it, can see that it misdescribes the system.
-    system = request.getfixturevalue(fixture)
-    _, cache = cr.batch_reducts(system)
-    r = list(cache.related.r)
-    r[x] = tampered
-    names = cache.related.covering_names
-    related = cr.RelatedFamily(names, _pack(r, len(names)))
-    loaded = cr.load_cache(cr.serialize_cache(dataclasses.replace(cache, related=related)))
-    with pytest.raises(StaleCache, match="positive region"):
-        cr.delete_covering(system, loaded, "C1")
 
 
 def test_delete_errors(consistent8):
@@ -961,7 +963,7 @@ def _key_covering(name, n):
     return cr.make_covering(name, [[x] for x in range(n)], n)
 
 
-def test_add_filter_meets_only_the_stripped_old_reducts(filters, monkeypatch):
+def test_add_filter_keeps_the_candidates_that_miss_an_avoid_row(filters, monkeypatch):
     """Seeded adds, most of them keeping the positive region, at one and
     two words.
 

@@ -18,7 +18,7 @@ from covreduct import boolformula, io
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.boolformula import _pack
-from covreduct.errors import CoverageGap, DecisionNotPartition, ParseError
+from covreduct.errors import CoverageGap, ParseError
 from covreduct.io import (
     CACHE_FIELDS,
     NonNumericForTolerance,
@@ -127,18 +127,6 @@ def test_one_high_index_is_rejected_without_building_its_mask():
     assert peak < 8 * 2**20
 
 
-def test_load_rejects_decision_overlap():
-    text = '{"universe_size": 2, "coverings": [{"name": "C1", "blocks": [[0, 1]]}], "decision": [[0], [0, 1]]}'
-    with pytest.raises(DecisionNotPartition):
-        cr.load_system(text)
-
-
-def test_load_rejects_empty_coverings():
-    text = '{"universe_size": 2, "coverings": [], "decision": [[0], [1]]}'
-    with pytest.raises(cr.ValidationError):
-        cr.load_system(text)
-
-
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -151,6 +139,9 @@ def test_load_rejects_empty_coverings():
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0]]}], "decision": [0]}', "decision[0]"),
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0, 1]]}], "decision": [[0], [1]], "object_names": ["a"]}', "object_names"),
         ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0, 1]]}], "decision": [[0], [1]], "object_names": ["a", 2]}', "object_names: expected"),
+        # A misspelt field once passed silently, its names or blocks dropped.
+        ('{"universe_size": 2, "object_name": ["a", "b"], "coverings": [{"name": "C", "blocks": [[0], [1]]}], "decision": [[0], [1]]}', "object_name: not a field of a system document"),
+        ('{"universe_size": 2, "coverings": [{"name": "C", "blocks": [[0], [1]], "blokcs": [[0, 1]]}], "decision": [[0], [1]]}', "coverings[0].blokcs: not a field of a covering"),
     ],
 )
 def test_parse_errors_carry_context(text, fragment):
@@ -165,6 +156,8 @@ def test_parse_covering_document():
     assert cov.blocks == (0b011, 0b100, 0b101)
     with pytest.raises(ParseError):
         parse_covering('{"name": "C6"}', 3)
+    with pytest.raises(ParseError, match="^extra: not a field of a covering$"):
+        parse_covering('{"name": "C6", "blocks": [[0, 1, 2]], "extra": 1}', 3)
 
 
 def test_cache_roundtrip(consistent8):
@@ -176,11 +169,6 @@ def test_cache_roundtrip(consistent8):
     assert again.positive == cache.positive
     assert again.related == cache.related
     assert again.reducts == cache.reducts
-
-
-def test_cache_parse_error():
-    with pytest.raises(ParseError):
-        cr.load_cache('{"fingerprint": "x"}')
 
 
 # Each invalid text and the message every reader must raise for it.  The
@@ -313,7 +301,7 @@ def test_hex_check_accepts_exactly_the_reencoded_hex(raw):
     # One byte per field and eight names: every byte string is whole masks
     # that fit, so only the hex check can reject.
     try:
-        _decode_rows(raw, 1, 8, "related")
+        _decode_rows(raw, 8, "related")
     except ParseError as exc:
         assert not exact
         assert str(exc).startswith("related: expected lowercase hex digits only")
@@ -392,52 +380,42 @@ def test_cache_bytes_are_pinned(m):
     assert flipped != cache
 
 
-def test_format_1_cache_rejected(consistent8):
+def _cache_doc(system) -> dict:
+    _, cache = cr.batch_reducts(system)
+    return json.loads(cr.serialize_cache(cache))
+
+
+def _format_1(system) -> dict:
     # The earlier layout: index lists, a stored "consistent" flag, no format.
-    _, cache = cr.batch_reducts(consistent8)
-    old = {
+    _, cache = cr.batch_reducts(system)
+    return {
         "fingerprint": cache.fingerprint,
         "consistent": True,
         "covering_names": list(cache.related.covering_names),
-        "positive": list(range(8)),
+        "positive": list(range(system.universe_size)),
         "related": [to_indices(mask) for mask in cache.related.r],
         "reducts": [to_indices(r) for r in sorted(cache.reducts.reducts)],
     }
-    with pytest.raises(ParseError, match="covreduct reduce --cache"):
-        cr.load_cache(json.dumps(old, indent=2))
 
 
-def test_format_2_cache_rejected(consistent8):
-    # Format 2 had a list layout but a fingerprint computed another way: it
-    # must ask for a rebuild, not fail later as a stale cache.
-    _, cache = cr.batch_reducts(consistent8)
-    doc = json.loads(cr.serialize_cache(cache))
-    doc["format"] = 2
-    with pytest.raises(ParseError, match="rebuild the cache with `covreduct reduce --cache`"):
-        cr.load_cache(json.dumps(doc))
-
-
-def test_format_3_cache_rejected(consistent8):
+def _format_3(system) -> dict:
     # Format 3 stored the positive region and carried no digest.
-    _, cache = cr.batch_reducts(consistent8)
-    doc = json.loads(cr.serialize_cache(cache))
+    doc = {**_cache_doc(system), "format": 3, "positive": "ff"}
     del doc["digest"]
-    doc.update(format=3, positive="ff")
-    with pytest.raises(ParseError, match="rebuild the cache with `covreduct reduce --cache`"):
-        cr.load_cache(json.dumps(doc))
+    return doc
 
 
-def test_format_4_cache_rejected(consistent8):
+def _format_4(system) -> dict:
     # Format 4 listed one variable-width hex string per mask, sealed by a
     # digest over the comma-joined lists.
-    _, cache = cr.batch_reducts(consistent8)
+    _, cache = cr.batch_reducts(system)
     names = list(cache.related.covering_names)
     related = [format(mask, "x") for mask in cache.related.r]
     reducts = [format(r, "x") for r in sorted(cache.reducts.reducts)]
     content = "\n".join(
         (json.dumps([cache.fingerprint, names]), ",".join(related), ",".join(reducts))
     )
-    doc = {
+    return {
         "format": 4,
         "fingerprint": cache.fingerprint,
         "covering_names": names,
@@ -445,32 +423,46 @@ def test_format_4_cache_rejected(consistent8):
         "reducts": reducts,
         "digest": hashlib.sha256(content.encode()).hexdigest(),
     }
-    rebuild = "cache format 4 is not 6; rebuild the cache with `covreduct reduce --cache`"
-    with pytest.raises(ParseError, match=rebuild):
-        cr.load_cache(json.dumps(doc, separators=(",", ":")))
 
 
-def test_format_5_cache_rejected(consistent8):
+def _format_5(system) -> dict:
     # Format 5 had this layout but stamped the system by hashing every
-    # block: its stamp never matches a format 6 one, so the cache must ask
-    # for a rebuild, not fail later as a stale cache.
-    _, cache = cr.batch_reducts(consistent8)
-    doc = json.loads(cr.serialize_cache(cache))
-    doc.update(format=5, fingerprint=block_fingerprint(consistent8))
+    # block, sealed by a digest over that stamp.
+    doc = {**_cache_doc(system), "format": 5, "fingerprint": block_fingerprint(system)}
     doc["digest"] = io._digest(
         doc["fingerprint"], doc["covering_names"], doc["related"], doc["reducts"]
     )
-    rebuild = "cache format 5 is not 6; rebuild the cache with `covreduct reduce --cache`"
-    with pytest.raises(ParseError, match=rebuild):
-        cr.load_cache(json.dumps(doc, separators=(",", ":")))
-    doc["format"] = 6
-    with pytest.raises(cr.StaleCache):
-        cr.add_covering(consistent8, cr.load_cache(json.dumps(doc)), cr.make_covering("X", [range(8)], 8))
+    return doc
 
 
-def _cache_doc(system) -> dict:
-    _, cache = cr.batch_reducts(system)
-    return json.loads(cr.serialize_cache(cache))
+# Caches written before format 6, one row each: the old document built for
+# a system, and the format its rejection names.  No old stamp matches a
+# format 6 one, so each must ask for a rebuild rather than fail later as a
+# stale cache.  A new retired format is one more row.
+OLD_CACHE_FORMATS = [
+    pytest.param(_format_1, "None", id="format-1"),
+    # Format 2 had a list layout but a fingerprint computed another way.
+    pytest.param(lambda system: {**_cache_doc(system), "format": 2}, "2", id="format-2"),
+    pytest.param(_format_3, "3", id="format-3"),
+    pytest.param(_format_4, "4", id="format-4"),
+    pytest.param(_format_5, "5", id="format-5"),
+    pytest.param(lambda system: {"fingerprint": "x"}, "None", id="no-format"),
+]
+
+
+@pytest.mark.parametrize("old, fmt", OLD_CACHE_FORMATS)
+def test_old_cache_formats_ask_for_a_rebuild(consistent8, old, fmt):
+    with pytest.raises(ParseError) as err:
+        cr.load_cache(json.dumps(old(consistent8)))
+    rebuild = f"cache format {fmt} is not 6; rebuild the cache with `covreduct reduce --cache`"
+    assert (type(err.value), str(err.value)) == (ParseError, rebuild)
+
+
+def test_a_format_5_cache_relabelled_6_is_stale(consistent8):
+    # Past the format check, a format 5 stamp matches no system.
+    cache = cr.load_cache(json.dumps({**_format_5(consistent8), "format": 6}))
+    with pytest.raises(cr.StaleCache, match="cache was built for system "):
+        cr.add_covering(consistent8, cache, cr.make_covering("X", [range(8)], 8))
 
 
 def _field(doc, key, k, digits):

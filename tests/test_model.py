@@ -1,4 +1,5 @@
 import functools
+import json
 import operator
 import random
 import time
@@ -35,54 +36,37 @@ def test_build_single_all_covering_block():
     assert system.coverings[0].blocks == (0b111,)
 
 
-def test_coverage_gap():
-    with pytest.raises(CoverageGap):
-        cr.build_system(3, [("C1", [[0, 1]])], [[0], [1, 2]])
+# Malformed systems, one row each: build_system's arguments, and the class
+# and whole message that it and load_system, given the system as a JSON
+# document, raise.  A new malformed system is one more row.
+REJECTED_SYSTEMS = [
+    ("coverage-gap", 3, [("C1", [[0, 1]])], [[0], [1, 2]], CoverageGap, "covering 'C1' does not cover objects [2]"),
+    ("empty-block", 2, [("C1", [[0, 1], []])], [[0], [1]], EmptyBlock, "covering 'C1': block 1 is empty"),
+    ("duplicate-block", 2, [("C1", [[0, 1], [1, 0]])], [[0], [1]], DuplicateBlock,
+     "covering 'C1': block 1 duplicates an earlier block"),
+    ("duplicate-covering-name", 2, [("C1", [[0, 1]]), ("C1", [[0], [1]])], [[0], [1]], DuplicateCoveringName,
+     "duplicate covering names: ['C1']"),
+    ("index-past-universe", 2, [("C1", [[0, 2]])], [[0], [1]], IndexOutOfRange,
+     "covering 'C1', block 0: object index 2 outside [0, 2)"),
+    ("index-negative", 2, [("C1", [[0, -1]])], [[0], [1]], IndexOutOfRange,
+     "covering 'C1', block 0: object index -1 outside [0, 2)"),
+    ("decision-overlap", 2, [("C1", [[0, 1]])], [[0], [0, 1]], DecisionNotPartition,
+     "decision class 1 overlaps an earlier class"),
+    ("decision-gap", 2, [("C1", [[0, 1]])], [[0]], DecisionNotPartition, "decision classes do not cover objects [1]"),
+    ("decision-empty-class", 2, [("C1", [[0, 1]])], [[0, 1], []], DecisionNotPartition, "decision class 1 is empty"),
+    ("no-coverings", 2, [], [[0], [1]], cr.ValidationError, "a system needs at least one covering"),
+    ("nonpositive-universe", 0, [("C1", [[0]])], [[0]], cr.ValidationError, "universe_size must be positive, got 0"),
+]
 
 
-def test_empty_block_rejected():
-    with pytest.raises(EmptyBlock):
-        cr.build_system(2, [("C1", [[0, 1], []])], [[0], [1]])
-
-
-def test_duplicate_block_rejected():
-    with pytest.raises(DuplicateBlock):
-        cr.build_system(2, [("C1", [[0, 1], [1, 0]])], [[0], [1]])
-
-
-def test_duplicate_covering_name_rejected():
-    with pytest.raises(DuplicateCoveringName):
-        cr.build_system(2, [("C1", [[0, 1]]), ("C1", [[0], [1]])], [[0], [1]])
-
-
-def test_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        cr.build_system(2, [("C1", [[0, 2]])], [[0], [1]])
-    with pytest.raises(IndexOutOfRange):
-        cr.build_system(2, [("C1", [[0, -1]])], [[0], [1]])
-
-
-@pytest.mark.parametrize(
-    "decision",
-    [
-        [[0], [0, 1]],  # overlap
-        [[0]],  # gap
-        [[0, 1], []],  # empty class
-    ],
-)
-def test_decision_not_partition(decision):
-    with pytest.raises(DecisionNotPartition):
-        cr.build_system(2, [("C1", [[0, 1]])], decision)
-
-
-def test_no_coverings_rejected():
-    with pytest.raises(cr.ValidationError):
-        cr.build_system(2, [], [[0], [1]])
-
-
-def test_nonpositive_universe_rejected():
-    with pytest.raises(cr.ValidationError):
-        cr.build_system(0, [("C1", [[0]])], [[0]])
+@pytest.mark.parametrize("n, coverings, decision, error, message", [r[1:] for r in REJECTED_SYSTEMS],
+                         ids=[r[0] for r in REJECTED_SYSTEMS])
+def test_rejected_systems(n, coverings, decision, error, message):
+    doc = {"universe_size": n, "coverings": [dict(name=c, blocks=b) for c, b in coverings], "decision": decision}
+    for load in (lambda: cr.build_system(n, coverings, decision), lambda: cr.load_system(json.dumps(doc))):
+        with pytest.raises(error) as err:
+            load()
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_union_of_coverings_merges_shared_block(consistent8):
