@@ -18,7 +18,7 @@ from covreduct import boolformula, io
 from covreduct.bench import BenchConfig
 from covreduct.bitset import to_indices
 from covreduct.boolformula import _pack
-from covreduct.errors import CoverageGap, ParseError
+from covreduct.errors import CoverageGap, DecisionNotPartition, ParseError
 from covreduct.io import (
     CACHE_FIELDS,
     NonNumericForTolerance,
@@ -125,6 +125,18 @@ def test_one_high_index_is_rejected_without_building_its_mask():
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 8 * 2**20
+
+
+def test_load_rejects_decision_overlap():
+    text = '{"universe_size": 2, "coverings": [{"name": "C1", "blocks": [[0, 1]]}], "decision": [[0], [0, 1]]}'
+    with pytest.raises(DecisionNotPartition):
+        cr.load_system(text)
+
+
+def test_load_rejects_empty_coverings():
+    text = '{"universe_size": 2, "coverings": [], "decision": [[0], [1]]}'
+    with pytest.raises(cr.ValidationError):
+        cr.load_system(text)
 
 
 @pytest.mark.parametrize(

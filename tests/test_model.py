@@ -69,6 +69,24 @@ def test_rejected_systems(n, coverings, decision, error, message):
         assert (type(err.value), str(err.value)) == (error, message)
 
 
+@pytest.mark.parametrize(
+    "decision",
+    [
+        [[0], [0, 1]],  # overlap
+        [[0]],  # gap
+        [[0, 1], []],  # empty class
+    ],
+)
+def test_decision_not_partition(decision):
+    with pytest.raises(DecisionNotPartition):
+        cr.build_system(2, [("C1", [[0, 1]])], decision)
+
+
+def test_no_coverings_rejected():
+    with pytest.raises(cr.ValidationError):
+        cr.build_system(2, [], [[0], [1]])
+
+
 def test_union_of_coverings_merges_shared_block(consistent8):
     pooled = dict(cr.union_of_coverings(consistent8))
     shared = mask_of(obj(2, 3))
